@@ -128,14 +128,18 @@ def _invert(m: int, x_lo: float, x_hi: float, c_lo: float, c_hi: float):
 def iqae_run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
              target_eps: float = 1e-3, shots_per_round: int = 10_000,
              seed: int = 0, trial: int = 0, confidence: float = 0.95,
-             max_rounds: int = 64, max_oracle_calls: Optional[int] = None) -> IqaeResult:
+             max_rounds: int = 64, max_oracle_calls: Optional[int] = None,
+             sim: Optional[CircuitSimulator] = None) -> IqaeResult:
+    """Run the iterative baseline; sim is a CircuitSimulator of (problem, noise)
+    to share with other runs, built here when not given."""
     if target_eps < 0:
         raise ValueError(f"target_eps must be >= 0, got {target_eps}")
     if shots_per_round < 1:
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    sim = CircuitSimulator(problem, noise)
+    if sim is None:
+        sim = CircuitSimulator(problem, noise)
     psi = problem.psi
     sec = problem.second_state()
     mode = problem.mode

@@ -1,13 +1,17 @@
 """Exact and sampled depth series for the noisy walk channel.
 
-One layer of the simulated circuit is the superoperator S = N . M_G, with
-M_G the conjugated walk operator and N the noise channel; depth n applies
-the same layer n times. The depth statistic is
+One layer of the simulated circuit is the channel S: rho -> N(G rho G^dag),
+with G the walk operator and N the noise channel; depth n applies the same
+layer n times. The depth statistic is
 
     t_n = <<rho_tilde | S^n | rho_tilde>>
 
 which a hardware run assembles from four prepare/measure probabilities with
 signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
+
+S is never formed as a matrix: the simulator pushes a d x d density matrix
+through one layer at a time and keeps the scalar read-outs of every depth
+it passes.
 """
 
 from __future__ import annotations
@@ -46,52 +50,108 @@ def _clamped_real(value: complex, context: str) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-class CircuitSimulator:
-    """Propagates vectorized preparations through layers of N . M_G.
+class _Trajectory:
+    """One initial operator pushed through successive layers.
 
-    Binary powers of the step superoperator are cached, so a fresh depth
-    costs O(log n) matrix products and repeated depths are free.
+    Only the latest operator is kept, plus the read-out <<probe|rho_m>> of
+    every registered probe at every depth m passed so far. A depth below the
+    current one that was never read (a probe registered late) replays the
+    trajectory from depth 0; the replay repeats the same arithmetic, so its
+    values are bit-identical to a fresh trajectory's.
+    """
+
+    def __init__(self, rho0: np.ndarray, layer):
+        self._rho0 = rho0
+        self._layer = layer
+        self._rho = rho0
+        self._depth = 0
+        self._probes: dict = {}
+        self._readouts: dict = {}
+
+    def readout(self, key, probe_vec: np.ndarray, n: int) -> complex:
+        if n < 0:
+            raise ValueError(f"negative depth {n}")
+        value = self._readouts.get((key, n))
+        if value is not None:
+            return value
+        self._probes.setdefault(key, probe_vec)
+        if n < self._depth:
+            self._rho, self._depth = self._rho0, 0
+        self._record()
+        while self._depth < n:
+            self._rho = self._layer(self._rho)
+            self._depth += 1
+            self._record()
+        return self._readouts[(key, n)]
+
+    def _record(self):
+        flat = self._rho.reshape(-1)
+        for key, vec in self._probes.items():
+            self._readouts[(key, self._depth)] = complex(np.vdot(vec, flat))
+
+
+class CircuitSimulator:
+    """Propagates density matrices through layers rho -> N(G rho G^dag).
+
+    A layer is two d x d products for the walk and, per qubit, one product
+    of the 4 x 4 single-qubit noise superoperator with the (i_j, k_j) index
+    pair of rho. exact_t follows rho_tilde itself and prob follows each
+    preparation once; each trajectory keeps only its latest matrix, so a
+    depth costs the layers beyond the deepest one reached and a repeated
+    depth is free. Build one simulator per (problem, noise) and share it:
+    every value is independent of what the simulator served before.
+
     noise_matrix, when given, overrides the built-in channel kinds with an
-    explicit superoperator (used by the perturbation checks).
+    explicit d^2 x d^2 superoperator, applied as a dense product on vec(rho).
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
                  noise_matrix: Optional[np.ndarray] = None):
         self.problem = problem
         self.noise = noise
-        n_op = noise_matrix if noise_matrix is not None else noise_superop(noise, problem.qubits)
-        self.step = np.asarray(n_op, dtype=complex) @ conjugation_superop(grover(problem))
-        self._squares = {1: self.step}
-        self._powers = {0: np.eye(self.step.shape[0], dtype=complex), 1: self.step}
+        g = grover(problem)
+        if noise_matrix is not None:
+            self._step = np.asarray(noise_matrix, dtype=complex) @ conjugation_superop(g)
+            self._layer = self._dense_layer
+        else:
+            self._g = g
+            self._g_dag = g.conj().T.copy()
+            self._noise_t = noise_superop(noise, 1).T.copy()
+            q = problem.qubits
+            # (i_1..i_q, k_1..k_q) <-> (i_1, k_1, ..., i_q, k_q)
+            self._pairs = tuple(a for j in range(q) for a in (j, q + j))
+            self._unpairs = tuple(np.argsort(self._pairs))
+            self._layer = self._noisy_walk
+        tilde = rho_tilde(problem)
+        self.rho_tilde_vec = vectorize(tilde)
+        self._tilde = _Trajectory(tilde, self._layer)
+        self._preps: dict = {}
         self._t_cache: dict[int, float] = {}
-        self.rho_tilde_vec = vectorize(rho_tilde(problem))
 
-    def power(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"negative depth {n}")
-        if n in self._powers:
-            return self._powers[n]
-        result = None
-        bit = 1
-        remaining = n
-        while remaining:
-            if bit not in self._squares:
-                half = self._squares[bit // 2]
-                self._squares[bit] = half @ half
-            if remaining & 1:
-                block = self._squares[bit]
-                result = block if result is None else block @ result
-            remaining >>= 1
-            bit <<= 1
-        self._powers[n] = result
-        return result
+    def _dense_layer(self, rho: np.ndarray) -> np.ndarray:
+        return (self._step @ rho.reshape(-1)).reshape(rho.shape)
+
+    def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
+        d = rho.shape[0]
+        q = self.problem.qubits
+        rho = self._g @ rho @ self._g_dag
+        x = rho.reshape((2,) * (2 * q)).transpose(self._pairs)
+        # Each pass maps the leading (i_j, k_j) pair and rotates it to the
+        # back; after q passes the pairs are back in order.
+        for _ in range(q):
+            x = x.reshape(4, -1).T @ self._noise_t
+        return x.reshape((2,) * (2 * q)).transpose(self._unpairs).reshape(d, d)
 
     def prob(self, prep, meas, n: int) -> float:
         """Probability of projecting onto meas after n layers from prep."""
-        prep_vec = vectorize(np.outer(prep, np.conj(prep)))
+        prep = np.asarray(prep, dtype=complex)
+        meas = np.asarray(meas, dtype=complex)
+        traj = self._preps.get(prep.tobytes())
+        if traj is None:
+            traj = _Trajectory(np.outer(prep, np.conj(prep)), self._layer)
+            self._preps[prep.tobytes()] = traj
         meas_vec = vectorize(np.outer(meas, np.conj(meas)))
-        raw = complex(np.vdot(meas_vec, self.power(n) @ prep_vec))
-        return _clamped_real(raw, f"depth {n}")
+        return _clamped_real(traj.readout(meas.tobytes(), meas_vec, n), f"depth {n}")
 
     def _signed_pairs(self):
         psi = self.problem.psi
@@ -101,7 +161,7 @@ class CircuitSimulator:
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>, cached per depth."""
         if n not in self._t_cache:
-            raw = complex(np.vdot(self.rho_tilde_vec, self.power(n) @ self.rho_tilde_vec))
+            raw = self._tilde.readout(None, self.rho_tilde_vec, n)
             if abs(raw.imag) > _IMAG_TOL:
                 raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
             self._t_cache[n] = float(raw.real)
@@ -169,6 +229,16 @@ class TSeries:
         return self.entries[n]
 
 
+def _simulator(problem: EstimationProblem, noise: NoiseSpec,
+               sim: Optional[CircuitSimulator]) -> CircuitSimulator:
+    """sim when it simulates (problem, noise), else a new simulator."""
+    if sim is None:
+        return CircuitSimulator(problem, noise)
+    if sim.problem is not problem or sim.noise != noise:
+        raise ValueError("shared simulator was built for another problem or noise")
+    return sim
+
+
 class ExactTProvider:
     """Serves exact expectations; division guard at float-noise scale."""
 
@@ -194,11 +264,13 @@ class SampledTProvider:
     The guard eps_div is three Hoeffding half-widths of t at the configured
     shot count (delta = 0.5 working point), so a ratio is formed only when
     the denominator clears its own statistical noise by a wide margin.
+    Trials may share one simulator: its probabilities do not depend on the
+    trial, and each draw has its own substream.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec, shots: int,
-                 seed: int, trial: int = 0):
-        self.sim = CircuitSimulator(problem, noise)
+                 seed: int, trial: int = 0, sim: Optional[CircuitSimulator] = None):
+        self.sim = _simulator(problem, noise, sim)
         self.shots = shots
         self.seed = seed
         self.trial = trial
@@ -233,10 +305,10 @@ class PerturbedTProvider:
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec, eps: float,
-                 seed: int, trial: int = 0):
+                 seed: int, trial: int = 0, sim: Optional[CircuitSimulator] = None):
         if eps < 0:
             raise ValueError(f"perturbation must be >= 0, got {eps}")
-        self.sim = CircuitSimulator(problem, noise)
+        self.sim = _simulator(problem, noise, sim)
         self.eps = eps
         self.seed = seed
         self.trial = trial

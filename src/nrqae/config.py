@@ -20,6 +20,9 @@ from .linalg import eig_dense
 from .model import EstimationProblem, amplitude_problem, observable_problem
 
 CONFIG_VERSION = 1
+# Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
+# walk operator, O(8^q) work; the cap bounds it before any array is built.
+MAX_QUBITS = 8
 
 DEFAULT_S_GRID = [0.001, 0.002154434690032, 0.004641588833613, 0.01,
                   0.02154434690032, 0.04641588833613, 0.1]
@@ -56,8 +59,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config_version {self.config_version}")
         if self.mode not in ("amplitude", "observable"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.qubits < 1:
-            raise ConfigError(f"qubits must be >= 1, got {self.qubits}")
+        if not 1 <= self.qubits <= MAX_QUBITS:
+            raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.trials < 1:

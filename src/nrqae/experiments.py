@@ -18,10 +18,11 @@ import numpy as np
 
 from .baseline import iqae_run
 from .channels import NoiseSpec
-from .circuits import PerturbedTProvider
+from .circuits import CircuitSimulator, PerturbedTProvider, SampledTProvider
 from .config import ExperimentConfig, build_problem
 from .errors import ConfigError
 from .estimator import fold_theta, run
+from .linalg import MAX_EIG_DIM
 from .model import theta_to_value
 from .perturbation import (fit_loglog_slope, lemma1_check, lemma2_check, subspace_basis,
                            theorem1_check)
@@ -32,6 +33,9 @@ LEMMA2_SLOPE_BAND = (0.7, 1.3)
 THEOREM1_SLOPE_BAND = (0.7, 1.3)
 THEOREM1_UNIFORMITY_MAX = 3.0
 RESIDUAL_FLOOR = 1e-12
+# Largest q with 4^q <= MAX_EIG_DIM: the perturbation checks diagonalize the
+# dense step superoperator.
+VERIFY_MAX_QUBITS = (MAX_EIG_DIM.bit_length() - 1) // 2
 
 
 def hoeffding_shots(eps: float, delta: float) -> int:
@@ -117,9 +121,10 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     depths = [2 ** i for i in range(cfg.iterations + 1)]
     errors = {n: [] for n in depths}
     rows = []
+    sim = CircuitSimulator(problem, cfg.noise)
     for trial in range(cfg.trials):
         provider = PerturbedTProvider(problem, cfg.noise, cfg.perturbation,
-                                      cfg.seed, trial)
+                                      cfg.seed, trial, sim=sim)
         result = run(problem, cfg.noise, k=cfg.iterations, provider=provider)
         for rec, theta in zip(result.iterations, result.iteration_thetas()):
             err = abs(theta - theta_true) if theta is not None else None
@@ -167,7 +172,8 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
 
     For each trial the estimator runs once over iterations 0..k; the
     baseline is rerun per depth point with its budget capped at the
-    estimator's cumulative call count for that depth.
+    estimator's cumulative call count for that depth. Every trial and
+    baseline run of one noise kind shares a simulator.
     """
     if cfg.exact or cfg.shots is None:
         raise ConfigError("compare-noise needs sampled mode (shots set, exact off)")
@@ -178,11 +184,13 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
     median_series = {}
     for kind in kinds:
         noise = _noise_for_kind(cfg, kind)
+        sim = CircuitSimulator(problem, noise)
         per_depth_nrqae = {}
         per_depth_iqae = {}
         for trial in range(cfg.trials):
-            result = run(problem, noise, k=cfg.iterations, shots=cfg.shots,
-                         seed=cfg.seed, trial=trial, retry=cfg.retry)
+            provider = SampledTProvider(problem, noise, cfg.shots, cfg.seed, trial, sim=sim)
+            result = run(problem, noise, k=cfg.iterations, retry=cfg.retry,
+                         provider=provider)
             budget = 0
             thetas = result.iteration_thetas()
             for rec, theta in zip(result.iterations, thetas):
@@ -196,7 +204,7 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
                 base = iqae_run(problem, noise, target_eps=0.0,
                                 shots_per_round=cfg.shots, seed=cfg.seed,
                                 trial=(trial << 10) | rec.index,
-                                max_oracle_calls=budget)
+                                max_oracle_calls=budget, sim=sim)
                 iqae_err = abs(base.estimate - true_value)
                 rows.append((kind, trial, rec.n, budget, value, nrqae_err,
                              base.estimate, iqae_err, len(base.rounds)))
@@ -244,6 +252,10 @@ def run_verify_perturbation(cfg: ExperimentConfig) -> VerifyReport:
     first-order statement holds exactly for that channel and there is no
     slope left to fit.
     """
+    if cfg.qubits > VERIFY_MAX_QUBITS:
+        raise ConfigError(f"verify-perturbation needs qubits <= {VERIFY_MAX_QUBITS}, got "
+                          f"{cfg.qubits}: eig_dense takes the 4^q x 4^q step "
+                          f"superoperator only up to dimension {MAX_EIG_DIM}")
     problem = build_problem(cfg)
     kinds = cfg.compare_kinds or [cfg.noise.kind]
     s_grid = [float(s) for s in cfg.s_grid]

@@ -1,9 +1,11 @@
 """Depth series simulation: exact propagation, sampling, providers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nrqae.channels import NoiseSpec
+from nrqae.channels import NoiseSpec, noise_superop, pauli_string
 from nrqae.circuits import (
     EXACT_DIVISION_GUARD,
     CircuitSimulator,
@@ -18,7 +20,9 @@ from nrqae.circuits import (
     t_triplet,
 )
 from nrqae.errors import NonPhysicalChannelError
-from nrqae.model import amplitude_problem
+from nrqae.estimator import run
+from nrqae.model import (amplitude_problem, conjugation_superop, grover, observable_problem,
+                         rho_tilde, vectorize)
 from nrqae.rng import substream
 
 
@@ -84,13 +88,89 @@ def test_probabilities_form_a_distribution():
         assert abs(total - 1.0) < 1e-10
 
 
-def test_power_matches_matrix_power():
-    rng = np.random.default_rng(227)
-    sim = CircuitSimulator(random_problem(rng, 1), NoiseSpec(kind="pauli"))
-    assert np.allclose(sim.power(13), np.linalg.matrix_power(sim.step, 13), atol=1e-12)
-    assert np.allclose(sim.power(0), np.eye(4))
+ORACLE_NOISES = (NoiseSpec(), NoiseSpec(kind="depolarizing"), NoiseSpec(kind="pauli"),
+                 NoiseSpec(kind="amplitude-damping"), NoiseSpec(kind="coherent"),
+                 NoiseSpec(kind="statistical", seed=5))
+
+
+def oracle_problems(rng, qubits):
+    yield random_problem(rng, qubits)
+    v = rng.standard_normal(2 ** qubits) + 1j * rng.standard_normal(2 ** qubits)
+    yield observable_problem(v / np.linalg.norm(v), pauli_string("Z" + "X" * (qubits - 1)))
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_propagation_matches_dense_matrix_power(qubits):
+    """exact_t and prob agree with powers of the dense step superoperator."""
+    rng = np.random.default_rng(227 + qubits)
+    for p in oracle_problems(rng, qubits):
+        rho_vec = vectorize(rho_tilde(p))
+        prep = vectorize(np.outer(p.psi, p.psi.conj()))
+        sec = p.second_state()
+        meas = vectorize(np.outer(sec, sec.conj()))
+        for noise in ORACLE_NOISES:
+            step = noise_superop(noise, qubits) @ conjugation_superop(grover(p))
+            sim = CircuitSimulator(p, noise)
+            for n in range(14):
+                power = np.linalg.matrix_power(step, n)
+                t_want = np.vdot(rho_vec, power @ rho_vec).real
+                p_want = np.vdot(meas, power @ prep).real
+                assert abs(sim.exact_t(n) - t_want) < 1e-12, (p.mode, noise.kind, n)
+                assert abs(sim.prob(p.psi, sec, n) - p_want) < 1e-12, (p.mode, noise.kind, n)
+            with pytest.raises(ValueError):
+                sim.exact_t(-1)
+            with pytest.raises(ValueError):
+                sim.prob(p.psi, sec, -1)
+
+
+def test_shared_simulator_matches_fresh_one():
+    """Values do not depend on what a simulator served before."""
+    rng = np.random.default_rng(233)
+    p = random_problem(rng, 2)
+    noise = NoiseSpec(kind="amplitude-damping")
+    shared = CircuitSimulator(p, noise)
+    sec = p.second_state()
+    for trial in range(3):
+        for n in (1, 2, 3, 24, 40):
+            shared.sampled_t(n, 1000, seed=3, trial=trial)
+    shared.exact_t(40)
+    # a measurement first asked for after the trajectory passed its depths
+    basis = np.zeros(4)
+    basis[1] = 1.0
+    assert shared.prob(sec, basis, 40) == CircuitSimulator(p, noise).prob(sec, basis, 40)
+    for n in (0, 1, 5, 17, 40):
+        fresh = CircuitSimulator(p, noise)
+        assert shared.exact_t(n) == fresh.exact_t(n)
+        assert shared.prob(sec, basis, n) == fresh.prob(sec, basis, n)
+        assert shared.prob(p.psi, sec, n) == fresh.prob(p.psi, sec, n)
+        assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
+            fresh.sampled_t(n, 1000, seed=3, trial=7)
+    own = SampledTProvider(p, noise, shots=1000, seed=3, trial=1)
+    lent = SampledTProvider(p, noise, shots=1000, seed=3, trial=1, sim=shared)
+    assert lent.sim is shared
+    for n in (1, 2, 4, 8):
+        assert own.triplet(n) == lent.triplet(n)
     with pytest.raises(ValueError):
-        sim.power(-1)
+        SampledTProvider(p, NoiseSpec(kind="pauli"), shots=10, seed=3, sim=shared)
+
+
+def test_exact_run_stays_matrix_free():
+    """Exact k = 5 at q = 7: one dense step superoperator would be 4 GiB."""
+    d = 2 ** 7
+    psi = np.zeros(d, dtype=complex)
+    psi[0] = 1.0
+    phi = np.zeros(d, dtype=complex)
+    phi[0], phi[-1] = np.cos(0.4), np.sin(0.4)
+    noise = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003,
+                                            "weight_y": 0.002, "weight_z": 0.005})
+    tracemalloc.start()
+    try:
+        res = run(amplitude_problem(psi, phi), noise, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert all(rec.ok for rec in res.iterations)
 
 
 def test_sampled_t_is_reproducible():

@@ -8,7 +8,7 @@ import pytest
 
 from nrqae.channels import NoiseSpec
 from nrqae.cli import main
-from nrqae.config import (ExperimentConfig, build_problem, config_from_dict,
+from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
                           config_to_dict, load_config, save_config)
 from nrqae.errors import ConfigError
 from nrqae.experiments import (VerifyReport, hoeffding_shots, run_compare_noise,
@@ -368,3 +368,29 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["verify-perturbation", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 3
     assert "FAIL pauli lemma1_slope" in capsys.readouterr().out
+
+
+def test_cli_verify_perturbation_qubit_limit(tmp_path, monkeypatch, capsys):
+    # eig_dense stops at dimension 64, so the 4^q step superoperator caps q at 3
+    def no_work(cfg):
+        raise AssertionError("the limit is checked before any work")
+
+    monkeypatch.setattr("nrqae.experiments.build_problem", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qubits": 4, "amplitude": 0.75, "noise": {"kind": "pauli"}}))
+    out = tmp_path / "out"
+    assert main(["verify-perturbation", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "qubits <= 3" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_qubit_limit_is_checked_when_the_config_is_read(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="qubits"):
+        ExperimentConfig(qubits=MAX_QUBITS + 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qubits": 9, "amplitude": 0.75, "exact": True}))
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "qubits must be in [1, 8], got 9" in err and "Traceback" not in err
