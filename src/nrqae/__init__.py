@@ -9,9 +9,8 @@ the noisy channel's eigenstructure.
 
 from .baseline import IqaeResult, iqae_run
 from .channels import NoiseSpec, avg_gate_fidelity, noise_superop
-from .circuits import (CircuitSimulator, ExactTProvider, PerturbedTProvider,
-                       SampledTProvider, TSeries, circuit_prob, exact_t, sampled_t,
-                       t_triplet)
+from .circuits import (CircuitSimulator, TProvider, TSeries, exact_provider,
+                       perturbed_provider, sampled_provider)
 from .config import ExperimentConfig, build_problem, config_from_dict, config_to_dict
 from .errors import (ConfigError, DegenerateProblemError, DepthGuardError,
                      EstimationFailure, NonPhysicalChannelError, NrqaeError)
@@ -20,21 +19,20 @@ from .estimator import (EstimationResult, candidate_angles, fit_decay, ratio_y,
 from .experiments import hoeffding_shots
 from .model import (EstimationProblem, amplitude_problem, grover, grover_amplitude,
                     grover_observable, observable_problem, reflection_about, rho_tilde,
-                    theta_to_value, two_state_geometry)
+                    theta_to_value)
 from .perturbation import (lemma1_check, lemma2_check, subspace_basis, theorem1_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CircuitSimulator", "ConfigError", "DegenerateProblemError", "DepthGuardError",
-    "EstimationFailure", "EstimationProblem", "EstimationResult", "ExactTProvider",
-    "ExperimentConfig", "IqaeResult", "NoiseSpec", "NonPhysicalChannelError",
-    "NrqaeError", "PerturbedTProvider", "SampledTProvider", "TSeries",
-    "amplitude_problem", "avg_gate_fidelity", "build_problem", "candidate_angles",
-    "circuit_prob", "config_from_dict", "config_to_dict", "exact_t", "fit_decay",
-    "grover", "grover_amplitude", "grover_observable", "hoeffding_shots", "iqae_run",
-    "lemma1_check", "lemma2_check", "noise_superop", "observable_problem", "ratio_y",
-    "reflection_about", "rho_tilde", "roots_cos", "run", "sampled_t", "seed_theta",
-    "select_candidate", "subspace_basis", "t_triplet", "theorem1_check",
-    "theta_to_value", "two_state_geometry",
+    "EstimationFailure", "EstimationProblem", "EstimationResult", "ExperimentConfig",
+    "IqaeResult", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError", "TProvider",
+    "TSeries", "amplitude_problem", "avg_gate_fidelity", "build_problem",
+    "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
+    "fit_decay", "grover", "grover_amplitude", "grover_observable", "hoeffding_shots",
+    "iqae_run", "lemma1_check", "lemma2_check", "noise_superop", "observable_problem",
+    "perturbed_provider", "ratio_y", "reflection_about", "rho_tilde", "roots_cos", "run",
+    "sampled_provider", "seed_theta", "select_candidate", "subspace_basis",
+    "theorem1_check", "theta_to_value",
 ]

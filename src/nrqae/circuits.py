@@ -11,12 +11,13 @@ signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 
 S is never formed as a matrix: the simulator pushes a d x d density matrix
 through one layer at a time and keeps the scalar read-outs of every depth
-it passes.
+it passes. One provider class, TProvider, serves the depths (n, 2n, 3n) to
+the estimator; exact_provider, sampled_provider and perturbed_provider
+give it its measurement rule (exact, binomial or offset) and its guard.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .channels import NoiseSpec, noise_superop
 from .errors import NonPhysicalChannelError
+# conjugation_superop is unused here; the benchmark's traced pass looks it up.
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
 from .rng import substream
 
@@ -31,14 +33,6 @@ _CLAMP_TOL = 1e-6
 _IMAG_TOL = 1e-8
 
 EXACT_DIVISION_GUARD = 1e-9
-
-
-def problem_tag(problem: EstimationProblem) -> str:
-    h = hashlib.sha256()
-    h.update(problem.mode.encode())
-    h.update(np.ascontiguousarray(problem.psi).tobytes())
-    h.update(np.ascontiguousarray(problem.second_state()).tobytes())
-    return h.hexdigest()[:12]
 
 
 def _clamped_real(value: complex, context: str) -> float:
@@ -100,36 +94,23 @@ class CircuitSimulator:
     depth costs the layers beyond the deepest one reached and a repeated
     depth is free. Build one simulator per (problem, noise) and share it:
     every value is independent of what the simulator served before.
-
-    noise_matrix, when given, overrides the built-in channel kinds with an
-    explicit d^2 x d^2 superoperator, applied as a dense product on vec(rho).
     """
 
-    def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
-                 noise_matrix: Optional[np.ndarray] = None):
+    def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
         self.problem = problem
         self.noise = noise
-        g = grover(problem)
-        if noise_matrix is not None:
-            self._step = np.asarray(noise_matrix, dtype=complex) @ conjugation_superop(g)
-            self._layer = self._dense_layer
-        else:
-            self._g = g
-            self._g_dag = g.conj().T.copy()
-            self._noise_t = noise_superop(noise, 1).T.copy()
-            q = problem.qubits
-            # (i_1..i_q, k_1..k_q) <-> (i_1, k_1, ..., i_q, k_q)
-            self._pairs = tuple(a for j in range(q) for a in (j, q + j))
-            self._unpairs = tuple(np.argsort(self._pairs))
-            self._layer = self._noisy_walk
+        self._g = grover(problem)
+        self._g_dag = self._g.conj().T.copy()
+        self._noise_t = noise_superop(noise, 1).T.copy()
+        q = problem.qubits
+        # (i_1..i_q, k_1..k_q) <-> (i_1, k_1, ..., i_q, k_q)
+        self._pairs = tuple(a for j in range(q) for a in (j, q + j))
+        self._unpairs = tuple(np.argsort(self._pairs))
         tilde = rho_tilde(problem)
         self.rho_tilde_vec = vectorize(tilde)
-        self._tilde = _Trajectory(tilde, self._layer)
+        self._tilde = _Trajectory(tilde, self._noisy_walk)
         self._preps: dict = {}
         self._t_cache: dict[int, float] = {}
-
-    def _dense_layer(self, rho: np.ndarray) -> np.ndarray:
-        return (self._step @ rho.reshape(-1)).reshape(rho.shape)
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         d = rho.shape[0]
@@ -148,7 +129,7 @@ class CircuitSimulator:
         meas = np.asarray(meas, dtype=complex)
         traj = self._preps.get(prep.tobytes())
         if traj is None:
-            traj = _Trajectory(np.outer(prep, np.conj(prep)), self._layer)
+            traj = _Trajectory(np.outer(prep, np.conj(prep)), self._noisy_walk)
             self._preps[prep.tobytes()] = traj
         meas_vec = vectorize(np.outer(meas, np.conj(meas)))
         return _clamped_real(traj.readout(meas.tobytes(), meas_vec, n), f"depth {n}")
@@ -185,20 +166,6 @@ class CircuitSimulator:
         return total
 
 
-def circuit_prob(prep, meas, n: int, problem: EstimationProblem,
-                 noise: NoiseSpec = NoiseSpec()) -> float:
-    return CircuitSimulator(problem, noise).prob(prep, meas, n)
-
-
-def exact_t(n: int, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()) -> float:
-    return CircuitSimulator(problem, noise).exact_t(n)
-
-
-def sampled_t(n: int, shots: int, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
-              seed: int = 0, trial: int = 0) -> float:
-    return CircuitSimulator(problem, noise).sampled_t(n, shots, seed, trial)
-
-
 def t_halfwidth(shots: int, delta: float = 0.5) -> float:
     """Hoeffding half-width of a sampled t value.
 
@@ -213,10 +180,6 @@ def t_halfwidth(shots: int, delta: float = 0.5) -> float:
 class TSeries:
     """Record of measured t values keyed by depth."""
 
-    problem: str = ""
-    noise: str = ""
-    seed: Optional[int] = None
-    shots: Optional[int] = None
     entries: dict = field(default_factory=dict)
 
     def record(self, n: int, value: float):
@@ -229,54 +192,23 @@ class TSeries:
         return self.entries[n]
 
 
-def _simulator(problem: EstimationProblem, noise: NoiseSpec,
-               sim: Optional[CircuitSimulator]) -> CircuitSimulator:
-    """sim when it simulates (problem, noise), else a new simulator."""
-    if sim is None:
-        return CircuitSimulator(problem, noise)
-    if sim.problem is not problem or sim.noise != noise:
-        raise ValueError("shared simulator was built for another problem or noise")
-    return sim
+class TProvider:
+    """Serves t at depths (n, 2n, 3n), each depth measured once per boost.
 
-
-class ExactTProvider:
-    """Serves exact expectations; division guard at float-noise scale."""
-
-    def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
-                 noise_matrix: Optional[np.ndarray] = None):
-        self.sim = CircuitSimulator(problem, noise, noise_matrix=noise_matrix)
-        self.eps_div = EXACT_DIVISION_GUARD
-        self.series = TSeries(problem=problem_tag(problem), noise=noise.tag())
-
-    def triplet(self, n: int, boost: int = 1):
-        values = tuple(self.sim.exact_t(m) for m in (n, 2 * n, 3 * n))
-        for m, v in zip((n, 2 * n, 3 * n), values):
-            self.series.record(m, v)
-        return values
-
-    def calls_for(self, n: int, boost: int = 1) -> int:
-        return 0
-
-
-class SampledTProvider:
-    """Serves binomial-sampled t values with per-depth caching.
-
-    The guard eps_div is three Hoeffding half-widths of t at the configured
-    shot count (delta = 0.5 working point), so a ratio is formed only when
-    the denominator clears its own statistical noise by a wide margin.
-    Trials may share one simulator: its probabilities do not depend on the
-    trial, and each draw has its own substream.
+    measure(m, boost) returns t at depth m; a value is cached per
+    (depth, boost), so a boosted retry is a fresh measurement, and only
+    unboosted values enter the series the envelope fit reads. eps_div is
+    the division guard of the ratio. shots is the shot count per circuit,
+    0 when the values are not sampled; it prices calls_for and allows a
+    failed iteration to be re-measured.
     """
 
-    def __init__(self, problem: EstimationProblem, noise: NoiseSpec, shots: int,
-                 seed: int, trial: int = 0, sim: Optional[CircuitSimulator] = None):
-        self.sim = _simulator(problem, noise, sim)
+    def __init__(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0):
+        self.sim = sim
+        self.measure = measure
+        self.eps_div = eps_div
         self.shots = shots
-        self.seed = seed
-        self.trial = trial
-        self.eps_div = 3.0 * t_halfwidth(shots)
-        self.series = TSeries(problem=problem_tag(problem), noise=noise.tag(),
-                              seed=seed, shots=shots)
+        self.series = TSeries()
         self._cache: dict[tuple, float] = {}
 
     def triplet(self, n: int, boost: int = 1):
@@ -284,8 +216,7 @@ class SampledTProvider:
         for m in (n, 2 * n, 3 * n):
             key = (m, boost)
             if key not in self._cache:
-                self._cache[key] = self.sim.sampled_t(m, self.shots, self.seed,
-                                                      self.trial, boost=boost)
+                self._cache[key] = self.measure(m, boost)
             out.append(self._cache[key])
             if boost == 1:
                 self.series.record(m, self._cache[key])
@@ -296,45 +227,54 @@ class SampledTProvider:
         return self.shots * boost * 4 * (n + 2 * n + 3 * n)
 
 
-class PerturbedTProvider:
+def _simulator(problem: EstimationProblem, noise: NoiseSpec,
+               sim: Optional[CircuitSimulator]) -> CircuitSimulator:
+    """sim when it simulates (problem, noise), else a new simulator."""
+    if sim is None:
+        return CircuitSimulator(problem, noise)
+    if sim.problem is not problem or sim.noise != noise:
+        raise ValueError("shared simulator was built for another problem or noise")
+    return sim
+
+
+def exact_provider(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()) -> TProvider:
+    """Exact expectations; division guard at float-noise scale."""
+    sim = CircuitSimulator(problem, noise)
+    return TProvider(sim, lambda m, boost: sim.exact_t(m), EXACT_DIVISION_GUARD)
+
+
+def sampled_provider(problem: EstimationProblem, noise: NoiseSpec, shots: int, seed: int,
+                     trial: int = 0, sim: Optional[CircuitSimulator] = None) -> TProvider:
+    """Binomial-sampled t values.
+
+    The guard eps_div is three Hoeffding half-widths of t at the configured
+    shot count (delta = 0.5 working point), so a ratio is formed only when
+    the denominator clears its own statistical noise by a wide margin.
+    Trials may share one simulator: its probabilities do not depend on the
+    trial, and each draw has its own substream.
+    """
+    sim = _simulator(problem, noise, sim)
+
+    def measure(m: int, boost: int) -> float:
+        return sim.sampled_t(m, shots, seed, trial, boost=boost)
+
+    return TProvider(sim, measure, 3.0 * t_halfwidth(shots), shots=shots)
+
+
+def perturbed_provider(problem: EstimationProblem, noise: NoiseSpec, eps: float, seed: int,
+                       trial: int = 0, sim: Optional[CircuitSimulator] = None) -> TProvider:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
     The sign is drawn once per (trial, depth) from a seeded substream; the
     guard scales with the perturbation the way the sampled guard scales
     with shot noise.
     """
+    if eps < 0:
+        raise ValueError(f"perturbation must be >= 0, got {eps}")
+    sim = _simulator(problem, noise, sim)
 
-    def __init__(self, problem: EstimationProblem, noise: NoiseSpec, eps: float,
-                 seed: int, trial: int = 0, sim: Optional[CircuitSimulator] = None):
-        if eps < 0:
-            raise ValueError(f"perturbation must be >= 0, got {eps}")
-        self.sim = _simulator(problem, noise, sim)
-        self.eps = eps
-        self.seed = seed
-        self.trial = trial
-        self.eps_div = max(3.0 * eps, EXACT_DIVISION_GUARD)
-        self.series = TSeries(problem=problem_tag(problem), noise=noise.tag(), seed=seed)
-        self._cache: dict[int, float] = {}
+    def measure(m: int, boost: int) -> float:
+        sign = 1.0 if substream(seed, trial, m).integers(0, 2) else -1.0
+        return sim.exact_t(m) + sign * eps
 
-    def _value(self, n: int) -> float:
-        if n not in self._cache:
-            sign = 1.0 if substream(self.seed, self.trial, n).integers(0, 2) else -1.0
-            self._cache[n] = self.sim.exact_t(n) + sign * self.eps
-        return self._cache[n]
-
-    def triplet(self, n: int, boost: int = 1):
-        values = tuple(self._value(m) for m in (n, 2 * n, 3 * n))
-        for m, v in zip((n, 2 * n, 3 * n), values):
-            self.series.record(m, v)
-        return values
-
-    def calls_for(self, n: int, boost: int = 1) -> int:
-        return 0
-
-
-def t_triplet(n: int, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(),
-              shots: Optional[int] = None, seed: int = 0, trial: int = 0):
-    """t at depths (n, 2n, 3n), exact when shots is None."""
-    if shots is None:
-        return ExactTProvider(problem, noise).triplet(n)
-    return SampledTProvider(problem, noise, shots, seed, trial).triplet(n)
+    return TProvider(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import ExactTProvider, PerturbedTProvider, SampledTProvider, TSeries
+from .circuits import TSeries, exact_provider, perturbed_provider, sampled_provider
 from .errors import DepthGuardError, EstimationFailure
 from .model import EstimationProblem, theta_to_value
 
@@ -189,6 +189,7 @@ class IterationRecord:
     ok: bool = False
     reason: Optional[str] = None
     retried: bool = False
+    oracle_calls: int = 0
 
 
 @dataclass
@@ -197,7 +198,8 @@ class EstimationResult:
 
     theta_ch is the estimated series phase in [0, pi]; theta is its
     state-space half. value/mirror are the two physical readings the
-    ratio method cannot tell apart.
+    ratio method cannot tell apart. oracle_calls is the sum of the
+    iterations' charges.
     """
 
     mode: str
@@ -237,13 +239,12 @@ def run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(), k: int = 5,
         raise ValueError(f"k must be >= 0, got {k}")
     if provider is None:
         if perturbation is not None:
-            provider = PerturbedTProvider(problem, noise, perturbation, seed, trial)
+            provider = perturbed_provider(problem, noise, perturbation, seed, trial)
         elif shots is not None:
-            provider = SampledTProvider(problem, noise, shots, seed, trial)
+            provider = sampled_provider(problem, noise, shots, seed, trial)
         else:
-            provider = ExactTProvider(problem, noise)
+            provider = exact_provider(problem, noise)
     theta = None
-    calls = 0
     records = []
 
     def attempt(rec: IterationRecord, n: int, ref: Optional[float], boost: int) -> float:
@@ -270,15 +271,14 @@ def run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(), k: int = 5,
 
     for i in range(k + 1):
         n = 2 ** i
-        rec = IterationRecord(index=i, n=n)
-        calls += provider.calls_for(n)
+        rec = IterationRecord(index=i, n=n, oracle_calls=provider.calls_for(n))
         try:
             selected = attempt(rec, n, theta, boost=1)
         except DepthGuardError as exc:
             rec.reason = str(exc)
-            if retry and isinstance(provider, SampledTProvider):
+            if retry and provider.shots:
                 rec.retried = True
-                calls += provider.calls_for(n, boost=4)
+                rec.oracle_calls += provider.calls_for(n, boost=4)
                 try:
                     selected = attempt(rec, n, theta, boost=4)
                 except DepthGuardError as exc2:
@@ -306,5 +306,6 @@ def run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(), k: int = 5,
         p_hat = None
     return EstimationResult(mode=problem.mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
                             value=pair.value, mirror=pair.mirror, p_hat=p_hat,
-                            oracle_calls=calls, iterations=records,
+                            oracle_calls=sum(r.oracle_calls for r in records),
+                            iterations=records,
                             series=provider.series)

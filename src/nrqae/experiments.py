@@ -18,7 +18,7 @@ import numpy as np
 
 from .baseline import iqae_run
 from .channels import NoiseSpec
-from .circuits import CircuitSimulator, PerturbedTProvider, SampledTProvider
+from .circuits import CircuitSimulator, perturbed_provider, sampled_provider
 from .config import ExperimentConfig, build_problem
 from .errors import ConfigError
 from .estimator import fold_theta, run
@@ -123,7 +123,7 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     rows = []
     sim = CircuitSimulator(problem, cfg.noise)
     for trial in range(cfg.trials):
-        provider = PerturbedTProvider(problem, cfg.noise, cfg.perturbation,
+        provider = perturbed_provider(problem, cfg.noise, cfg.perturbation,
                                       cfg.seed, trial, sim=sim)
         result = run(problem, cfg.noise, k=cfg.iterations, provider=provider)
         for rec, theta in zip(result.iterations, result.iteration_thetas()):
@@ -188,14 +188,13 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
         per_depth_nrqae = {}
         per_depth_iqae = {}
         for trial in range(cfg.trials):
-            provider = SampledTProvider(problem, noise, cfg.shots, cfg.seed, trial, sim=sim)
+            provider = sampled_provider(problem, noise, cfg.shots, cfg.seed, trial, sim=sim)
             result = run(problem, noise, k=cfg.iterations, retry=cfg.retry,
                          provider=provider)
             budget = 0
             thetas = result.iteration_thetas()
             for rec, theta in zip(result.iterations, thetas):
-                # 4 circuits x depths (n, 2n, 3n); a retried iteration re-measured at 4x.
-                budget += cfg.shots * 4 * 6 * rec.n * (5 if rec.retried else 1)
+                budget += rec.oracle_calls
                 if theta is None:
                     rows.append((kind, trial, rec.n, budget, None, None, None, None, None))
                     continue

@@ -30,38 +30,13 @@ def square(entries) -> np.ndarray:
     return m
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a = cmat(a)
-    b = cmat(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(cmat(a), cmat(b))
-
-
 def frob_norm(m) -> float:
     return float(np.linalg.norm(cmat(m)))
-
-
-def mat_power(m, n: int) -> np.ndarray:
-    """n-th matrix power by binary powering, n >= 0."""
-    m = square(m)
-    if n < 0:
-        raise ValueError(f"negative power {n}")
-    return np.linalg.matrix_power(m, n)
 
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     m = square(m)
     return frob_norm(m - m.conj().T) <= tol
-
-
-def is_unitary(m, tol: float = 1e-10) -> bool:
-    m = square(m)
-    return frob_norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
 
 
 @dataclass(frozen=True)

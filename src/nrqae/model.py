@@ -19,7 +19,7 @@ the state-space phase theta_g, with cos(theta_g) = 2a - 1 in amplitude mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -164,37 +164,6 @@ def theta_to_value(theta_ch: float, mode: str) -> ValuePair:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class TwoStateGeometry:
-    """Angles of the plane spanned by the two states.
-
-    Gauge: nu = 0 places |psi> at angle zero in its plane, mu is the
-    principal angle to the second state, and lam is half the phase of the
-    overlap. cos(mu - nu)^2 = |<phi|psi>|^2 and |a|^2 + b^2 = 1 hold by
-    construction; a is the complex overlap <phi|psi> and b >= 0 the
-    orthogonal weight.
-    """
-
-    mu: float
-    nu: float
-    lam: float
-    a: complex
-    b: float
-
-
-def two_state_geometry(psi, phi) -> TwoStateGeometry:
-    psi = as_state(psi)
-    phi = as_state(phi)
-    if psi.size != phi.size:
-        raise ValueError("states live in different dimensions")
-    a = complex(np.vdot(phi, psi))
-    m = min(abs(a), 1.0)
-    mu = float(np.arccos(m))
-    lam = float(np.angle(a) / 2.0) if m > 1e-14 else 0.0
-    b = float(np.sqrt(max(0.0, 1.0 - m * m)))
-    return TwoStateGeometry(mu=mu, nu=0.0, lam=lam, a=a, b=b)
-
-
 def rho_tilde(problem: EstimationProblem) -> np.ndarray:
     """Traceless preparation difference.
 
@@ -211,21 +180,6 @@ def rho_tilde(problem: EstimationProblem) -> np.ndarray:
 def vectorize(op) -> np.ndarray:
     """Row-stacking vec: C-order reshape to a vector."""
     return cmat(op).reshape(-1)
-
-
-def devectorize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    return v.reshape(d, d)
-
-
-def hs_inner(sigma, rho) -> complex:
-    """Hilbert-Schmidt inner product Tr(sigma^dag rho)."""
-    return complex(np.vdot(vectorize(sigma), vectorize(rho)))
 
 
 def conjugation_superop(u) -> np.ndarray:

@@ -22,7 +22,7 @@ from nrqae.channels import (
     superop_to_ptm,
 )
 from nrqae.errors import ConfigError, NonPhysicalChannelError
-from nrqae.model import conjugation_superop, devectorize, vectorize
+from nrqae.model import conjugation_superop, vectorize
 
 
 def test_pauli_string_kron_order():
@@ -175,8 +175,8 @@ def test_two_qubit_channel_factorizes_on_product_states():
         r2 = z2 @ z2.conj().T
         r1 /= np.trace(r1).real
         r2 /= np.trace(r2).real
-        joint = devectorize(s2 @ vectorize(np.kron(r1, r2)))
-        split = np.kron(devectorize(s1 @ vectorize(r1)), devectorize(s1 @ vectorize(r2)))
+        joint = (s2 @ vectorize(np.kron(r1, r2))).reshape(4, 4)
+        split = np.kron((s1 @ vectorize(r1)).reshape(2, 2), (s1 @ vectorize(r2)).reshape(2, 2))
         assert np.max(np.abs(joint - split)) < 1e-12
 
 

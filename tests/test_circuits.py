@@ -1,4 +1,4 @@
-"""Depth series simulation: exact propagation, sampling, providers."""
+"""Depth series simulation: exact propagation, sampling, the provider."""
 
 import tracemalloc
 
@@ -9,15 +9,11 @@ from nrqae.channels import NoiseSpec, noise_superop, pauli_string
 from nrqae.circuits import (
     EXACT_DIVISION_GUARD,
     CircuitSimulator,
-    ExactTProvider,
-    PerturbedTProvider,
-    SampledTProvider,
     TSeries,
-    exact_t,
-    problem_tag,
-    sampled_t,
+    exact_provider,
+    perturbed_provider,
+    sampled_provider,
     t_halfwidth,
-    t_triplet,
 )
 from nrqae.errors import NonPhysicalChannelError
 from nrqae.estimator import run
@@ -145,13 +141,15 @@ def test_shared_simulator_matches_fresh_one():
         assert shared.prob(p.psi, sec, n) == fresh.prob(p.psi, sec, n)
         assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
             fresh.sampled_t(n, 1000, seed=3, trial=7)
-    own = SampledTProvider(p, noise, shots=1000, seed=3, trial=1)
-    lent = SampledTProvider(p, noise, shots=1000, seed=3, trial=1, sim=shared)
+    own = sampled_provider(p, noise, shots=1000, seed=3, trial=1)
+    lent = sampled_provider(p, noise, shots=1000, seed=3, trial=1, sim=shared)
     assert lent.sim is shared
     for n in (1, 2, 4, 8):
         assert own.triplet(n) == lent.triplet(n)
     with pytest.raises(ValueError):
-        SampledTProvider(p, NoiseSpec(kind="pauli"), shots=10, seed=3, sim=shared)
+        sampled_provider(p, NoiseSpec(kind="pauli"), shots=10, seed=3, sim=shared)
+    with pytest.raises(ValueError):
+        perturbed_provider(p, NoiseSpec(kind="pauli"), eps=1e-3, seed=3, sim=shared)
 
 
 def test_exact_run_stays_matrix_free():
@@ -181,7 +179,6 @@ def test_sampled_t_is_reproducible():
     b = CircuitSimulator(p, noise).sampled_t(2, 500, seed=9, trial=3)
     assert a == b
     assert a != sim.sampled_t(2, 500, seed=9, trial=4)
-    assert sampled_t(2, 500, p, noise, seed=9, trial=3) == a
     with pytest.raises(ValueError):
         sim.sampled_t(1, 0, seed=1)
 
@@ -206,18 +203,20 @@ def test_t_halfwidth_values():
 
 def test_exact_provider():
     p = plane_problem(np.pi / 6)
-    prov = ExactTProvider(p)
+    prov = exact_provider(p)
     trip = prov.triplet(1)
     assert np.allclose(trip, (-0.25, -0.25, 0.5), atol=1e-12)
+    assert prov.shots == 0  # not sampled: run() never retries it
     assert prov.calls_for(64) == 0
     assert prov.eps_div == EXACT_DIVISION_GUARD
     assert prov.series.depths() == [1, 2, 3]
-    assert t_triplet(1, p) == trip
+    assert exact_provider(p).triplet(1) == trip
 
 
 def test_sampled_provider_cache_and_accounting():
     p = plane_problem(0.9)
-    prov = SampledTProvider(p, NoiseSpec(kind="pauli"), shots=200, seed=11, trial=0)
+    prov = sampled_provider(p, NoiseSpec(kind="pauli"), shots=200, seed=11, trial=0)
+    assert prov.shots == 200
     t1 = prov.triplet(1)
     t2 = prov.triplet(2)
     assert t1[1] == t2[0]  # depth 2 measured once, reused
@@ -225,14 +224,17 @@ def test_sampled_provider_cache_and_accounting():
     assert prov.calls_for(2) == 200 * 4 * 12
     assert prov.calls_for(2, boost=3) == 200 * 3 * 4 * 12
     assert abs(prov.eps_div - 3.0 * t_halfwidth(200)) < 1e-15
-    # boosted values are fresh draws, not rescaled cache hits
+    # boosted values are fresh draws, not rescaled cache hits, and stay
+    # out of the series
     assert prov.triplet(1, boost=5) != t1
+    prov.triplet(8, boost=5)
+    assert prov.series.depths() == [1, 2, 3, 4, 6]
 
 
 def test_perturbed_provider():
     p = plane_problem(0.8)
     eps = 1e-3
-    prov = PerturbedTProvider(p, NoiseSpec(), eps=eps, seed=21, trial=4)
+    prov = perturbed_provider(p, NoiseSpec(), eps=eps, seed=21, trial=4)
     sim = CircuitSimulator(p)
     trip = prov.triplet(2)
     for m, v in zip((2, 4, 6), trip):
@@ -240,37 +242,26 @@ def test_perturbed_provider():
         sign = 1.0 if substream(21, 4, m).integers(0, 2) else -1.0
         assert abs(v - (sim.exact_t(m) + sign * eps)) < 1e-15
     assert prov.eps_div == 3.0 * eps
-    assert PerturbedTProvider(p, NoiseSpec(), eps=0.0, seed=1).eps_div == EXACT_DIVISION_GUARD
+    assert perturbed_provider(p, NoiseSpec(), eps=0.0, seed=1).eps_div == EXACT_DIVISION_GUARD
+    assert prov.shots == 0
     assert prov.calls_for(2) == 0
     with pytest.raises(ValueError):
-        PerturbedTProvider(p, NoiseSpec(), eps=-1e-3, seed=1)
+        perturbed_provider(p, NoiseSpec(), eps=-1e-3, seed=1)
 
 
 def test_unphysical_noise_matrix_is_rejected():
     p = plane_problem(np.pi / 6)
-    sim = CircuitSimulator(p, noise_matrix=5.0 * np.eye(4))
+    sim = CircuitSimulator(p)
+    sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(p.psi, p.psi, 1)
 
 
 def test_tseries_bookkeeping():
-    s = TSeries(problem="p", noise="n")
+    s = TSeries()
     s.record(4, 0.5)
     s.record(1, -0.1)
     s.record(4, 99.0)  # first write wins
     assert s.depths() == [1, 4]
     assert s.value(4) == 0.5
 
-
-def test_problem_tag():
-    rng = np.random.default_rng(229)
-    p1 = random_problem(rng, 1)
-    p2 = random_problem(rng, 1)
-    assert problem_tag(p1) == problem_tag(p1)
-    assert problem_tag(p1) != problem_tag(p2)
-    assert len(problem_tag(p1)) == 12
-
-
-def test_module_level_exact_t():
-    p = plane_problem(np.pi / 6)
-    assert abs(exact_t(3, p) - 0.5) < 1e-12

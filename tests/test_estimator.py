@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nrqae.channels import NoiseSpec
-from nrqae.circuits import EXACT_DIVISION_GUARD, TSeries
+from nrqae.circuits import EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, TSeries
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
@@ -27,18 +27,10 @@ def plane_problem(delta):
     return amplitude_problem(psi, phi)
 
 
-class StuckProvider:
-    """Triplets whose middle entry always sits under the division guard."""
-
-    def __init__(self):
-        self.eps_div = EXACT_DIVISION_GUARD
-        self.series = TSeries()
-
-    def triplet(self, n, boost=1):
-        return (1.0, 1e-12, 1.0)
-
-    def calls_for(self, n, boost=1):
-        return 0
+def stuck_provider(problem):
+    """Every even depth, so every t_2n, sits under the division guard."""
+    return TProvider(CircuitSimulator(problem), lambda m, boost: 1.0 if m % 2 else 1e-12,
+                     EXACT_DIVISION_GUARD)
 
 
 def test_ratio_y_worked_values():
@@ -250,8 +242,12 @@ def test_run_carries_through_guard_trips():
 
 
 def test_run_all_iterations_failed():
+    p = plane_problem(np.pi / 6)
     with pytest.raises(EstimationFailure):
-        run(plane_problem(np.pi / 6), k=3, provider=StuckProvider())
+        run(p, k=3, provider=stuck_provider(p))
+    # not sampled (shots = 0), so retry=True has nothing to re-measure
+    with pytest.raises(EstimationFailure, match="i=0: [^;]*guard[^;]*; i=1"):
+        run(p, k=3, retry=True, provider=stuck_provider(p))
 
 
 def test_run_sampled_determinism_and_accounting():
@@ -276,6 +272,10 @@ def test_run_retry_accounting():
     base = 2000 * 24 * (1 + 2 + 4)
     extra = 2000 * 4 * 24 * (1 + 2 + 4)  # every iteration retried once
     assert res.oracle_calls == base + extra
+    for rec in res.iterations:
+        assert rec.retried
+        assert rec.oracle_calls == 2000 * 24 * rec.n * 5
+    assert sum(rec.oracle_calls for rec in res.iterations) == res.oracle_calls
     with pytest.raises(EstimationFailure):
         run(p, noise, k=2, shots=2000, seed=6, retry=False)
 

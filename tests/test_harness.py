@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from nrqae.channels import NoiseSpec
+from nrqae.circuits import sampled_provider
 from nrqae.cli import main
 from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
                           config_to_dict, load_config, save_config)
 from nrqae.errors import ConfigError
+from nrqae.estimator import run
 from nrqae.experiments import (VerifyReport, hoeffding_shots, run_compare_noise,
                                run_estimate, run_sweep_depth,
                                run_verify_perturbation, write_csv)
@@ -203,6 +205,24 @@ def test_run_compare_noise_rows():
             assert 0.0 <= row[4] <= 1.0
             assert row[8] >= 1
     assert report.svg.startswith("<svg")
+
+    # the matched budget is the estimator's own per-iteration charge,
+    # retries included
+    cfg.retry = True
+    report = run_compare_noise(cfg)
+    problem = build_problem(cfg)
+    retried = 0
+    for trial in range(cfg.trials):
+        provider = sampled_provider(problem, cfg.noise, cfg.shots, cfg.seed, trial)
+        res = run(problem, cfg.noise, k=cfg.iterations, retry=True, provider=provider)
+        rows = [row for row in report.rows if row[1] == trial]
+        assert [row[2] for row in rows] == [rec.n for rec in res.iterations]
+        budget = 0
+        for row, rec in zip(rows, res.iterations):
+            budget += rec.oracle_calls
+            assert row[3] == budget
+            retried += rec.retried
+    assert retried >= 1
 
 
 def test_run_verify_perturbation_floor():

@@ -9,17 +9,8 @@ from nrqae.linalg import (
     eig_dense,
     frob_norm,
     is_hermitian,
-    is_unitary,
-    mat_mul,
-    mat_power,
     square,
 )
-
-
-def random_unitary(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_cmat_rejects_non_2d():
@@ -34,48 +25,13 @@ def test_square_rejects_rectangular():
         square(np.zeros((2, 3)))
 
 
-def test_mat_mul_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-def test_mat_mul_matches_numpy():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(mat_mul(a, b), a @ b, atol=1e-12)
-
-
-def test_mat_power_agrees_with_repeated_multiplication():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a /= np.linalg.norm(a, ord=2)
-    acc = np.eye(3, dtype=complex)
-    for n in range(7):
-        assert np.allclose(mat_power(a, n), acc, atol=1e-12)
-        acc = acc @ a
-
-
-def test_mat_power_zero_is_identity():
-    assert np.allclose(mat_power(np.full((2, 2), 9.0), 0), np.eye(2))
-
-
-def test_mat_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        mat_power(np.eye(2), -1)
-
-
 def test_hermitian_and_unitary_predicates():
     rng = np.random.default_rng(23)
     for _ in range(25):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = z + z.conj().T
-        u = random_unitary(rng, 4)
         assert is_hermitian(h)
-        assert is_unitary(u)
         assert not is_hermitian(h + 1e-6 * 1j * np.eye(4))
-        assert not is_unitary(1.001 * u)
 
 
 def test_eig_dense_reconstructs_action():

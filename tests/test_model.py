@@ -10,16 +10,13 @@ from nrqae.model import (
     amplitude_problem,
     as_state,
     conjugation_superop,
-    devectorize,
     grover,
     grover_amplitude,
     grover_observable,
-    hs_inner,
     observable_problem,
     reflection_about,
     rho_tilde,
     theta_to_value,
-    two_state_geometry,
     vectorize,
 )
 
@@ -163,17 +160,6 @@ def test_theta_to_value():
         theta_to_value(1.0, "banana")
 
 
-def test_two_state_geometry_consistency():
-    rng = np.random.default_rng(43)
-    for _ in range(30):
-        d = int(rng.integers(2, 9))
-        psi, phi = random_state(rng, d), random_state(rng, d)
-        geo = two_state_geometry(psi, phi)
-        assert abs(np.cos(geo.mu - geo.nu) ** 2 - abs(geo.a) ** 2) < 1e-10
-        assert abs(abs(geo.a) ** 2 + geo.b ** 2 - 1.0) < 1e-10
-        assert abs(geo.lam - np.angle(geo.a) / 2.0) < 1e-12
-
-
 def test_rho_tilde_is_traceless_hermitian():
     rng = np.random.default_rng(47)
     for _ in range(20):
@@ -203,19 +189,13 @@ def test_rho_tilde_avoids_stationary_eigenvectors():
 def test_vectorize_round_trip():
     rng = np.random.default_rng(59)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(devectorize(vectorize(a)), a)
+    v = vectorize(a)
+    assert v.shape == (16,)
+    assert np.array_equal(v, a.reshape(-1))  # row stacking: v[4 i + j] = a[i, j]
+    assert v[4 * 2 + 3] == a[2, 3]
+    assert np.array_equal(v.reshape(4, 4), a)
     with pytest.raises(ValueError):
-        devectorize(np.zeros(5))
-    with pytest.raises(ValueError):
-        devectorize(np.zeros((2, 2)))
-
-
-def test_hs_inner_is_trace_pairing():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert abs(hs_inner(a, b) - np.trace(a.conj().T @ b)) < 1e-12
+        vectorize(np.zeros(5))
 
 
 def test_conjugation_superop_action():
