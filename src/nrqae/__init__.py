@@ -20,7 +20,8 @@ from .experiments import hoeffding_shots
 from .model import (EstimationProblem, amplitude_problem, grover, grover_amplitude,
                     grover_observable, observable_problem, reflection_about, rho_tilde,
                     theta_to_value)
-from .perturbation import (lemma1_check, lemma2_check, subspace_basis, theorem1_check)
+from .perturbation import (lemma1_check, lemma2_check, perturbed_steps, subspace_basis,
+                           theorem1_check)
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,7 @@ __all__ = [
     "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
     "fit_decay", "grover", "grover_amplitude", "grover_observable", "hoeffding_shots",
     "iqae_run", "lemma1_check", "lemma2_check", "noise_superop", "observable_problem",
-    "perturbed_provider", "ratio_y", "reflection_about", "rho_tilde", "roots_cos", "run",
-    "sampled_provider", "seed_theta", "select_candidate", "subspace_basis",
-    "theorem1_check", "theta_to_value",
+    "perturbed_provider", "perturbed_steps", "ratio_y", "reflection_about", "rho_tilde",
+    "roots_cos", "run", "sampled_provider", "seed_theta", "select_candidate",
+    "subspace_basis", "theorem1_check", "theta_to_value",
 ]

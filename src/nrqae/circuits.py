@@ -19,7 +19,6 @@ give it its measurement rule (exact, binomial or offset) and its guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -93,7 +92,8 @@ class CircuitSimulator:
     preparation once; each trajectory keeps only its latest matrix, so a
     depth costs the layers beyond the deepest one reached and a repeated
     depth is free. Build one simulator per (problem, noise) and share it:
-    every value is independent of what the simulator served before.
+    every value is independent of what the simulator served before. It is
+    the handle the providers and the IQAE baseline take.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -110,7 +110,6 @@ class CircuitSimulator:
         self.rho_tilde_vec = vectorize(tilde)
         self._tilde = _Trajectory(tilde, self._noisy_walk)
         self._preps: dict = {}
-        self._t_cache: dict[int, float] = {}
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         d = rho.shape[0]
@@ -140,13 +139,11 @@ class CircuitSimulator:
         return ((sec, sec, 1.0), (psi, sec, -1.0), (sec, psi, -1.0), (psi, psi, 1.0))
 
     def exact_t(self, n: int) -> float:
-        """<<rho_tilde | S^n | rho_tilde>>, cached per depth."""
-        if n not in self._t_cache:
-            raw = self._tilde.readout(None, self.rho_tilde_vec, n)
-            if abs(raw.imag) > _IMAG_TOL:
-                raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
-            self._t_cache[n] = float(raw.real)
-        return self._t_cache[n]
+        """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
+        raw = self._tilde.readout(None, self.rho_tilde_vec, n)
+        if abs(raw.imag) > _IMAG_TOL:
+            raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
+        return float(raw.real)
 
     def sampled_t(self, n: int, shots: int, seed: int, trial: int = 0, boost: int = 1) -> float:
         """Binomial estimate of t_n from four independently sampled circuits.
@@ -227,24 +224,12 @@ class TProvider:
         return self.shots * boost * 4 * (n + 2 * n + 3 * n)
 
 
-def _simulator(problem: EstimationProblem, noise: NoiseSpec,
-               sim: Optional[CircuitSimulator]) -> CircuitSimulator:
-    """sim when it simulates (problem, noise), else a new simulator."""
-    if sim is None:
-        return CircuitSimulator(problem, noise)
-    if sim.problem is not problem or sim.noise != noise:
-        raise ValueError("shared simulator was built for another problem or noise")
-    return sim
-
-
-def exact_provider(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()) -> TProvider:
+def exact_provider(sim: CircuitSimulator) -> TProvider:
     """Exact expectations; division guard at float-noise scale."""
-    sim = CircuitSimulator(problem, noise)
     return TProvider(sim, lambda m, boost: sim.exact_t(m), EXACT_DIVISION_GUARD)
 
 
-def sampled_provider(problem: EstimationProblem, noise: NoiseSpec, shots: int, seed: int,
-                     trial: int = 0, sim: Optional[CircuitSimulator] = None) -> TProvider:
+def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 0) -> TProvider:
     """Binomial-sampled t values.
 
     The guard eps_div is three Hoeffding half-widths of t at the configured
@@ -253,7 +238,6 @@ def sampled_provider(problem: EstimationProblem, noise: NoiseSpec, shots: int, s
     Trials may share one simulator: its probabilities do not depend on the
     trial, and each draw has its own substream.
     """
-    sim = _simulator(problem, noise, sim)
 
     def measure(m: int, boost: int) -> float:
         return sim.sampled_t(m, shots, seed, trial, boost=boost)
@@ -261,8 +245,7 @@ def sampled_provider(problem: EstimationProblem, noise: NoiseSpec, shots: int, s
     return TProvider(sim, measure, 3.0 * t_halfwidth(shots), shots=shots)
 
 
-def perturbed_provider(problem: EstimationProblem, noise: NoiseSpec, eps: float, seed: int,
-                       trial: int = 0, sim: Optional[CircuitSimulator] = None) -> TProvider:
+def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int = 0) -> TProvider:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
     The sign is drawn once per (trial, depth) from a seeded substream; the
@@ -271,7 +254,6 @@ def perturbed_provider(problem: EstimationProblem, noise: NoiseSpec, eps: float,
     """
     if eps < 0:
         raise ValueError(f"perturbation must be >= 0, got {eps}")
-    sim = _simulator(problem, noise, sim)
 
     def measure(m: int, boost: int) -> float:
         sign = 1.0 if substream(seed, trial, m).integers(0, 2) else -1.0

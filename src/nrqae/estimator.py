@@ -24,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import NoiseSpec
-from .circuits import TSeries, exact_provider, perturbed_provider, sampled_provider
+from .circuits import TSeries
 from .errors import DepthGuardError, EstimationFailure
-from .model import EstimationProblem, theta_to_value
+from .model import theta_to_value
 
 _MERGE_TOL = 1e-12
 _ROOT_CLIP_TOL = 1e-9
@@ -223,27 +222,17 @@ class EstimationResult:
         return out
 
 
-def run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(), k: int = 5,
-        shots: Optional[int] = None, seed: int = 0, trial: int = 0,
-        perturbation: Optional[float] = None, retry: bool = False,
-        provider=None) -> EstimationResult:
+def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
     """Full estimation run over iterations i = 0..k, depth n = 2^i.
 
-    shots = None runs on exact expectations; perturbation switches to the
-    fixed-offset provider used by robustness sweeps. A guard-tripped or
-    candidate-free iteration is recorded as failed and the estimate carries;
-    with retry=True a failed sampled iteration is re-measured once at 4x
-    shots. If every iteration fails, EstimationFailure carries the records.
+    provider (a circuits.TProvider) serves the depth series; its simulator's
+    problem sets the mode. A guard-tripped or candidate-free iteration is
+    recorded as failed and the estimate carries; with retry=True a failed
+    sampled iteration is re-measured once at 4x shots. If every iteration
+    fails, EstimationFailure carries the records.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if provider is None:
-        if perturbation is not None:
-            provider = perturbed_provider(problem, noise, perturbation, seed, trial)
-        elif shots is not None:
-            provider = sampled_provider(problem, noise, shots, seed, trial)
-        else:
-            provider = exact_provider(problem, noise)
     theta = None
     records = []
 
@@ -299,12 +288,13 @@ def run(problem: EstimationProblem, noise: NoiseSpec = NoiseSpec(), k: int = 5,
         raise EstimationFailure(f"every iteration failed ({reasons})")
 
     theta_ch = float(theta)
-    pair = theta_to_value(theta_ch, problem.mode)
+    mode = provider.sim.problem.mode
+    pair = theta_to_value(theta_ch, mode)
     try:
         p_hat = fit_decay(theta_ch, provider.series)
     except EstimationFailure:
         p_hat = None
-    return EstimationResult(mode=problem.mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
+    return EstimationResult(mode=mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
                             value=pair.value, mirror=pair.mirror, p_hat=p_hat,
                             oracle_calls=sum(r.oracle_calls for r in records),
                             iterations=records,

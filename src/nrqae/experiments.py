@@ -18,14 +18,14 @@ import numpy as np
 
 from .baseline import iqae_run
 from .channels import NoiseSpec
-from .circuits import CircuitSimulator, perturbed_provider, sampled_provider
+from .circuits import CircuitSimulator, exact_provider, perturbed_provider, sampled_provider
 from .config import ExperimentConfig, build_problem
 from .errors import ConfigError
 from .estimator import fold_theta, run
 from .linalg import MAX_EIG_DIM
 from .model import theta_to_value
-from .perturbation import (fit_loglog_slope, lemma1_check, lemma2_check, subspace_basis,
-                           theorem1_check)
+from .perturbation import (fit_loglog_slope, lemma1_check, lemma2_check, perturbed_steps,
+                           subspace_basis, theorem1_check)
 from .svgplot import line_plot
 
 LEMMA1_SLOPE_BAND = (1.7, 2.3)
@@ -90,9 +90,12 @@ class EstimateReport:
 
 def run_estimate(cfg: ExperimentConfig) -> EstimateReport:
     problem = build_problem(cfg)
-    shots = None if cfg.exact else cfg.shots
-    result = run(problem, cfg.noise, k=cfg.iterations, shots=shots,
-                 seed=cfg.seed, retry=cfg.retry)
+    sim = CircuitSimulator(problem, cfg.noise)
+    if cfg.exact or cfg.shots is None:
+        provider = exact_provider(sim)
+    else:
+        provider = sampled_provider(sim, cfg.shots, cfg.seed)
+    result = run(provider, k=cfg.iterations, retry=cfg.retry)
     rows = []
     for rec in result.iterations:
         t1, t2, t3 = rec.triplet if rec.triplet else (None, None, None)
@@ -123,9 +126,8 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     rows = []
     sim = CircuitSimulator(problem, cfg.noise)
     for trial in range(cfg.trials):
-        provider = perturbed_provider(problem, cfg.noise, cfg.perturbation,
-                                      cfg.seed, trial, sim=sim)
-        result = run(problem, cfg.noise, k=cfg.iterations, provider=provider)
+        provider = perturbed_provider(sim, cfg.perturbation, cfg.seed, trial)
+        result = run(provider, k=cfg.iterations)
         for rec, theta in zip(result.iterations, result.iteration_thetas()):
             err = abs(theta - theta_true) if theta is not None else None
             rows.append((rec.n, trial, theta, err))
@@ -188,9 +190,8 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
         per_depth_nrqae = {}
         per_depth_iqae = {}
         for trial in range(cfg.trials):
-            provider = sampled_provider(problem, noise, cfg.shots, cfg.seed, trial, sim=sim)
-            result = run(problem, noise, k=cfg.iterations, retry=cfg.retry,
-                         provider=provider)
+            provider = sampled_provider(sim, cfg.shots, cfg.seed, trial)
+            result = run(provider, k=cfg.iterations, retry=cfg.retry)
             budget = 0
             thetas = result.iteration_thetas()
             for rec, theta in zip(result.iterations, thetas):
@@ -200,10 +201,9 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
                     continue
                 value = theta_to_value(2.0 * theta, problem.mode).value
                 nrqae_err = abs(value - true_value)
-                base = iqae_run(problem, noise, target_eps=0.0,
-                                shots_per_round=cfg.shots, seed=cfg.seed,
-                                trial=(trial << 10) | rec.index,
-                                max_oracle_calls=budget, sim=sim)
+                base = iqae_run(sim, target_eps=0.0, shots_per_round=cfg.shots,
+                                seed=cfg.seed, trial=(trial << 10) | rec.index,
+                                max_oracle_calls=budget)
                 iqae_err = abs(base.estimate - true_value)
                 rows.append((kind, trial, rec.n, budget, value, nrqae_err,
                              base.estimate, iqae_err, len(base.rounds)))
@@ -266,10 +266,10 @@ def run_verify_perturbation(cfg: ExperimentConfig) -> VerifyReport:
     for kind in kinds:
         if kind == "none":
             raise ConfigError("verify-perturbation needs a non-trivial noise kind")
-        noise = _noise_for_kind(cfg, kind)
-        l1 = lemma1_check(problem, noise, s_grid)
-        l2 = lemma2_check(problem, noise, s_grid)
-        t1 = theorem1_check(problem, noise, s_grid, depths=depths)
+        steps = perturbed_steps(problem, _noise_for_kind(cfg, kind), s_grid)
+        l1 = lemma1_check(steps)
+        l2 = lemma2_check(steps)
+        t1 = theorem1_check(steps, depths=depths)
         flagged += sum(r.flagged for r in l1) + sum(r.flagged for r in l2)
         flagged += sum(r.flagged for r in t1)
         for r in l1:

@@ -15,6 +15,10 @@ checks quantify, on a grid of interpolation strengths:
   in depth. At s = 0 the model collapses to 2|c|^2 cos(n theta_ch), the
   exact noiseless series.
 
+perturbed_steps builds the data all three read once per (problem, noise):
+the channel N is drawn once, and each S(s) is formed and diagonalized once
+per strength.
+
 Eigenpairs are matched to the ideal ones by eigenvector overlap; a row is
 flagged when the best overlap drops below 0.5, which signals that the
 perturbation is too strong for first-order tracking.
@@ -23,13 +27,12 @@ perturbation is too strong for first-order tracking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .channels import NoiseSpec, noise_superop
 from .errors import DegenerateProblemError, NonPhysicalChannelError
-from .linalg import eig_dense, frob_norm
+from .linalg import Spectrum, eig_dense, frob_norm
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
 
 OVERLAP_FLAG_THRESHOLD = 0.5
@@ -98,8 +101,41 @@ def interpolated_noise(noise_matrix: np.ndarray, s: float) -> np.ndarray:
     return (1.0 - s) * np.eye(n.shape[0]) + s * n
 
 
-def _matched_pair(step: np.ndarray, target_vec: np.ndarray):
-    spec = eig_dense(step)
+@dataclass(frozen=True)
+class PerturbedStep:
+    """S(s) = N(s) M_G at one strength, with its distance from M_G and its spectrum."""
+
+    s: float
+    step: np.ndarray
+    eps: float
+    spectrum: Spectrum
+
+
+@dataclass(frozen=True)
+class PerturbedSteps:
+    """What the three checks read: the noiseless plane and step M_G, vec(rho_tilde), S(s)."""
+
+    basis: SubspaceBasis
+    mg: np.ndarray
+    rho_vec: np.ndarray
+    steps: tuple
+
+
+def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> PerturbedSteps:
+    """Build the channel once and diagonalize S(s) once per strength."""
+    sub = subspace_basis(problem)
+    mg = conjugation_superop(grover(problem))
+    n_full = noise_superop(noise, problem.qubits)
+    steps = []
+    for s in s_values:
+        step = interpolated_noise(n_full, s) @ mg
+        steps.append(PerturbedStep(s=float(s), step=step, eps=frob_norm(step - mg),
+                                   spectrum=eig_dense(step)))
+    return PerturbedSteps(basis=sub, mg=mg, rho_vec=vectorize(rho_tilde(problem)),
+                          steps=tuple(steps))
+
+
+def _matched_pair(spec: Spectrum, target_vec: np.ndarray):
     overlaps = np.abs(spec.eigenvectors.conj().T @ target_vec)
     idx = int(np.argmax(overlaps))
     vec = spec.eigenvectors[:, idx]
@@ -107,6 +143,15 @@ def _matched_pair(step: np.ndarray, target_vec: np.ndarray):
     if abs(phase) > 0:
         vec = vec * np.exp(-1j * np.angle(phase))
     return spec.eigenvalues[idx], vec, float(overlaps[idx])
+
+
+def _matched_plane(steps: PerturbedSteps, st: PerturbedStep):
+    """Eigenpairs continuing the +-theta_ch dyads, and rho_tilde's coefficients on them."""
+    lam1, v1, ov1 = _matched_pair(st.spectrum, steps.basis.vectors[:, 1])
+    lam2, v2, ov2 = _matched_pair(st.spectrum, steps.basis.vectors[:, 2])
+    plane = np.stack([v1, v2], axis=1)
+    coef, *_ = np.linalg.lstsq(plane, steps.rho_vec, rcond=None)
+    return lam1, lam2, plane, coef, min(ov1, ov2)
 
 
 @dataclass
@@ -120,21 +165,16 @@ class Lemma1Row:
     flagged: bool
 
 
-def lemma1_check(problem: EstimationProblem, noise: NoiseSpec, s_values) -> list:
+def lemma1_check(steps: PerturbedSteps) -> list:
     """First-order eigenvalue residuals on the +theta_ch branch."""
-    sub = subspace_basis(problem)
-    mg = conjugation_superop(grover(problem))
-    n_full = noise_superop(noise, problem.qubits)
-    b2 = sub.vectors[:, 1]
-    lam0 = np.exp(1j * sub.theta_ch)
+    b2 = steps.basis.vectors[:, 1]
+    lam0 = np.exp(1j * steps.basis.theta_ch)
     rows = []
-    for s in s_values:
-        step = interpolated_noise(n_full, s) @ mg
-        delta = step - mg
-        first = complex(np.vdot(b2, delta @ b2))
-        lam, _, overlap = _matched_pair(step, b2)
+    for st in steps.steps:
+        first = complex(np.vdot(b2, (st.step - steps.mg) @ b2))
+        lam, _, overlap = _matched_pair(st.spectrum, b2)
         resid = abs(lam - (lam0 + first))
-        rows.append(Lemma1Row(s=float(s), eps=frob_norm(delta), eigenvalue=complex(lam),
+        rows.append(Lemma1Row(s=st.s, eps=st.eps, eigenvalue=complex(lam),
                               prediction=lam0 + first, residual=float(resid),
                               overlap=overlap, flagged=overlap < OVERLAP_FLAG_THRESHOLD))
     return rows
@@ -151,25 +191,16 @@ class Lemma2Row:
     flagged: bool
 
 
-def lemma2_check(problem: EstimationProblem, noise: NoiseSpec, s_values) -> list:
+def lemma2_check(steps: PerturbedSteps) -> list:
     """Coefficient drift and off-plane residual of rho_tilde."""
-    sub = subspace_basis(problem)
-    mg = conjugation_superop(grover(problem))
-    n_full = noise_superop(noise, problem.qubits)
-    rho_vec = vectorize(rho_tilde(problem))
+    c = steps.basis.c
     rows = []
-    for s in s_values:
-        step = interpolated_noise(n_full, s) @ mg
-        delta = step - mg
-        lam1, v1, ov1 = _matched_pair(step, sub.vectors[:, 1])
-        lam2, v2, ov2 = _matched_pair(step, sub.vectors[:, 2])
-        plane = np.stack([v1, v2], axis=1)
-        coef, *_ = np.linalg.lstsq(plane, rho_vec, rcond=None)
-        resid = float(np.linalg.norm(rho_vec - plane @ coef))
-        overlap = min(ov1, ov2)
-        rows.append(Lemma2Row(s=float(s), eps=frob_norm(delta),
-                              c1_error=float(abs(coef[0] - sub.c)),
-                              c2_error=float(abs(coef[1] - np.conj(sub.c))),
+    for st in steps.steps:
+        _, _, plane, coef, overlap = _matched_plane(steps, st)
+        resid = float(np.linalg.norm(steps.rho_vec - plane @ coef))
+        rows.append(Lemma2Row(s=st.s, eps=st.eps,
+                              c1_error=float(abs(coef[0] - c)),
+                              c2_error=float(abs(coef[1] - np.conj(c))),
                               span_residual=resid, overlap=overlap,
                               flagged=overlap < OVERLAP_FLAG_THRESHOLD))
     return rows
@@ -212,28 +243,18 @@ class Theorem1Row:
     flagged: bool
 
 
-def theorem1_check(problem: EstimationProblem, noise: NoiseSpec, s_values,
-                   depths=(1, 2, 4, 8, 16, 32, 64)) -> list:
+def theorem1_check(steps: PerturbedSteps, depths=(1, 2, 4, 8, 16, 32, 64)) -> list:
     """Exact depth series vs the two-mode model, per (s, n)."""
-    sub = subspace_basis(problem)
-    mg = conjugation_superop(grover(problem))
-    n_full = noise_superop(noise, problem.qubits)
-    rho_vec = vectorize(rho_tilde(problem))
     rows = []
-    for s in s_values:
-        n_s = interpolated_noise(n_full, s)
-        step = n_s @ mg
-        lam1, v1, ov1 = _matched_pair(step, sub.vectors[:, 1])
-        lam2, v2, ov2 = _matched_pair(step, sub.vectors[:, 2])
-        plane = np.stack([v1, v2], axis=1)
-        coef, *_ = np.linalg.lstsq(plane, rho_vec, rcond=None)
+    for st in steps.steps:
+        lam1, lam2, _, coef, overlap = _matched_plane(steps, st)
         w1 = abs(coef[0]) ** 2
         w2 = abs(coef[1]) ** 2
-        flagged = min(ov1, ov2) < OVERLAP_FLAG_THRESHOLD
+        flagged = overlap < OVERLAP_FLAG_THRESHOLD
         for n in depths:
-            t_exact = _exact_series_value(step, rho_vec, n)
+            t_exact = _exact_series_value(st.step, steps.rho_vec, n)
             model = w1 * lam1 ** n + w2 * lam2 ** n
-            rows.append(Theorem1Row(s=float(s), n=int(n), t_exact=t_exact,
+            rows.append(Theorem1Row(s=st.s, n=int(n), t_exact=t_exact,
                                     t_model=float(model.real),
                                     error=float(abs(t_exact - model)),
                                     flagged=flagged))

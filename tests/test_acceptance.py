@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from nrqae.channels import NoiseSpec, avg_gate_fidelity, noise_superop
+from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.config import DEFAULT_S_GRID, ExperimentConfig
 from nrqae.estimator import ratio_y, roots_cos, run
 from nrqae.experiments import hoeffding_shots, run_compare_noise, run_sweep_depth
@@ -17,7 +18,7 @@ from nrqae.linalg import eig_dense
 from nrqae.model import (amplitude_problem, conjugation_superop, grover,
                          observable_problem, rho_tilde, vectorize)
 from nrqae.perturbation import (fit_loglog_slope, lemma1_check, lemma2_check,
-                                subspace_basis, theorem1_check)
+                                perturbed_steps, subspace_basis, theorem1_check)
 
 PSI4 = np.array([0.05528649439827491 + 0.5263037941421089j,
                  -0.152871789477933 + 0.3345981937745342j,
@@ -96,7 +97,7 @@ def test_02_walk_trace_relations():
 
 def test_03_worked_instance():
     start = time.perf_counter()
-    res = run(_plane(np.pi / 6), NoiseSpec(kind="none"), k=2)
+    res = run(exact_provider(CircuitSimulator(_plane(np.pi / 6), NoiseSpec(kind="none"))), k=2)
     elapsed = time.perf_counter() - start
     t1, t2, t3 = res.iterations[0].triplet
     dev = max(abs(t1 + 0.25), abs(t2 + 0.25), abs(t3 - 0.5),
@@ -148,7 +149,7 @@ def test_05_perturbed_error_slope():
 def test_06_noisy_phase_tracking():
     problem = _plane(np.pi / 5)
     noise = NoiseSpec(kind="depolarizing")
-    res = run(problem, noise, k=6)
+    res = run(exact_provider(CircuitSimulator(problem, noise)), k=6)
     step = noise_superop(noise, 1) @ conjugation_superop(grover(problem))
     spec = eig_dense(step)
     ref = vectorize(rho_tilde(problem))
@@ -172,13 +173,13 @@ def test_07_first_order_structure():
     lines = []
     ok = True
     for kind in ("depolarizing", "pauli"):
-        noise = NoiseSpec(kind=kind)
-        l1 = lemma1_check(problem, noise, DEFAULT_S_GRID)
+        steps = perturbed_steps(problem, NoiseSpec(kind=kind), DEFAULT_S_GRID)
+        l1 = lemma1_check(steps)
         s1 = fit_loglog_slope([r.s for r in l1], [r.residual for r in l1])
-        l2 = lemma2_check(problem, noise, DEFAULT_S_GRID)
+        l2 = lemma2_check(steps)
         s2a = fit_loglog_slope([r.s for r in l2], [r.c1_error for r in l2])
         s2b = fit_loglog_slope([r.s for r in l2], [r.span_residual for r in l2])
-        t1 = theorem1_check(problem, noise, DEFAULT_S_GRID)
+        t1 = theorem1_check(steps)
         max_err = {s: max(r.error for r in t1 if r.s == s) for s in DEFAULT_S_GRID}
         s3 = fit_loglog_slope(list(max_err), list(max_err.values()))
         ratio = max(max_err[s] / next(r.error for r in t1

@@ -141,15 +141,11 @@ def test_shared_simulator_matches_fresh_one():
         assert shared.prob(p.psi, sec, n) == fresh.prob(p.psi, sec, n)
         assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
             fresh.sampled_t(n, 1000, seed=3, trial=7)
-    own = sampled_provider(p, noise, shots=1000, seed=3, trial=1)
-    lent = sampled_provider(p, noise, shots=1000, seed=3, trial=1, sim=shared)
+    own = sampled_provider(CircuitSimulator(p, noise), shots=1000, seed=3, trial=1)
+    lent = sampled_provider(shared, shots=1000, seed=3, trial=1)
     assert lent.sim is shared
     for n in (1, 2, 4, 8):
         assert own.triplet(n) == lent.triplet(n)
-    with pytest.raises(ValueError):
-        sampled_provider(p, NoiseSpec(kind="pauli"), shots=10, seed=3, sim=shared)
-    with pytest.raises(ValueError):
-        perturbed_provider(p, NoiseSpec(kind="pauli"), eps=1e-3, seed=3, sim=shared)
 
 
 def test_exact_run_stays_matrix_free():
@@ -163,7 +159,7 @@ def test_exact_run_stays_matrix_free():
                                             "weight_y": 0.002, "weight_z": 0.005})
     tracemalloc.start()
     try:
-        res = run(amplitude_problem(psi, phi), noise, k=5)
+        res = run(exact_provider(CircuitSimulator(amplitude_problem(psi, phi), noise)), k=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,19 +199,20 @@ def test_t_halfwidth_values():
 
 def test_exact_provider():
     p = plane_problem(np.pi / 6)
-    prov = exact_provider(p)
+    prov = exact_provider(CircuitSimulator(p))
     trip = prov.triplet(1)
     assert np.allclose(trip, (-0.25, -0.25, 0.5), atol=1e-12)
     assert prov.shots == 0  # not sampled: run() never retries it
     assert prov.calls_for(64) == 0
     assert prov.eps_div == EXACT_DIVISION_GUARD
     assert prov.series.depths() == [1, 2, 3]
-    assert exact_provider(p).triplet(1) == trip
+    assert exact_provider(CircuitSimulator(p)).triplet(1) == trip
 
 
 def test_sampled_provider_cache_and_accounting():
     p = plane_problem(0.9)
-    prov = sampled_provider(p, NoiseSpec(kind="pauli"), shots=200, seed=11, trial=0)
+    prov = sampled_provider(CircuitSimulator(p, NoiseSpec(kind="pauli")), shots=200, seed=11,
+                            trial=0)
     assert prov.shots == 200
     t1 = prov.triplet(1)
     t2 = prov.triplet(2)
@@ -234,7 +231,7 @@ def test_sampled_provider_cache_and_accounting():
 def test_perturbed_provider():
     p = plane_problem(0.8)
     eps = 1e-3
-    prov = perturbed_provider(p, NoiseSpec(), eps=eps, seed=21, trial=4)
+    prov = perturbed_provider(CircuitSimulator(p), eps=eps, seed=21, trial=4)
     sim = CircuitSimulator(p)
     trip = prov.triplet(2)
     for m, v in zip((2, 4, 6), trip):
@@ -242,11 +239,11 @@ def test_perturbed_provider():
         sign = 1.0 if substream(21, 4, m).integers(0, 2) else -1.0
         assert abs(v - (sim.exact_t(m) + sign * eps)) < 1e-15
     assert prov.eps_div == 3.0 * eps
-    assert perturbed_provider(p, NoiseSpec(), eps=0.0, seed=1).eps_div == EXACT_DIVISION_GUARD
+    assert perturbed_provider(sim, eps=0.0, seed=1).eps_div == EXACT_DIVISION_GUARD
     assert prov.shots == 0
     assert prov.calls_for(2) == 0
     with pytest.raises(ValueError):
-        perturbed_provider(p, NoiseSpec(), eps=-1e-3, seed=1)
+        perturbed_provider(sim, eps=-1e-3, seed=1)
 
 
 def test_unphysical_noise_matrix_is_rejected():

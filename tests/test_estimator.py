@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nrqae.channels import NoiseSpec
-from nrqae.circuits import EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, TSeries
+from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, TSeries,
+                            exact_provider, perturbed_provider, sampled_provider)
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
@@ -25,6 +26,10 @@ def plane_problem(delta):
     psi = np.array([1.0, 0.0])
     phi = np.array([np.cos(delta), np.sin(delta)])
     return amplitude_problem(psi, phi)
+
+
+def exact(problem, noise=NoiseSpec()):
+    return exact_provider(CircuitSimulator(problem, noise))
 
 
 def stuck_provider(problem):
@@ -183,7 +188,7 @@ def test_fit_decay_needs_two_usable_depths():
 
 
 def test_run_worked_instance():
-    res = run(plane_problem(np.pi / 6), k=3)
+    res = run(exact(plane_problem(np.pi / 6)), k=3)
     assert abs(res.theta_ch - 2 * np.pi / 3) < 1e-9
     assert abs(res.value - 0.75) < 1e-9
     assert abs(res.mirror - 0.25) < 1e-9
@@ -193,12 +198,12 @@ def test_run_worked_instance():
     assert all(0.0 <= rec.selected <= np.pi for rec in res.iterations)
     assert abs(res.p_hat - 1.0) < 1e-6
     with pytest.raises(ValueError):
-        run(plane_problem(np.pi / 6), k=-1)
+        run(exact(plane_problem(np.pi / 6)), k=-1)
 
 
 def test_run_identical_states():
     psi = np.array([1.0, 0.0])
-    res = run(amplitude_problem(psi, psi), k=4)
+    res = run(exact(amplitude_problem(psi, psi)), k=4)
     assert res.value == 1.0
     assert res.theta_ch == 0.0
     assert res.iterations[0].ok
@@ -208,12 +213,12 @@ def test_run_identical_states():
 def test_run_observable_mode():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    res = run(observable_problem(plus, z), k=4)
+    res = run(exact(observable_problem(plus, z)), k=4)
     assert abs(res.theta_ch - np.pi) < 1e-9
     assert abs(res.value) < 1e-9
     # a generic expectation lands on the principal branch
     obs = np.array([[0.6, 0.8], [0.8, -0.6]])
-    res = run(observable_problem(np.array([1.0, 0.0]), obs), k=5)
+    res = run(exact(observable_problem(np.array([1.0, 0.0]), obs)), k=5)
     assert abs(res.value - 0.6) < 1e-9
     assert abs(res.mirror + 0.6) < 1e-9
 
@@ -222,7 +227,7 @@ def test_run_mirror_instance():
     # wide separation: theta_g > pi/2, so the estimate reads the folded
     # angle and the true amplitude appears as the mirror member
     delta = 1.2834315
-    res = run(plane_problem(delta), k=5)
+    res = run(exact(plane_problem(delta)), k=5)
     a = np.cos(delta) ** 2
     assert abs(res.theta - (np.pi - 2 * delta)) < 1e-9
     assert abs(res.value - (1.0 - a)) < 1e-9
@@ -232,7 +237,7 @@ def test_run_mirror_instance():
 def test_run_carries_through_guard_trips():
     # series phase pi/4 zeroes the depth-2 denominator, so iteration 0
     # fails and the first estimate comes from depth 2
-    res = run(plane_problem(np.pi / 16), k=5)
+    res = run(exact(plane_problem(np.pi / 16)), k=5)
     assert not res.iterations[0].ok
     assert res.iterations[0].reason
     assert res.iterations[1].ok
@@ -244,16 +249,16 @@ def test_run_carries_through_guard_trips():
 def test_run_all_iterations_failed():
     p = plane_problem(np.pi / 6)
     with pytest.raises(EstimationFailure):
-        run(p, k=3, provider=stuck_provider(p))
+        run(stuck_provider(p), k=3)
     # not sampled (shots = 0), so retry=True has nothing to re-measure
     with pytest.raises(EstimationFailure, match="i=0: [^;]*guard[^;]*; i=1"):
-        run(p, k=3, retry=True, provider=stuck_provider(p))
+        run(stuck_provider(p), k=3, retry=True)
 
 
 def test_run_sampled_determinism_and_accounting():
     p = plane_problem(np.pi / 6)
-    res = run(p, k=2, shots=100000, seed=3)
-    again = run(p, k=2, shots=100000, seed=3)
+    res = run(sampled_provider(CircuitSimulator(p), shots=100000, seed=3), k=2)
+    again = run(sampled_provider(CircuitSimulator(p), shots=100000, seed=3), k=2)
     assert res.theta_ch == again.theta_ch
     assert [r.triplet for r in res.iterations] == [r.triplet for r in again.iterations]
     assert res.oracle_calls == 100000 * 24 * (1 + 2 + 4)
@@ -266,7 +271,8 @@ def test_run_retry_accounting():
     delta = np.deg2rad(42.0)
     p = plane_problem(delta)
     noise = NoiseSpec(kind="pauli")
-    res = run(p, noise, k=2, shots=2000, seed=6, retry=True)
+    res = run(sampled_provider(CircuitSimulator(p, noise), shots=2000, seed=6), k=2,
+              retry=True)
     assert res.iterations[0].retried and res.iterations[0].ok
     assert not res.iterations[1].ok and not res.iterations[2].ok
     base = 2000 * 24 * (1 + 2 + 4)
@@ -277,7 +283,7 @@ def test_run_retry_accounting():
         assert rec.oracle_calls == 2000 * 24 * rec.n * 5
     assert sum(rec.oracle_calls for rec in res.iterations) == res.oracle_calls
     with pytest.raises(EstimationFailure):
-        run(p, noise, k=2, shots=2000, seed=6, retry=False)
+        run(sampled_provider(CircuitSimulator(p, noise), shots=2000, seed=6), k=2, retry=False)
 
 
 def test_run_monotone_refinement():
@@ -287,7 +293,7 @@ def test_run_monotone_refinement():
     while checked < 20:
         delta = rng.uniform(0.1, np.pi / 2 - 0.1)
         truth = 2.0 * fold_theta(2.0 * delta)
-        res = run(plane_problem(delta), k=6)
+        res = run(exact(plane_problem(delta)), k=6)
         errs = [abs(rec.selected - truth) for rec in res.iterations if rec.ok]
         if len(errs) < 2:
             continue
@@ -297,6 +303,7 @@ def test_run_monotone_refinement():
 
 
 def test_perturbed_run_stays_close():
-    res = run(plane_problem(np.pi / 6), k=4, perturbation=1e-3, seed=11)
+    sim = CircuitSimulator(plane_problem(np.pi / 6))
+    res = run(perturbed_provider(sim, 1e-3, seed=11), k=4)
     assert abs(res.theta_ch - 2 * np.pi / 3) < 1e-2
     assert res.oracle_calls == 0

@@ -4,15 +4,22 @@ The hashes pin the exact bytes each command writes, so a refactor that
 claims to keep the behaviour can be checked by running this file. The
 sweep_depth.svg hash includes the nan coordinates svgplot currently writes
 for a constant log axis; the change that fixes svgplot updates that hash.
+verify-perturbation is also pinned at q = 3 with the pauli and statistical
+kinds, at one seed that passes (exit 0) and one that fails a check (exit 3).
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import nrqae
+from nrqae.channels import NoiseSpec
+from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
+from nrqae.estimator import run
+from nrqae.model import amplitude_problem
 
 README_CONFIG = {
     "config_version": 1, "mode": "amplitude", "qubits": 1, "amplitude": 0.75,
@@ -45,6 +52,30 @@ GOLDEN = {
 }
 
 
+VERIFY_Q3_GOLDEN = {
+    0: (0, {
+        "verify_perturbation.csv":
+            "25994f6198061f912f805681ba46daa97a18270c67392e267624f0fced033208",
+        "verify_perturbation.svg":
+            "5f268e5a40f55af0da1ab344a30334c1ea44668a82de675092d7e2ac0ac66494",
+        "verify_perturbation_summary.csv":
+            "fd6c9070720036f0b9c20e2609fc3548344d650575370adf79548311ab5da9b9",
+    }),
+    53: (3, {
+        "verify_perturbation.csv":
+            "9ef8b4f0ab2a55e4c9b427e94d059bff4fae381fedcdc7d9fef6898e6c8b6b6d",
+        "verify_perturbation.svg":
+            "fa820aae8563c9458a8d0bfe521a4018f070a4573349755f9a5ecda894027f52",
+        "verify_perturbation_summary.csv":
+            "ccfb1b1560adb5f07232350ac861f783496242863a69c12f8905064cf52dccd2",
+    }),
+}
+
+
+def _artifact_hashes(out) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_readme_config_artifacts(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -54,8 +85,33 @@ def test_readme_config_artifacts(command, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     if command == "estimate":
         assert "value=0.800081722 mirror=0.199918278 true=0.75" in printed
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == GOLDEN[command]
+    assert _artifact_hashes(out) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_Q3_GOLDEN))
+def test_verify_perturbation_q3_artifacts(seed, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(README_CONFIG, qubits=3,
+                                   compare_kinds=["pauli", "statistical"])))
+    out = tmp_path / "out"
+    code, hashes = VERIFY_Q3_GOLDEN[seed]
+    assert main(["verify-perturbation", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(out)]) == code
+    assert _artifact_hashes(out) == hashes
+
+
+def test_readme_quick_start_values():
+    psi = np.array([1.0, 0.0])
+    phi = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
+    problem = amplitude_problem(psi, phi)
+    sim = CircuitSimulator(problem, NoiseSpec(kind="none"))
+    res = run(sampled_provider(sim, shots=100_000, seed=7), k=5)
+    assert abs(res.value - 0.7499933642391001) < 1e-9
+    noisy = NoiseSpec(kind="pauli", params={"weight_i": 0.9, "weight_x": 0.03,
+                                            "weight_y": 0.02, "weight_z": 0.05})
+    sim = CircuitSimulator(problem, noisy)
+    assert abs(run(sampled_provider(sim, shots=100_000, seed=7), k=5).value
+               - 0.7513080188473099) < 1e-9
 
 
 def test_every_export_resolves():

@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from nrqae import perturbation
 from nrqae.channels import NoiseSpec
-from nrqae.circuits import sampled_provider
+from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
 from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
                           config_to_dict, load_config, save_config)
@@ -213,8 +214,9 @@ def test_run_compare_noise_rows():
     problem = build_problem(cfg)
     retried = 0
     for trial in range(cfg.trials):
-        provider = sampled_provider(problem, cfg.noise, cfg.shots, cfg.seed, trial)
-        res = run(problem, cfg.noise, k=cfg.iterations, retry=True, provider=provider)
+        provider = sampled_provider(CircuitSimulator(problem, cfg.noise), cfg.shots, cfg.seed,
+                                    trial)
+        res = run(provider, k=cfg.iterations, retry=True)
         rows = [row for row in report.rows if row[1] == trial]
         assert [row[2] for row in rows] == [rec.n for rec in res.iterations]
         budget = 0
@@ -254,6 +256,30 @@ def test_run_verify_perturbation_generic():
 def test_run_verify_perturbation_rejects_trivial_kind():
     with pytest.raises(ConfigError):
         run_verify_perturbation(ExperimentConfig(theta_g=2.0))
+
+
+def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
+    # per kind: the 2 x 2 eigendecomposition inside subspace_basis, one
+    # channel, then one eigendecomposition of S(s) per strength, shared by
+    # the three checks
+    calls = []
+    noise_superop, eig_dense = perturbation.noise_superop, perturbation.eig_dense
+
+    def counted_noise_superop(noise, qubits):
+        calls.append(("channel", noise.kind))
+        return noise_superop(noise, qubits)
+
+    def counted_eig_dense(m):
+        calls.append(("eig", len(m)))
+        return eig_dense(m)
+
+    monkeypatch.setattr(perturbation, "noise_superop", counted_noise_superop)
+    monkeypatch.setattr(perturbation, "eig_dense", counted_eig_dense)
+    cfg = ExperimentConfig(amplitude=0.75, compare_kinds=["pauli", "statistical"])
+    run_verify_perturbation(cfg)
+    per_kind = {kind: [("eig", 2), ("channel", kind)] + [("eig", 4)] * len(cfg.s_grid)
+                for kind in cfg.compare_kinds}
+    assert calls == per_kind["pauli"] + per_kind["statistical"]
 
 
 def test_line_plot_deterministic():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nrqae.channels import NoiseSpec, noise_superop
+from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.errors import DegenerateProblemError
 from nrqae.estimator import run
 from nrqae.model import amplitude_problem, conjugation_superop, grover
@@ -18,6 +19,7 @@ from nrqae.perturbation import (
     interpolated_noise,
     lemma1_check,
     lemma2_check,
+    perturbed_steps,
     subspace_basis,
     theorem1_check,
 )
@@ -90,7 +92,7 @@ def test_interpolated_noise():
 
 
 def test_lemma1_zero_strength():
-    rows = lemma1_check(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
+    rows = lemma1_check(perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0]))
     assert rows[0].residual < 1e-12
     assert rows[0].overlap > 1.0 - 1e-10
     assert not rows[0].flagged
@@ -98,7 +100,7 @@ def test_lemma1_zero_strength():
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
 def test_lemma1_second_order_residual(kind):
-    rows = lemma1_check(generic_problem(), NoiseSpec(kind=kind), S_GRID)
+    rows = lemma1_check(perturbed_steps(generic_problem(), NoiseSpec(kind=kind), S_GRID))
     assert not any(r.flagged for r in rows)
     slope = fit_loglog_slope([r.s for r in rows], [r.residual for r in rows])
     assert 1.7 <= slope <= 2.3
@@ -110,7 +112,7 @@ def test_lemma1_second_order_residual(kind):
 
 
 def test_lemma2_zero_strength():
-    rows = lemma2_check(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
+    rows = lemma2_check(perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0]))
     assert rows[0].c1_error < 1e-10
     assert rows[0].c2_error < 1e-10
     assert rows[0].span_residual < 1e-10
@@ -118,7 +120,7 @@ def test_lemma2_zero_strength():
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
 def test_lemma2_first_order_drift(kind):
-    rows = lemma2_check(generic_problem(), NoiseSpec(kind=kind), S_GRID)
+    rows = lemma2_check(perturbed_steps(generic_problem(), NoiseSpec(kind=kind), S_GRID))
     assert not any(r.flagged for r in rows)
     for series in ([r.c1_error for r in rows], [r.c2_error for r in rows],
                    [r.span_residual for r in rows]):
@@ -127,13 +129,13 @@ def test_lemma2_first_order_drift(kind):
 
 
 def test_theorem1_zero_strength():
-    rows = theorem1_check(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
+    rows = theorem1_check(perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0]))
     assert all(r.error < 1e-10 for r in rows)
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
 def test_theorem1_first_order_uniform(kind):
-    rows = theorem1_check(generic_problem(), NoiseSpec(kind=kind), S_GRID)
+    rows = theorem1_check(perturbed_steps(generic_problem(), NoiseSpec(kind=kind), S_GRID))
     assert not any(r.flagged for r in rows)
     max_err = {s: max(r.error for r in rows if r.s == s) for s in S_GRID}
     slope = fit_loglog_slope(list(max_err), list(max_err.values()))
@@ -155,7 +157,7 @@ def test_theta_drift_order_by_channel_family():
     sub = subspace_basis(problem)
 
     def drift_slope(kind):
-        rows = lemma1_check(problem, NoiseSpec(kind=kind), S_GRID)
+        rows = lemma1_check(perturbed_steps(problem, NoiseSpec(kind=kind), S_GRID))
         # wrapped difference: theta_ch exceeds pi on this instance
         drift = [abs(np.angle(r.eigenvalue * np.exp(-1j * sub.theta_ch)))
                  for r in rows]
@@ -172,13 +174,13 @@ def test_single_qubit_depolarizing_commutes():
     # move, the phase does not move, only the modulus decays
     problem = plane_problem(np.pi / 5)
     sub = subspace_basis(problem)
-    rows = lemma1_check(problem, NoiseSpec(kind="depolarizing"), S_GRID)
+    rows = lemma1_check(perturbed_steps(problem, NoiseSpec(kind="depolarizing"), S_GRID))
     for r in rows:
         assert r.residual < 1e-13
         assert abs(np.angle(r.eigenvalue) - sub.theta_ch) < 1e-12
     # and the estimator consequently tracks the ideal phase: precision is
     # set by the deepest triplet the decay leaves above the division guard
-    res = run(problem, NoiseSpec(kind="depolarizing"), k=5)
+    res = run(exact_provider(CircuitSimulator(problem, NoiseSpec(kind="depolarizing"))), k=5)
     assert abs(res.theta - sub.theta_g) < 1e-7
 
 
