@@ -9,8 +9,8 @@ the noisy channel's eigenstructure.
 
 from .baseline import IqaeResult, iqae_run
 from .channels import NoiseSpec, avg_gate_fidelity, noise_superop
-from .circuits import (CircuitSimulator, TProvider, TSeries, exact_provider,
-                       perturbed_provider, sampled_provider)
+from .circuits import (CircuitSimulator, TProvider, exact_provider, perturbed_provider,
+                       sampled_provider)
 from .config import ExperimentConfig, build_problem, config_from_dict, config_to_dict
 from .errors import (ConfigError, DegenerateProblemError, DepthGuardError,
                      EstimationFailure, NonPhysicalChannelError, NrqaeError)
@@ -29,7 +29,7 @@ __all__ = [
     "CircuitSimulator", "ConfigError", "DegenerateProblemError", "DepthGuardError",
     "EstimationFailure", "EstimationProblem", "EstimationResult", "ExperimentConfig",
     "IqaeResult", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError", "TProvider",
-    "TSeries", "amplitude_problem", "avg_gate_fidelity", "build_problem",
+    "amplitude_problem", "avg_gate_fidelity", "build_problem",
     "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
     "fit_decay", "grover", "grover_amplitude", "grover_observable", "hoeffding_shots",
     "iqae_run", "lemma1_check", "lemma2_check", "noise_superop", "observable_problem",

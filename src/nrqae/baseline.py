@@ -96,7 +96,6 @@ def _branch_ok(m: int, x_lo: float, x_hi: float) -> bool:
 
 def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
     width = x_hi - x_lo
-    m_min = 1 if mode == "amplitude" else 2
     if width <= 0:
         return m_cur
     m_max = min(int(np.floor(np.pi / width)), _MAX_MULTIPLIER)
@@ -105,8 +104,7 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
     if mode == "observable" and m_max % 2 == 1:
         m_max -= 1
     m = m_max
-    floor_m = max(2 * m_cur, m_min)
-    while m >= floor_m:
+    while m >= 2 * m_cur:
         if _branch_ok(m, x_lo, x_hi):
             return m
         m -= 2
@@ -140,6 +138,7 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
     mode = problem.mode
     state = IqaeState(x_lo=0.0, x_hi=np.pi if mode == "amplitude" else np.pi / 2.0,
                       m=0)
+    m_min = 1 if mode == "amplitude" else 2
     delta_round = (1.0 - confidence) / max_rounds
     converged = False
 
@@ -147,10 +146,7 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         if _value_width(mode, state.x_lo, state.x_hi) <= target_eps:
             converged = True
             break
-        m = _next_multiplier(mode, state.x_lo, state.x_hi,
-                             state.m if state.m else (1 if mode == "amplitude" else 2))
-        if state.m == 0:
-            m = 1 if mode == "amplitude" else 2
+        m = _next_multiplier(mode, state.x_lo, state.x_hi, state.m) if state.m else m_min
         k = _applications(mode, m)
         cost = shots_per_round * k
         if max_oracle_calls is not None and state.oracle_calls + cost > max_oracle_calls:

@@ -18,8 +18,6 @@ give it its measurement rule (exact, binomial or offset) and its guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channels import NoiseSpec, noise_superop
@@ -173,28 +171,12 @@ def t_halfwidth(shots: int, delta: float = 0.5) -> float:
     return 4.0 * np.sqrt(np.log(2.0 / delta) / (2.0 * shots))
 
 
-@dataclass
-class TSeries:
-    """Record of measured t values keyed by depth."""
-
-    entries: dict = field(default_factory=dict)
-
-    def record(self, n: int, value: float):
-        self.entries.setdefault(n, float(value))
-
-    def depths(self):
-        return sorted(self.entries)
-
-    def value(self, n: int) -> float:
-        return self.entries[n]
-
-
 class TProvider:
     """Serves t at depths (n, 2n, 3n), each depth measured once per boost.
 
     measure(m, boost) returns t at depth m; a value is cached per
     (depth, boost), so a boosted retry is a fresh measurement, and only
-    unboosted values enter the series the envelope fit reads. eps_div is
+    unboosted values enter series, the dict the envelope fit reads. eps_div is
     the division guard of the ratio. shots is the shot count per circuit,
     0 when the values are not sampled; it prices calls_for and allows a
     failed iteration to be re-measured.
@@ -205,8 +187,12 @@ class TProvider:
         self.measure = measure
         self.eps_div = eps_div
         self.shots = shots
-        self.series = TSeries()
         self._cache: dict[tuple, float] = {}
+
+    @property
+    def series(self) -> dict:
+        """The unboosted values measured so far, keyed by depth."""
+        return {m: v for (m, boost), v in self._cache.items() if boost == 1}
 
     def triplet(self, n: int, boost: int = 1):
         out = []
@@ -215,8 +201,6 @@ class TProvider:
             if key not in self._cache:
                 self._cache[key] = self.measure(m, boost)
             out.append(self._cache[key])
-            if boost == 1:
-                self.series.record(m, self._cache[key])
         return tuple(out)
 
     def calls_for(self, n: int, boost: int = 1) -> int:

@@ -48,8 +48,6 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 7
     perturbation: float = 0.01
-    target_eps: float = 0.01
-    confidence: float = 0.95
     retry: bool = False
     s_grid: list = field(default_factory=lambda: list(DEFAULT_S_GRID))
     depth_grid: list = field(default_factory=lambda: [1, 2, 4, 8, 16, 32, 64])

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import TSeries
 from .errors import DepthGuardError, EstimationFailure
 from .model import theta_to_value
 
@@ -156,16 +155,17 @@ def _select_seeded(candidates, beta: float, n: int) -> float:
     return float(best)
 
 
-def fit_decay(theta_ch: float, series: TSeries) -> float:
+def fit_decay(theta_ch: float, series: dict) -> float:
     """Per-layer envelope p from log |t_n / cos(n theta_ch)| regression.
 
-    Depths where |cos(n theta_ch)| <= 0.1 or t_n = 0 are excluded; at least
-    two usable depths are required. The fit is clamped into (0, 1].
+    series maps depth n to t_n. Depths where |cos(n theta_ch)| <= 0.1 or
+    t_n = 0 are excluded; at least two usable depths are required. The fit
+    is clamped into (0, 1].
     """
     ns, ys = [], []
-    for n in series.depths():
+    for n in sorted(series):
         den = np.cos(n * theta_ch)
-        t = series.value(n)
+        t = series[n]
         if abs(den) <= 0.1 or t == 0.0:
             continue
         ns.append(float(n))
@@ -198,7 +198,7 @@ class EstimationResult:
     theta_ch is the estimated series phase in [0, pi]; theta is its
     state-space half. value/mirror are the two physical readings the
     ratio method cannot tell apart. oracle_calls is the sum of the
-    iterations' charges.
+    iterations' charges. series maps each depth to its unboosted t value.
     """
 
     mode: str
@@ -209,7 +209,7 @@ class EstimationResult:
     p_hat: Optional[float]
     oracle_calls: int
     iterations: list
-    series: TSeries
+    series: dict
 
     def iteration_thetas(self) -> list:
         """Running state-phase estimate after each iteration (None before the first success)."""
@@ -258,30 +258,24 @@ def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
             return _select_seeded(rec.candidates, seed_theta(rec.triplet), n)
         return select_candidate(rec.candidates, ref)
 
+    boosts = (1, 4) if retry and provider.shots else (1,)
     for i in range(k + 1):
         n = 2 ** i
-        rec = IterationRecord(index=i, n=n, oracle_calls=provider.calls_for(n))
-        try:
-            selected = attempt(rec, n, theta, boost=1)
-        except DepthGuardError as exc:
-            rec.reason = str(exc)
-            if retry and provider.shots:
-                rec.retried = True
-                rec.oracle_calls += provider.calls_for(n, boost=4)
-                try:
-                    selected = attempt(rec, n, theta, boost=4)
-                except DepthGuardError as exc2:
-                    rec.reason = f"{rec.reason}; retry: {exc2}"
-                    records.append(rec)
-                    continue
-            else:
-                records.append(rec)
+        rec = IterationRecord(index=i, n=n)
+        reasons = []
+        for boost in boosts:
+            rec.retried = boost > 1
+            rec.oracle_calls += provider.calls_for(n, boost=boost)
+            try:
+                theta = rec.selected = attempt(rec, n, theta, boost=boost)
+            except DepthGuardError as exc:
+                reasons.append(str(exc))
                 continue
-        rec.selected = selected
-        rec.ok = True
-        rec.reason = None
+            rec.ok = True
+            break
+        else:
+            rec.reason = "; retry: ".join(reasons)
         records.append(rec)
-        theta = selected
 
     if theta is None:
         reasons = "; ".join(f"i={r.index}: {r.reason}" for r in records)

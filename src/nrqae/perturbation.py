@@ -15,9 +15,12 @@ checks quantify, on a grid of interpolation strengths:
   in depth. At s = 0 the model collapses to 2|c|^2 cos(n theta_ch), the
   exact noiseless series.
 
-perturbed_steps builds the data all three read once per (problem, noise):
-the channel N is drawn once, and each S(s) is formed and diagonalized once
-per strength.
+perturbed_steps does all of the linear algebra the lemmas read, once per
+(problem, noise): the channel N is drawn once, and per strength S(s) is
+formed and diagonalized once, its +-theta_ch eigenpairs are matched once
+and rho_tilde is fitted on their plane by one least-squares solve. The
+checks only read that table; theorem1_check adds the exact series, read at
+every depth from one list of squares of S(s) per strength.
 
 Eigenpairs are matched to the ideal ones by eigenvector overlap; a row is
 flagged when the best overlap drops below 0.5, which signals that the
@@ -103,12 +106,23 @@ def interpolated_noise(noise_matrix: np.ndarray, s: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbedStep:
-    """S(s) = N(s) M_G at one strength, with its distance from M_G and its spectrum."""
+    """S(s) = N(s) M_G at one strength and its eigenpairs continuing the +-theta_ch dyads.
+
+    lam1 and lam2 are the eigenvalues matched to the +theta_ch and -theta_ch
+    dyads, plane holds their eigenvectors as columns and coef the
+    least-squares coefficients of rho_tilde on them. overlap1 is the
+    +theta_ch match's overlap, overlap the smaller of the two.
+    """
 
     s: float
     step: np.ndarray
     eps: float
-    spectrum: Spectrum
+    lam1: complex
+    lam2: complex
+    plane: np.ndarray
+    coef: np.ndarray
+    overlap1: float
+    overlap: float
 
 
 @dataclass(frozen=True)
@@ -121,20 +135,6 @@ class PerturbedSteps:
     steps: tuple
 
 
-def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> PerturbedSteps:
-    """Build the channel once and diagonalize S(s) once per strength."""
-    sub = subspace_basis(problem)
-    mg = conjugation_superop(grover(problem))
-    n_full = noise_superop(noise, problem.qubits)
-    steps = []
-    for s in s_values:
-        step = interpolated_noise(n_full, s) @ mg
-        steps.append(PerturbedStep(s=float(s), step=step, eps=frob_norm(step - mg),
-                                   spectrum=eig_dense(step)))
-    return PerturbedSteps(basis=sub, mg=mg, rho_vec=vectorize(rho_tilde(problem)),
-                          steps=tuple(steps))
-
-
 def _matched_pair(spec: Spectrum, target_vec: np.ndarray):
     overlaps = np.abs(spec.eigenvectors.conj().T @ target_vec)
     idx = int(np.argmax(overlaps))
@@ -145,13 +145,24 @@ def _matched_pair(spec: Spectrum, target_vec: np.ndarray):
     return spec.eigenvalues[idx], vec, float(overlaps[idx])
 
 
-def _matched_plane(steps: PerturbedSteps, st: PerturbedStep):
-    """Eigenpairs continuing the +-theta_ch dyads, and rho_tilde's coefficients on them."""
-    lam1, v1, ov1 = _matched_pair(st.spectrum, steps.basis.vectors[:, 1])
-    lam2, v2, ov2 = _matched_pair(st.spectrum, steps.basis.vectors[:, 2])
-    plane = np.stack([v1, v2], axis=1)
-    coef, *_ = np.linalg.lstsq(plane, steps.rho_vec, rcond=None)
-    return lam1, lam2, plane, coef, min(ov1, ov2)
+def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> PerturbedSteps:
+    """Build the channel once; per strength, diagonalize S(s), match and fit once."""
+    sub = subspace_basis(problem)
+    mg = conjugation_superop(grover(problem))
+    n_full = noise_superop(noise, problem.qubits)
+    rho_vec = vectorize(rho_tilde(problem))
+    steps = []
+    for s in s_values:
+        step = interpolated_noise(n_full, s) @ mg
+        spec = eig_dense(step)
+        lam1, v1, overlap1 = _matched_pair(spec, sub.vectors[:, 1])
+        lam2, v2, overlap2 = _matched_pair(spec, sub.vectors[:, 2])
+        plane = np.stack([v1, v2], axis=1)
+        coef, *_ = np.linalg.lstsq(plane, rho_vec, rcond=None)
+        steps.append(PerturbedStep(s=float(s), step=step, eps=frob_norm(step - mg),
+                                   lam1=lam1, lam2=lam2, plane=plane, coef=coef,
+                                   overlap1=overlap1, overlap=min(overlap1, overlap2)))
+    return PerturbedSteps(basis=sub, mg=mg, rho_vec=rho_vec, steps=tuple(steps))
 
 
 @dataclass
@@ -172,11 +183,11 @@ def lemma1_check(steps: PerturbedSteps) -> list:
     rows = []
     for st in steps.steps:
         first = complex(np.vdot(b2, (st.step - steps.mg) @ b2))
-        lam, _, overlap = _matched_pair(st.spectrum, b2)
-        resid = abs(lam - (lam0 + first))
-        rows.append(Lemma1Row(s=st.s, eps=st.eps, eigenvalue=complex(lam),
+        resid = abs(st.lam1 - (lam0 + first))
+        rows.append(Lemma1Row(s=st.s, eps=st.eps, eigenvalue=complex(st.lam1),
                               prediction=lam0 + first, residual=float(resid),
-                              overlap=overlap, flagged=overlap < OVERLAP_FLAG_THRESHOLD))
+                              overlap=st.overlap1,
+                              flagged=st.overlap1 < OVERLAP_FLAG_THRESHOLD))
     return rows
 
 
@@ -196,41 +207,13 @@ def lemma2_check(steps: PerturbedSteps) -> list:
     c = steps.basis.c
     rows = []
     for st in steps.steps:
-        _, _, plane, coef, overlap = _matched_plane(steps, st)
-        resid = float(np.linalg.norm(steps.rho_vec - plane @ coef))
+        resid = float(np.linalg.norm(steps.rho_vec - st.plane @ st.coef))
         rows.append(Lemma2Row(s=st.s, eps=st.eps,
-                              c1_error=float(abs(coef[0] - c)),
-                              c2_error=float(abs(coef[1] - np.conj(c))),
-                              span_residual=resid, overlap=overlap,
-                              flagged=overlap < OVERLAP_FLAG_THRESHOLD))
+                              c1_error=float(abs(st.coef[0] - c)),
+                              c2_error=float(abs(st.coef[1] - np.conj(c))),
+                              span_residual=resid, overlap=st.overlap,
+                              flagged=st.overlap < OVERLAP_FLAG_THRESHOLD))
     return rows
-
-
-def _step_power(step: np.ndarray, n: int) -> np.ndarray:
-    """step^n by repeated squaring, set bits taken low to high as block @ result.
-
-    Powers of one matrix commute, but the product order fixes the rounding of
-    the theorem1_error values, which are written to 12 digits.
-    """
-    if n == 0:
-        return np.eye(step.shape[0], dtype=complex)
-    result = None
-    square = step
-    while True:
-        if n & 1:
-            result = square if result is None else square @ result
-        n >>= 1
-        if not n:
-            return result
-        square = square @ square
-
-
-def _exact_series_value(step: np.ndarray, rho_vec: np.ndarray, n: int) -> float:
-    """<<rho_tilde | step^n | rho_tilde>> from the dense step superoperator."""
-    raw = complex(np.vdot(rho_vec, _step_power(step, n) @ rho_vec))
-    if abs(raw.imag) > _IMAG_TOL:
-        raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
-    return float(raw.real)
 
 
 @dataclass
@@ -244,16 +227,39 @@ class Theorem1Row:
 
 
 def theorem1_check(steps: PerturbedSteps, depths=(1, 2, 4, 8, 16, 32, 64)) -> list:
-    """Exact depth series vs the two-mode model, per (s, n)."""
+    """Exact depth series vs the two-mode model, per (s, n).
+
+    Each strength builds one list of squares [S, S^2, S^4, ...] up to the
+    deepest depth, and S^n multiplies the squares of n's set bits, low to
+    high, as square @ result. Powers of one matrix commute, but this product
+    order fixes the rounding of the theorem1_error values, which are written
+    to 12 digits.
+    """
+    top = max(depths, default=0)
+
+    def exact_t(squares: list, n: int) -> float:
+        if n < 0:
+            raise ValueError(f"negative depth {n}")
+        power = np.eye(len(steps.mg), dtype=complex) if n == 0 else None
+        for j, square in enumerate(squares):
+            if n >> j & 1:
+                power = square if power is None else square @ power
+        raw = complex(np.vdot(steps.rho_vec, power @ steps.rho_vec))
+        if abs(raw.imag) > _IMAG_TOL:
+            raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
+        return float(raw.real)
+
     rows = []
     for st in steps.steps:
-        lam1, lam2, _, coef, overlap = _matched_plane(steps, st)
-        w1 = abs(coef[0]) ** 2
-        w2 = abs(coef[1]) ** 2
-        flagged = overlap < OVERLAP_FLAG_THRESHOLD
+        squares = [st.step]
+        while 1 << len(squares) <= top:
+            squares.append(squares[-1] @ squares[-1])
+        w1 = abs(st.coef[0]) ** 2
+        w2 = abs(st.coef[1]) ** 2
+        flagged = st.overlap < OVERLAP_FLAG_THRESHOLD
         for n in depths:
-            t_exact = _exact_series_value(st.step, steps.rho_vec, n)
-            model = w1 * lam1 ** n + w2 * lam2 ** n
+            t_exact = exact_t(squares, n)
+            model = w1 * st.lam1 ** n + w2 * st.lam2 ** n
             rows.append(Theorem1Row(s=st.s, n=int(n), t_exact=t_exact,
                                     t_model=float(model.real),
                                     error=float(abs(t_exact - model)),

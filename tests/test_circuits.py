@@ -9,7 +9,6 @@ from nrqae.channels import NoiseSpec, noise_superop, pauli_string
 from nrqae.circuits import (
     EXACT_DIVISION_GUARD,
     CircuitSimulator,
-    TSeries,
     exact_provider,
     perturbed_provider,
     sampled_provider,
@@ -205,7 +204,7 @@ def test_exact_provider():
     assert prov.shots == 0  # not sampled: run() never retries it
     assert prov.calls_for(64) == 0
     assert prov.eps_div == EXACT_DIVISION_GUARD
-    assert prov.series.depths() == [1, 2, 3]
+    assert sorted(prov.series) == [1, 2, 3]
     assert exact_provider(CircuitSimulator(p)).triplet(1) == trip
 
 
@@ -217,7 +216,7 @@ def test_sampled_provider_cache_and_accounting():
     t1 = prov.triplet(1)
     t2 = prov.triplet(2)
     assert t1[1] == t2[0]  # depth 2 measured once, reused
-    assert prov.series.depths() == [1, 2, 3, 4, 6]
+    assert sorted(prov.series) == [1, 2, 3, 4, 6]
     assert prov.calls_for(2) == 200 * 4 * 12
     assert prov.calls_for(2, boost=3) == 200 * 3 * 4 * 12
     assert abs(prov.eps_div - 3.0 * t_halfwidth(200)) < 1e-15
@@ -225,7 +224,7 @@ def test_sampled_provider_cache_and_accounting():
     # out of the series
     assert prov.triplet(1, boost=5) != t1
     prov.triplet(8, boost=5)
-    assert prov.series.depths() == [1, 2, 3, 4, 6]
+    assert sorted(prov.series) == [1, 2, 3, 4, 6]
 
 
 def test_perturbed_provider():
@@ -252,13 +251,3 @@ def test_unphysical_noise_matrix_is_rejected():
     sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(p.psi, p.psi, 1)
-
-
-def test_tseries_bookkeeping():
-    s = TSeries()
-    s.record(4, 0.5)
-    s.record(1, -0.1)
-    s.record(4, 99.0)  # first write wins
-    assert s.depths() == [1, 4]
-    assert s.value(4) == 0.5
-

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nrqae.channels import NoiseSpec
-from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, TSeries,
-                            exact_provider, perturbed_provider, sampled_provider)
+from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, exact_provider,
+                            perturbed_provider, sampled_provider)
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
@@ -167,22 +167,16 @@ def test_fold_theta():
 
 def test_fit_decay_recovers_envelope():
     theta = 2 * np.pi / 3
-    series = TSeries()
-    for n in (1, 2, 3, 4, 6, 8, 12):
-        series.record(n, 0.5 * 0.95 ** n * np.cos(n * theta))
+    series = {n: 0.5 * 0.95 ** n * np.cos(n * theta) for n in (1, 2, 3, 4, 6, 8, 12)}
     assert abs(fit_decay(theta, series) - 0.95) < 1e-3
     # noiseless series fits p = 1 exactly (clamped from above)
-    clean = TSeries()
-    for n in (1, 2, 3):
-        clean.record(n, 0.5 * np.cos(n * theta))
+    clean = {n: 0.5 * np.cos(n * theta) for n in (1, 2, 3)}
     assert abs(fit_decay(theta, clean) - 1.0) < 1e-6
 
 
 def test_fit_decay_needs_two_usable_depths():
     theta = np.pi / 4  # cos(2 theta) = 0, cos(4 theta) = -1...
-    series = TSeries()
-    series.record(2, 0.0)  # excluded: |cos| below threshold
-    series.record(4, -0.5)
+    series = {2: 0.0, 4: -0.5}  # depth 2 excluded: |cos| below threshold
     with pytest.raises(EstimationFailure):
         fit_decay(theta, series)
 

@@ -63,6 +63,11 @@ def test_config_dict_rejects_junk():
         config_from_dict(["not", "a", "dict"])
     with pytest.raises(ConfigError):
         config_from_dict({"noise": "pauli"})
+    # the IQAE baseline in compare-noise runs to its matched budget, so these
+    # two keys set nothing and are rejected like any other unknown key
+    for key, value in (("target_eps", 0.01), ("confidence", 0.95)):
+        with pytest.raises(ConfigError):
+            config_from_dict({key: value})
 
 
 def test_config_file_round_trip(tmp_path):
@@ -260,10 +265,11 @@ def test_run_verify_perturbation_rejects_trivial_kind():
 
 def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
     # per kind: the 2 x 2 eigendecomposition inside subspace_basis, one
-    # channel, then one eigendecomposition of S(s) per strength, shared by
-    # the three checks
+    # channel, then per strength one eigendecomposition of S(s) and one match
+    # for each of the +-theta_ch dyads, shared by the three checks
     calls = []
     noise_superop, eig_dense = perturbation.noise_superop, perturbation.eig_dense
+    matched_pair = perturbation._matched_pair
 
     def counted_noise_superop(noise, qubits):
         calls.append(("channel", noise.kind))
@@ -273,11 +279,17 @@ def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
         calls.append(("eig", len(m)))
         return eig_dense(m)
 
+    def counted_matched_pair(spec, target_vec):
+        calls.append(("match",))
+        return matched_pair(spec, target_vec)
+
     monkeypatch.setattr(perturbation, "noise_superop", counted_noise_superop)
     monkeypatch.setattr(perturbation, "eig_dense", counted_eig_dense)
+    monkeypatch.setattr(perturbation, "_matched_pair", counted_matched_pair)
     cfg = ExperimentConfig(amplitude=0.75, compare_kinds=["pauli", "statistical"])
     run_verify_perturbation(cfg)
-    per_kind = {kind: [("eig", 2), ("channel", kind)] + [("eig", 4)] * len(cfg.s_grid)
+    per_kind = {kind: [("eig", 2), ("channel", kind)]
+                + [("eig", 4), ("match",), ("match",)] * len(cfg.s_grid)
                 for kind in cfg.compare_kinds}
     assert calls == per_kind["pauli"] + per_kind["statistical"]
 

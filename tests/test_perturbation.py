@@ -5,6 +5,8 @@ its RNG recipe: both channels act non-degenerately there, so none of the
 residual series collapses to float noise and every log-log fit is real.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,8 +131,11 @@ def test_lemma2_first_order_drift(kind):
 
 
 def test_theorem1_zero_strength():
-    rows = theorem1_check(perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0]))
+    steps = perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
+    rows = theorem1_check(steps)
     assert all(r.error < 1e-10 for r in rows)
+    with pytest.raises(ValueError):
+        theorem1_check(steps, depths=(4, -3))
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
@@ -143,6 +148,23 @@ def test_theorem1_first_order_uniform(kind):
     for s in S_GRID:
         e1 = next(r.error for r in rows if r.s == s and r.n == 1)
         assert max_err[s] <= 3.0 * e1
+
+
+def test_theorem1_series_pinned_at_any_depth():
+    """Exact series and model error, bit for bit, at depths that are not powers of two.
+
+    S^n is a product of several squares at these depths, so the pin also
+    fixes the product order. The digest was recorded with the per-depth
+    repeated squaring that the shared list of squares replaced.
+    """
+    depths = (0, 1, 3, 5, 6, 7, 12, 37, 63, 64, 100)
+    digest = hashlib.sha256()
+    for kind in ("pauli", "amplitude-damping", "coherent"):
+        steps = perturbed_steps(generic_problem(), NoiseSpec(kind=kind), [0.01, 0.1])
+        for r in theorem1_check(steps, depths=depths):
+            digest.update(f"{r.t_exact.hex()} {r.error.hex()}\n".encode())
+    assert digest.hexdigest() == (
+        "76253bbbd363b8889b0895bf7a32956997af9247a967f095d6d694fc0acd1ce6")
 
 
 def test_theta_drift_order_by_channel_family():
