@@ -21,13 +21,17 @@ where Cp is conjugation by the Pauli p, and K00 / K01 are conjugations by
 PTM row (1, 0, 0, 0)); the statistical draw additionally enforces
 ||t||_2 + ||A||_2 <= 1 on the non-unital column t and unital block A, which
 maps the Bloch ball into itself and keeps every single-qubit probability
-in [0, 1]. Tensor products of statistical draws can still act non-physically
-on entangled inputs; the circuit layer rejects such probabilities.
+in [0, 1]. The draw takes its candidates in blocks from one seeded stream,
+in stream order, and keeps the first that passes, so the PTM is a pure
+function of (seed, target_fidelity). Tensor products of statistical draws
+can still act non-physically on entangled inputs; the circuit layer rejects
+such probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Optional
 
@@ -56,6 +60,10 @@ DEFAULT_PARAMS = {
 
 _STAT_STREAM_TAG = 7001
 _STAT_MAX_ATTEMPTS = 500_000
+_STAT_BLOCK = 1024
+# Slack of the vectorised pre-filter in _statistical_ptm; it only lets more
+# candidates reach the exact test and never accepts one.
+_STAT_SLACK = 1e-9
 
 
 def pauli_string(label: str) -> np.ndarray:
@@ -68,13 +76,19 @@ def pauli_string(label: str) -> np.ndarray:
     return op
 
 
+@cache
 def pauli_vec_basis(qubits: int) -> np.ndarray:
-    """Unitary whose columns are vec(P_a / sqrt(d)), labels in lexicographic order."""
+    """Unitary whose columns are vec(P_a / sqrt(d)), labels in lexicographic order.
+
+    Built once per qubit count; the shared array is read-only.
+    """
     d = 2 ** qubits
     cols = []
     for labels in product("IXYZ", repeat=qubits):
         cols.append((pauli_string("".join(labels)) / np.sqrt(d)).reshape(-1))
-    return np.stack(cols, axis=1)
+    v = np.stack(cols, axis=1)
+    v.setflags(write=False)
+    return v
 
 
 def ptm_to_superop(ptm, qubits: int) -> np.ndarray:
@@ -150,18 +164,32 @@ def _statistical_ptm(target_fidelity: float, seed: int) -> np.ndarray:
     # d = 2: F_pro = (3 F_avg - 1)/2 and Tr(PTM) = 4 F_pro fixes the trace.
     target_trace = 4.0 * (3.0 * target_fidelity - 1.0) / 2.0
     gen = substream(seed, _STAT_STREAM_TAG)
-    for _ in range(_STAT_MAX_ATTEMPTS):
-        delta = gen.standard_normal((4, 4))
-        delta[0, :] = 0.0
-        tr = float(np.trace(delta))
-        if abs(tr) < 0.5:
-            continue
-        scale = (target_trace - 4.0) / tr
-        r = np.eye(4) + scale * delta
-        shift = np.linalg.norm(r[1:, 0])
-        contraction = np.linalg.norm(r[1:, 1:], 2)
-        if shift + contraction <= 1.0:
-            return r
+    # Candidates come in blocks of _STAT_BLOCK from the same stream: one
+    # (b, 4, 4) draw yields the numbers of b draws of shape (4, 4). A
+    # vectorised bound (the spectral norm is at least the largest column
+    # norm) drops candidates that cannot pass; the survivors, in stream
+    # order, go through the exact scalar test and the first to pass wins.
+    left = _STAT_MAX_ATTEMPTS
+    while left > 0:
+        block = gen.standard_normal((min(_STAT_BLOCK, left), 4, 4))
+        left -= block.shape[0]
+        block[:, 0, :] = 0.0
+        traces = np.trace(block, axis1=1, axis2=2)
+        idx = np.flatnonzero(np.abs(traces) >= 0.5 - _STAT_SLACK)
+        rs = np.eye(4) + ((target_trace - 4.0) / traces[idx])[:, None, None] * block[idx]
+        shifts = np.linalg.norm(rs[:, 1:, 0], axis=1)
+        colmax = np.linalg.norm(rs[:, 1:, 1:], axis=1).max(axis=1)
+        for i in idx[shifts + colmax <= 1.0 + _STAT_SLACK]:
+            delta = block[i]
+            tr = float(np.trace(delta))
+            if abs(tr) < 0.5:
+                continue
+            scale = (target_trace - 4.0) / tr
+            r = np.eye(4) + scale * delta
+            shift = np.linalg.norm(r[1:, 0])
+            contraction = np.linalg.norm(r[1:, 1:], 2)
+            if shift + contraction <= 1.0:
+                return r
     raise NonPhysicalChannelError("statistical draw did not find a contractive perturbation")
 
 

@@ -12,6 +12,7 @@ failure, 3 verification checks failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -82,9 +83,8 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["retry"] = True
     if getattr(args, "kinds", None):
         overrides["compare_kinds"] = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for name, value in overrides.items():
-        setattr(cfg, name, value)
-    return cfg
+    # replace() reruns the config's checks on the overridden values
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _cmd_estimate(args) -> int:

@@ -65,6 +65,23 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        _check_grid("depth_grid", self.depth_grid,
+                    lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 0,
+                    "a non-negative integer")
+        _check_grid("s_grid", self.s_grid,
+                    lambda s: isinstance(s, (int, float)) and not isinstance(s, bool)
+                    and 0.0 <= s <= 1.0, "a number in [0, 1]")
+
+
+def _check_grid(name: str, grid, valid, wanted: str):
+    """Entry-wise check plus the two positive points the log-log slope fits need."""
+    if not isinstance(grid, list):
+        raise ConfigError(f"{name} must be a list, got {type(grid).__name__}")
+    for entry in grid:
+        if not valid(entry):
+            raise ConfigError(f"{name} entry {entry!r} is not {wanted}")
+    if sum(entry > 0 for entry in grid) < 2:
+        raise ConfigError(f"{name} needs at least two positive points, got {grid}")
 
 
 def _noise_to_dict(spec: NoiseSpec) -> dict:

@@ -20,6 +20,7 @@ indistinguishable mirror reading reported by theta_to_value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -101,6 +102,21 @@ def select_candidate(candidates, theta_prev: float) -> float:
     return float(best)
 
 
+@cache
+def _seed_basis():
+    """seed_theta's fixed grids, basis and guarded denominator, built on first use."""
+    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
+    decays = np.linspace(0.2, 1.0, 17)
+    m = np.array([1.0, 2.0, 3.0])
+    # basis[m, theta, p] = p^m cos(m theta)
+    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
+    denom = np.sum(basis * basis, axis=0)
+    denom = np.where(denom > 0, denom, 1.0)
+    for arr in (grid, decays, basis, denom):
+        arr.setflags(write=False)
+    return grid, decays, basis, denom
+
+
 def seed_theta(triplet) -> float:
     """Coarse grid fit of the first triplet to c * p^m * cos(m theta), m = 1, 2, 3.
 
@@ -114,13 +130,8 @@ def seed_theta(triplet) -> float:
     with candidate_angles output. An all-zero triplet returns 0.0.
     """
     t = np.asarray(triplet, dtype=float)
-    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
-    decays = np.linspace(0.2, 1.0, 17)
-    m = np.array([1.0, 2.0, 3.0])
-    # basis[m, theta, p] = p^m cos(m theta)
-    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
-    denom = np.sum(basis * basis, axis=0)
-    c = np.einsum("m,mtp->tp", t, basis) / np.where(denom > 0, denom, 1.0)
+    grid, decays, basis, denom = _seed_basis()
+    c = np.einsum("m,mtp->tp", t, basis) / denom
     c = np.maximum(c, 0.0)
     resid = np.sum((t[:, None, None] - c[None, :, :] * basis) ** 2, axis=0)
     flat = int(np.argmin(resid))

@@ -5,9 +5,13 @@ from the closed-form PTMs (depolarizing diag(1, .6, .6, .6) and so on), so
 any drift in defaults or basis conventions shows up here first.
 """
 
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 
+from nrqae import channels
 from nrqae.channels import (
     DEFAULT_PARAMS,
     NOISE_KINDS,
@@ -23,6 +27,13 @@ from nrqae.channels import (
 )
 from nrqae.errors import ConfigError, NonPhysicalChannelError
 from nrqae.model import conjugation_superop, vectorize
+from nrqae.rng import substream
+
+# sha256 over the concatenated tobytes() of _statistical_ptm(f, seed), taken
+# from the one-candidate-per-attempt draw before it was vectorised
+STAT_FIDELITIES = (0.55, 0.7, 0.8, 0.89, 0.95, 0.99)
+STAT_GRID_SHA = "86503d63c23750be862985a5a676b28857d898c59f4a6731b479383778c215ab"  # seeds 0-59
+STAT_089_SHA = "42e38f74bc091fb393684279450a08a59045bd397345c0f0c30c7b86e9944039"  # seeds 0-199
 
 
 def test_pauli_string_kron_order():
@@ -42,6 +53,17 @@ def test_pauli_vec_basis_is_orthonormal(qubits):
     d2 = 4 ** qubits
     assert v.shape == (d2, d2)
     assert np.max(np.abs(v.conj().T @ v - np.eye(d2))) < 1e-12
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_pauli_vec_basis_is_built_once_and_read_only(qubits):
+    v = pauli_vec_basis(qubits)
+    assert v is pauli_vec_basis(qubits)
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+    fresh = np.stack([(pauli_string("".join(labels)) / np.sqrt(2 ** qubits)).reshape(-1)
+                      for labels in product("IXYZ", repeat=qubits)], axis=1)
+    assert np.array_equal(v, fresh)
 
 
 def test_ptm_superop_round_trip():
@@ -118,6 +140,51 @@ def test_statistical_channel_hits_fidelity_target_deterministically():
     assert np.max(np.abs(ptm_c - ptm_a)) > 1e-6
     f_c = avg_gate_fidelity(ptm_to_superop(ptm_c, 1), np.eye(4))
     assert abs(f_c - 0.89) < 1e-12
+
+
+def test_statistical_draw_is_pinned():
+    grid = hashlib.sha256()
+    for f in STAT_FIDELITIES:
+        for seed in range(60):
+            grid.update(channels._statistical_ptm(f, seed).tobytes())
+    assert grid.hexdigest() == STAT_GRID_SHA
+    at_089 = hashlib.sha256()
+    for seed in range(200):
+        at_089.update(channels._statistical_ptm(0.89, seed).tobytes())
+    assert at_089.hexdigest() == STAT_089_SHA
+
+
+def _one_at_a_time_draw(target_fidelity, seed):
+    """(attempts used, PTM) of the draw taking one candidate per attempt."""
+    target_trace = 4.0 * (3.0 * target_fidelity - 1.0) / 2.0
+    gen = substream(seed, channels._STAT_STREAM_TAG)
+    attempts = 0
+    while True:
+        attempts += 1
+        delta = gen.standard_normal((4, 4))
+        delta[0, :] = 0.0
+        tr = float(np.trace(delta))
+        if abs(tr) < 0.5:
+            continue
+        r = np.eye(4) + (target_trace - 4.0) / tr * delta
+        if np.linalg.norm(r[1:, 0]) + np.linalg.norm(r[1:, 1:], 2) <= 1.0:
+            return attempts, r
+
+
+def test_statistical_draw_budget_counts_attempts(monkeypatch):
+    # a seed whose accepted candidate sits inside the second block, so the
+    # budget has to split a block to stop one attempt short of it
+    for seed in range(100):
+        k, want = _one_at_a_time_draw(0.89, seed)
+        if k > channels._STAT_BLOCK and k % channels._STAT_BLOCK:
+            break
+    else:
+        pytest.fail("no seed accepts inside the second block")
+    monkeypatch.setattr(channels, "_STAT_MAX_ATTEMPTS", k)
+    assert np.array_equal(channels._statistical_ptm(0.89, seed), want)
+    monkeypatch.setattr(channels, "_STAT_MAX_ATTEMPTS", k - 1)
+    with pytest.raises(NonPhysicalChannelError, match="contractive"):
+        channels._statistical_ptm(0.89, seed)
 
 
 def test_all_kinds_preserve_trace():

@@ -159,6 +159,32 @@ def test_seed_theta_zero_triplet():
     assert seed_theta((0.0, 0.0, 0.0)) == 0.0
 
 
+def _seed_theta_rebuilt(triplet) -> float:
+    """seed_theta as written when it rebuilt its basis on every call."""
+    t = np.asarray(triplet, dtype=float)
+    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
+    decays = np.linspace(0.2, 1.0, 17)
+    m = np.array([1.0, 2.0, 3.0])
+    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
+    denom = np.sum(basis * basis, axis=0)
+    c = np.einsum("m,mtp->tp", t, basis) / np.where(denom > 0, denom, 1.0)
+    c = np.maximum(c, 0.0)
+    resid = np.sum((t[:, None, None] - c[None, :, :] * basis) ** 2, axis=0)
+    flat = int(np.argmin(resid))
+    return float(grid[flat // decays.size])
+
+
+def test_seed_theta_matches_the_per_call_basis():
+    rng = np.random.default_rng(337)
+    triplets = [(0.0, 0.0, 0.0)]
+    triplets += [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(150)]
+    for _ in range(150):
+        theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
+        triplets.append(tuple(c * p ** m * np.cos(m * theta) for m in (1, 2, 3)))
+    for trip in triplets:
+        assert seed_theta(trip) == _seed_theta_rebuilt(trip)
+
+
 def test_fold_theta():
     assert fold_theta(0.3) == 0.3
     assert abs(fold_theta(3.0) - (np.pi - 3.0)) < 1e-15

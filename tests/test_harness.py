@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -452,3 +454,46 @@ def test_qubit_limit_is_checked_when_the_config_is_read(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "qubits must be in [1, 8], got 9" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, flags, message", [
+    ({"depth_grid": [1, -2]}, [], "depth_grid entry -2 is not a non-negative integer"),
+    ({"depth_grid": [1, 2.5]}, [], "depth_grid entry 2.5 is not a non-negative integer"),
+    ({"depth_grid": [0, 4]}, [], "depth_grid needs at least two positive points"),
+    ({"s_grid": [0.1, 2.0]}, [], "s_grid entry 2.0 is not a number in [0, 1]"),
+    ({"s_grid": [0.1, "0.2"]}, [], "s_grid entry '0.2' is not a number in [0, 1]"),
+    ({"s_grid": [0.0, 0.1]}, [], "s_grid needs at least two positive points"),
+    ({"s_grid": 0.1}, [], "s_grid must be a list"),
+    # flag overrides go through the same checks as file values
+    ({}, ["--iterations", "-1"], "iterations must be >= 0, got -1"),
+    ({}, ["--shots", "0"], "shots must be >= 1, got 0"),
+    ({}, ["--trials", "0"], "trials must be >= 1, got 0"),
+])
+def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, extra, flags,
+                                                           message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "noise": {"kind": "pauli"}, **extra}))
+    out = tmp_path / "out"
+    assert main(["verify-perturbation", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_grid_edge_values_are_accepted():
+    cfg = ExperimentConfig(depth_grid=[0, 1, 2], s_grid=[0, 0.5, 1])
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_import_builds_no_cached_basis():
+    # the cached bases are built on first use, so `import nrqae` stays cheap
+    code = ("import nrqae, nrqae.cli\n"
+            "from nrqae.channels import pauli_vec_basis\n"
+            "from nrqae.estimator import _seed_basis\n"
+            "print(pauli_vec_basis.cache_info().currsize, _seed_basis.cache_info().currsize)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
