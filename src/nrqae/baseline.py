@@ -23,6 +23,7 @@ contradiction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,8 +89,13 @@ def _applications(mode: str, m: int) -> int:
     return m // 2 - 1
 
 
+def _branch(m: int, x_lo: float, x_hi: float) -> int:
+    """Index j of the half-period [j pi, (j + 1) pi] holding m times the midpoint."""
+    return math.floor(m * 0.5 * (x_lo + x_hi) / math.pi)
+
+
 def _branch_ok(m: int, x_lo: float, x_hi: float) -> bool:
-    j = int(np.floor(m * 0.5 * (x_lo + x_hi) / np.pi))
+    j = _branch(m, x_lo, x_hi)
     return (m * x_lo >= j * np.pi - _BRANCH_TOL
             and m * x_hi <= (j + 1) * np.pi + _BRANCH_TOL)
 
@@ -113,7 +119,7 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
 
 def _invert(m: int, x_lo: float, x_hi: float, c_lo: float, c_hi: float):
     """Interval of x with cos(m x) in [c_lo, c_hi], on the pinned branch."""
-    j = int(np.floor(m * 0.5 * (x_lo + x_hi) / np.pi))
+    j = _branch(m, x_lo, x_hi)
     if j % 2 == 0:
         v_lo, v_hi = np.arccos(c_hi), np.arccos(c_lo)
     else:

@@ -87,11 +87,12 @@ class CircuitSimulator:
     A layer is two d x d products for the walk and, per qubit, one product
     of the 4 x 4 single-qubit noise superoperator with the (i_j, k_j) index
     pair of rho. exact_t follows rho_tilde itself and prob follows each
-    preparation once; each trajectory keeps only its latest matrix, so a
-    depth costs the layers beyond the deepest one reached and a repeated
-    depth is free. Build one simulator per (problem, noise) and share it:
-    every value is independent of what the simulator served before. It is
-    the handle the providers and the IQAE baseline take.
+    preparation once and builds each measurement vector once; each
+    trajectory keeps only its latest matrix, so a depth costs the layers
+    beyond the deepest one reached and a repeated depth is free. Build one
+    simulator per (problem, noise) and share it: every value is independent
+    of what the simulator served before. It is the handle the providers and
+    the IQAE baseline take.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -108,6 +109,7 @@ class CircuitSimulator:
         self.rho_tilde_vec = vectorize(tilde)
         self._tilde = _Trajectory(tilde, self._noisy_walk)
         self._preps: dict = {}
+        self._meas_vecs: dict = {}
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         d = rho.shape[0]
@@ -128,8 +130,12 @@ class CircuitSimulator:
         if traj is None:
             traj = _Trajectory(np.outer(prep, np.conj(prep)), self._noisy_walk)
             self._preps[prep.tobytes()] = traj
-        meas_vec = vectorize(np.outer(meas, np.conj(meas)))
-        return _clamped_real(traj.readout(meas.tobytes(), meas_vec, n), f"depth {n}")
+        key = meas.tobytes()
+        meas_vec = self._meas_vecs.get(key)
+        if meas_vec is None:
+            meas_vec = vectorize(np.outer(meas, np.conj(meas)))
+            self._meas_vecs[key] = meas_vec
+        return _clamped_real(traj.readout(key, meas_vec, n), f"depth {n}")
 
     def _signed_pairs(self):
         psi = self.problem.psi

@@ -9,6 +9,7 @@ CLI flags override file values (flag > file > default).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -23,6 +24,8 @@ CONFIG_VERSION = 1
 # Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
 # walk operator, O(8^q) work; the cap bounds it before any array is built.
 MAX_QUBITS = 8
+# Shot counts are drawn as int64 binomial counts, 4x larger on a retry.
+MAX_SHOTS = 2 ** 60
 
 DEFAULT_S_GRID = [0.001, 0.002154434690032, 0.004641588833613, 0.01,
                   0.02154434690032, 0.04641588833613, 0.1]
@@ -57,20 +60,45 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config_version {self.config_version}")
         if self.mode not in ("amplitude", "observable"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("qubits", "iterations", "trials", "seed"):
+            _check_type(name, getattr(self, name), _is_int, "an integer")
+        _check_type("perturbation", self.perturbation, _is_number, "a number")
+        for name in ("exact", "retry"):
+            _check_type(name, getattr(self, name), lambda v: isinstance(v, bool), "true or false")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        _check_grid("depth_grid", self.depth_grid,
-                    lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 0,
+        if self.shots is not None:
+            _check_type("shots", self.shots, _is_int, "an integer")
+            if self.shots < 1:
+                raise ConfigError(f"shots must be >= 1, got {self.shots}")
+            if self.shots > MAX_SHOTS:
+                raise ConfigError(f"shots must be <= 2**60, got {self.shots}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.perturbation <= sys.float_info.max:
+            raise ConfigError(
+                f"perturbation must be a finite number >= 0, got {self.perturbation}")
+        _check_grid("depth_grid", self.depth_grid, lambda n: _is_int(n) and n >= 0,
                     "a non-negative integer")
-        _check_grid("s_grid", self.s_grid,
-                    lambda s: isinstance(s, (int, float)) and not isinstance(s, bool)
-                    and 0.0 <= s <= 1.0, "a number in [0, 1]")
+        _check_grid("s_grid", self.s_grid, lambda s: _is_number(s) and 0.0 <= s <= 1.0,
+                    "a number in [0, 1]")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(name: str, value, valid, wanted: str):
+    if not valid(value):
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _check_grid(name: str, grid, valid, wanted: str):

@@ -129,13 +129,31 @@ def seed_theta(triplet) -> float:
     The returned angle is on the series-phase scale, directly comparable
     with candidate_angles output. An all-zero triplet returns 0.0.
     """
-    t = np.asarray(triplet, dtype=float)
-    grid, decays, basis, denom = _seed_basis()
-    c = np.einsum("m,mtp->tp", t, basis) / denom
-    c = np.maximum(c, 0.0)
-    resid = np.sum((t[:, None, None] - c[None, :, :] * basis) ** 2, axis=0)
-    flat = int(np.argmin(resid))
+    grid, decays, _, _ = _seed_basis()
+    flat = int(np.argmin(_seed_residual(np.asarray(triplet, dtype=float))))
     return float(grid[flat // decays.size])
+
+
+def _seed_residual(t: np.ndarray) -> np.ndarray:
+    """Squared residual of the best scale c >= 0 at every (angle, decay) grid point."""
+    _, _, basis, denom = _seed_basis()
+    c = np.einsum("m,mtp->tp", t, basis)
+    c /= denom
+    np.maximum(c, 0.0, out=c)
+    # sum over m of (t_m - c basis_m)^2, added in m order as a sum over the
+    # leading axis does, in two grid-sized buffers
+    resid = _squared_miss(t[0], c, basis[0], np.empty_like(c))
+    term = np.empty_like(c)
+    for m in (1, 2):
+        resid += _squared_miss(t[m], c, basis[m], term)
+    return resid
+
+
+def _squared_miss(t_m: float, c: np.ndarray, basis_m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(t_m - c basis_m)^2, written into out."""
+    np.multiply(c, basis_m, out=out)
+    np.subtract(t_m, out, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def fold_theta(theta: float) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nrqae.baseline import iqae_run
+from nrqae.baseline import _branch, iqae_run
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator
 from nrqae.model import amplitude_problem, observable_problem
@@ -111,3 +111,24 @@ def test_determinism_and_validation():
         iqae_run(CircuitSimulator(p), shots_per_round=0)
     with pytest.raises(ValueError):
         iqae_run(CircuitSimulator(p), confidence=1.5)
+
+
+def test_branch_index_matches_the_numpy_floor():
+    def reference(m, x_lo, x_hi):
+        return int(np.floor(m * 0.5 * (x_lo + x_hi) / np.pi))
+
+    rng = np.random.default_rng(43)
+    ms = rng.integers(1, 2 ** 20, 10_000)
+    lows = rng.uniform(0.0, np.pi, 10_000)
+    highs = np.minimum(lows + rng.uniform(0.0, 0.5, 10_000), np.pi)
+    cases = list(zip(ms.tolist(), lows, highs))  # numpy scalars, as iqae_run passes
+    cases += [(m, float(lo), float(hi)) for m, lo, hi in cases[:1000]]
+    # m * x on an exact multiple of pi, and the ends of [0, pi]
+    for m in (1, 2, 3, 7, 64, 1023, 2 ** 24):
+        for j in range(0, m + 1, max(1, m // 16)):
+            x = j * np.pi / m
+            cases += [(m, x, x), (m, x, np.nextafter(x, 4.0)), (m, np.nextafter(x, -1.0), x)]
+        cases += [(m, 0.0, 0.0), (m, 0.0, np.pi), (m, np.pi, np.pi)]
+    for m, x_lo, x_hi in cases:
+        got = _branch(m, x_lo, x_hi)
+        assert type(got) is int and got == reference(m, x_lo, x_hi), (m, x_lo, x_hi)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nrqae import circuits
 from nrqae.channels import NoiseSpec, noise_superop, pauli_string
 from nrqae.circuits import (
     EXACT_DIVISION_GUARD,
@@ -145,6 +146,31 @@ def test_shared_simulator_matches_fresh_one():
     assert lent.sim is shared
     for n in (1, 2, 4, 8):
         assert own.triplet(n) == lent.triplet(n)
+
+
+def test_prob_builds_each_measurement_vector_once(monkeypatch):
+    rng = np.random.default_rng(241)
+    p = random_problem(rng, 2)
+    noise = NoiseSpec(kind="amplitude-damping")
+    sim = CircuitSimulator(p, noise)
+    built = []
+
+    def counting_vectorize(op):
+        built.append(op.copy())
+        return vectorize(op)
+
+    monkeypatch.setattr(circuits, "vectorize", counting_vectorize)
+    depths = (1, 2, 3, 4, 6, 8, 12, 5, 9)
+    calls = [(depths[i % len(depths)], i % 3) for i in range(50)]
+    values = [sim.sampled_t(n, 1000, seed=5, trial=trial) for n, trial in calls]
+    # the four signed pairs measure onto two states: psi and the second state
+    sec = p.second_state()
+    assert len(built) == 2
+    for meas in (p.psi, sec):
+        projector = np.outer(meas, np.conj(meas))
+        assert sum(np.array_equal(op, projector) for op in built) == 1
+    for (n, trial), value in zip(calls, values):
+        assert value == CircuitSimulator(p, noise).sampled_t(n, 1000, seed=5, trial=trial)
 
 
 def test_exact_run_stays_matrix_free():

@@ -1,5 +1,7 @@
 """Ratio estimator: root algebra, candidate selection, the full iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, e
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
+    _seed_residual,
     candidate_angles,
     fit_decay,
     fold_theta,
@@ -159,8 +162,8 @@ def test_seed_theta_zero_triplet():
     assert seed_theta((0.0, 0.0, 0.0)) == 0.0
 
 
-def _seed_theta_rebuilt(triplet) -> float:
-    """seed_theta as written when it rebuilt its basis on every call."""
+def _seed_fit_rebuilt(triplet):
+    """seed_theta's residual and angle as written when it rebuilt its basis on every call."""
     t = np.asarray(triplet, dtype=float)
     grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
     decays = np.linspace(0.2, 1.0, 17)
@@ -171,7 +174,7 @@ def _seed_theta_rebuilt(triplet) -> float:
     c = np.maximum(c, 0.0)
     resid = np.sum((t[:, None, None] - c[None, :, :] * basis) ** 2, axis=0)
     flat = int(np.argmin(resid))
-    return float(grid[flat // decays.size])
+    return resid, float(grid[flat // decays.size])
 
 
 def test_seed_theta_matches_the_per_call_basis():
@@ -181,8 +184,32 @@ def test_seed_theta_matches_the_per_call_basis():
     for _ in range(150):
         theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
         triplets.append(tuple(c * p ** m * np.cos(m * theta) for m in (1, 2, 3)))
+    # all-negative triplets: the clip zeroes the scale on about a third of the grid,
+    # where the residual is the same sum of squares at every point
+    triplets += [(-0.25, -0.5, -0.125), (-1.0, -1.0, -1.0)]
+    triplets += [tuple(-rng.uniform(0.0, 1.0, 3)) for _ in range(20)]
+    # entries near the bottom and the top of the useful range
+    triplets += [tuple(rng.uniform(-1.0, 1.0, 3) * 1e-12) for _ in range(20)]
+    triplets += [(1e-12, 1e-12, 1e-12), (-1e-12, 2e-12, -1e-12)]
+    triplets += [tuple(rng.uniform(-1.0, 1.0, 3) * 1e3) for _ in range(20)]
+    triplets += [(1e3, 1e3, 1e3), (-1e3, 1e3, -1e3)]
     for trip in triplets:
-        assert seed_theta(trip) == _seed_theta_rebuilt(trip)
+        resid, theta = _seed_fit_rebuilt(trip)
+        assert np.array_equal(_seed_residual(np.asarray(trip, dtype=float)), resid)
+        assert seed_theta(trip) == theta
+
+
+def test_seed_theta_peak_memory():
+    seed_theta((0.1, 0.2, 0.3))  # build the cached basis outside the traced call
+    tracemalloc.start()
+    try:
+        seed_theta((0.3, -0.1, 0.2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the scale c and two residual buffers fit; three full 3-slice
+    # temporaries (1.9 MB) do not
+    assert peak < 4 * SEED_GRID_SIZE * 17 * 8, peak
 
 
 def test_fold_theta():

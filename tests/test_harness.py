@@ -481,6 +481,37 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra, flags, message", [
+    ("estimate", {}, ["--seed", "-3"], "seed must be >= 0, got -3"),
+    ("sweep-depth", {}, ["--perturbation", "-0.1"],
+     "perturbation must be a finite number >= 0, got -0.1"),
+    ("sweep-depth", {}, ["--perturbation", "nan"],
+     "perturbation must be a finite number >= 0, got nan"),
+    ("sweep-depth", {}, ["--perturbation", "inf"],
+     "perturbation must be a finite number >= 0, got inf"),
+    ("estimate", {"iterations": 1.5}, [], "iterations must be an integer, got 1.5"),
+    ("estimate", {"qubits": 1.0}, [], "qubits must be an integer, got 1.0"),
+    ("sweep-depth", {"trials": 2.5}, [], "trials must be an integer, got 2.5"),
+    ("estimate", {"shots": 1.5}, [], "shots must be an integer, got 1.5"),
+    ("estimate", {"shots": 2 ** 61}, [], f"shots must be <= 2**60, got {2 ** 61}"),
+    ("estimate", {"seed": True}, [], "seed must be an integer, got True"),
+    ("sweep-depth", {"perturbation": "0.1"}, [], "perturbation must be a number, got '0.1'"),
+    ("sweep-depth", {"perturbation": 10 ** 400}, [],
+     f"perturbation must be a finite number >= 0, got {10 ** 400}"),
+    ("estimate", {"retry": "no"}, [], "retry must be true or false, got 'no'"),
+    ("estimate", {"exact": 1}, [], "exact must be true or false, got 1"),
+])
+def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
+                                                          flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, **extra}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_grid_edge_values_are_accepted():
     cfg = ExperimentConfig(depth_grid=[0, 1, 2], s_grid=[0, 0.5, 1])
     assert config_from_dict(config_to_dict(cfg)) == cfg
