@@ -46,6 +46,12 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+# The operators whose conjugation PTMs the Pauli-type and damping kinds weight.
+_FIXED_CONJUGATIONS = {
+    "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z,
+    "K00": np.array([[1, 0], [0, 0]], dtype=complex),
+    "K01": np.array([[0, 1], [0, 0]], dtype=complex),
+}
 
 NOISE_KINDS = ("none", "statistical", "amplitude-damping", "pauli", "coherent", "depolarizing")
 
@@ -114,6 +120,17 @@ def ptm_of_conjugation(k) -> np.ndarray:
     if np.max(np.abs(r.imag)) > 1e-12:
         raise NonPhysicalChannelError("conjugation PTM came out complex")
     return r.real.astype(float)
+
+
+@cache
+def fixed_conjugation_ptm(name: str) -> np.ndarray:
+    """PTM of conjugation by X, Y, Z, K00 = |0><0| or K01 = |0><1|.
+
+    Built once per operator on first use; the shared array is read-only.
+    """
+    r = ptm_of_conjugation(_FIXED_CONJUGATIONS[name])
+    r.setflags(write=False)
+    return r
 
 
 @dataclass(frozen=True)
@@ -200,19 +217,17 @@ def single_qubit_ptm(spec: NoiseSpec) -> np.ndarray:
         return np.eye(4)
     if spec.kind == "depolarizing":
         r = p["identity_weight"] * np.eye(4)
-        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-            r = r + p["pauli_weight"] * ptm_of_conjugation(pauli)
+        for name in ("X", "Y", "Z"):
+            r = r + p["pauli_weight"] * fixed_conjugation_ptm(name)
         return _check_trace_preserving(r, spec.kind)
     if spec.kind == "pauli":
         r = p["weight_i"] * np.eye(4)
-        for w, pauli in ((p["weight_x"], PAULI_X), (p["weight_y"], PAULI_Y), (p["weight_z"], PAULI_Z)):
-            r = r + w * ptm_of_conjugation(pauli)
+        for w, name in ((p["weight_x"], "X"), (p["weight_y"], "Y"), (p["weight_z"], "Z")):
+            r = r + w * fixed_conjugation_ptm(name)
         return _check_trace_preserving(r, spec.kind)
     if spec.kind == "amplitude-damping":
-        k00 = np.array([[1, 0], [0, 0]], dtype=complex)
-        k01 = np.array([[0, 1], [0, 0]], dtype=complex)
         r = p["identity_weight"] * np.eye(4)
-        r = r + p["damping_weight"] * (ptm_of_conjugation(k00) + ptm_of_conjugation(k01))
+        r = r + p["damping_weight"] * (fixed_conjugation_ptm("K00") + fixed_conjugation_ptm("K01"))
         return _check_trace_preserving(r, spec.kind)
     if spec.kind == "coherent":
         dt = p["delta_t"]

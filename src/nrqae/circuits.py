@@ -48,18 +48,19 @@ class _Trajectory:
     every registered probe at every depth m passed so far. A depth below the
     current one that was never read (a probe registered late) replays the
     trajectory from depth 0; the replay repeats the same arithmetic, so its
-    values are bit-identical to a fresh trajectory's.
+    values are bit-identical to a fresh trajectory's. The layer comes with
+    each call: a stored bound method of the simulator would close a
+    reference cycle and leave a dead simulator to the cyclic collector.
     """
 
-    def __init__(self, rho0: np.ndarray, layer):
+    def __init__(self, rho0: np.ndarray):
         self._rho0 = rho0
-        self._layer = layer
         self._rho = rho0
         self._depth = 0
         self._probes: dict = {}
         self._readouts: dict = {}
 
-    def readout(self, key, probe_vec: np.ndarray, n: int) -> complex:
+    def readout(self, key, probe_vec: np.ndarray, n: int, layer) -> complex:
         if n < 0:
             raise ValueError(f"negative depth {n}")
         value = self._readouts.get((key, n))
@@ -70,7 +71,7 @@ class _Trajectory:
             self._rho, self._depth = self._rho0, 0
         self._record()
         while self._depth < n:
-            self._rho = self._layer(self._rho)
+            self._rho = layer(self._rho)
             self._depth += 1
             self._record()
         return self._readouts[(key, n)]
@@ -107,7 +108,7 @@ class CircuitSimulator:
         self._unpairs = tuple(np.argsort(self._pairs))
         tilde = rho_tilde(problem)
         self.rho_tilde_vec = vectorize(tilde)
-        self._tilde = _Trajectory(tilde, self._noisy_walk)
+        self._tilde = _Trajectory(tilde)
         self._preps: dict = {}
         self._meas_vecs: dict = {}
 
@@ -128,14 +129,14 @@ class CircuitSimulator:
         meas = np.asarray(meas, dtype=complex)
         traj = self._preps.get(prep.tobytes())
         if traj is None:
-            traj = _Trajectory(np.outer(prep, np.conj(prep)), self._noisy_walk)
+            traj = _Trajectory(np.outer(prep, np.conj(prep)))
             self._preps[prep.tobytes()] = traj
         key = meas.tobytes()
         meas_vec = self._meas_vecs.get(key)
         if meas_vec is None:
             meas_vec = vectorize(np.outer(meas, np.conj(meas)))
             self._meas_vecs[key] = meas_vec
-        return _clamped_real(traj.readout(key, meas_vec, n), f"depth {n}")
+        return _clamped_real(traj.readout(key, meas_vec, n, self._noisy_walk), f"depth {n}")
 
     def _signed_pairs(self):
         psi = self.problem.psi
@@ -144,7 +145,7 @@ class CircuitSimulator:
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
-        raw = self._tilde.readout(None, self.rho_tilde_vec, n)
+        raw = self._tilde.readout(None, self.rho_tilde_vec, n, self._noisy_walk)
         if abs(raw.imag) > _IMAG_TOL:
             raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
         return float(raw.real)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import MAX_ITERATIONS, ExperimentConfig, load_config
 from .errors import ConfigError, EstimationFailure, NonPhysicalChannelError, NrqaeError
 from .experiments import (COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER,
                           SWEEP_SUMMARY_HEADER, VERIFY_HEADER, VERIFY_SUMMARY_HEADER,
@@ -39,10 +40,17 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--shots", type=int, help="shots per circuit")
     sub.add_argument("--exact", action="store_true", default=None,
                      help="use exact expectations instead of sampling")
-    sub.add_argument("--iterations", type=int, help="max iteration index k (depth 2^k)")
+    sub.add_argument("--iterations", type=int,
+                     help=f"max iteration index k <= {MAX_ITERATIONS} (deepest depth 3*2^k)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first main() call.
+
+    parse_args leaves the parser as it was and returns a fresh namespace,
+    so every call shares it; building it at import would slow `import nrqae`.
+    """
     parser = _Parser(prog="nrqae", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -18,12 +18,14 @@ import numpy as np
 from .channels import NoiseSpec, pauli_string
 from .errors import ConfigError
 from .linalg import eig_dense
-from .model import EstimationProblem, amplitude_problem, observable_problem
+from .model import NORM_TOL, EstimationProblem, amplitude_problem, observable_problem
 
 CONFIG_VERSION = 1
 # Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
 # walk operator, O(8^q) work; the cap bounds it before any array is built.
 MAX_QUBITS = 8
+# Iteration k reaches depth 3 * 2^k, so the cap bounds a run at 12,288 layers.
+MAX_ITERATIONS = 12
 # Shot counts are drawn as int64 binomial counts, 4x larger on a retry.
 MAX_SHOTS = 2 ** 60
 
@@ -56,6 +58,7 @@ class ExperimentConfig:
     depth_grid: list = field(default_factory=lambda: [1, 2, 4, 8, 16, 32, 64])
 
     def __post_init__(self):
+        _check_type("config_version", self.config_version, _is_int, "an integer")
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {self.config_version}")
         if self.mode not in ("amplitude", "observable"):
@@ -65,10 +68,18 @@ class ExperimentConfig:
         _check_type("perturbation", self.perturbation, _is_number, "a number")
         for name in ("exact", "retry"):
             _check_type(name, getattr(self, name), lambda v: isinstance(v, bool), "true or false")
+        for name in ("amplitude", "expectation", "theta_g", "theta_ch"):
+            _check_type(name, getattr(self, name), _optional(_is_number), "a number")
+        for name in ("psi", "phi"):
+            _check_type(name, getattr(self, name), _optional(_is_pairs), "a list of [re, im] pairs")
+        _check_type("observable", self.observable, _optional(lambda v: isinstance(v, str)),
+                    "a Pauli string")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        if self.iterations > MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.shots is not None:
@@ -94,6 +105,16 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pairs(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
+        for pair in value)
+
+
+def _optional(valid):
+    return lambda value: value is None or valid(value)
 
 
 def _check_type(name: str, value, valid, wanted: str):
@@ -204,7 +225,11 @@ def _vector_from(entries, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.shape != (dim, 2):
         raise ConfigError(f"{name} must be a list of {dim} [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    vec = arr[:, 0] + 1j * arr[:, 1]
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ConfigError(f"{name} is not normalized: |{name}| = {norm:.6g}")
+    return vec
 
 
 def build_problem(cfg: ExperimentConfig) -> EstimationProblem:

@@ -20,7 +20,7 @@ indistinguishable mirror reading reported by theta_to_value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -235,10 +235,17 @@ class EstimationResult:
     theta_ch: float
     value: float
     mirror: float
-    p_hat: Optional[float]
     oracle_calls: int
     iterations: list
     series: dict
+
+    @cached_property
+    def p_hat(self) -> Optional[float]:
+        """Per-layer envelope fitted to series, None if the fit fails; fitted on first read."""
+        try:
+            return fit_decay(self.theta_ch, self.series)
+        except EstimationFailure:
+            return None
 
     def iteration_thetas(self) -> list:
         """Running state-phase estimate after each iteration (None before the first success)."""
@@ -313,12 +320,8 @@ def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
     theta_ch = float(theta)
     mode = provider.sim.problem.mode
     pair = theta_to_value(theta_ch, mode)
-    try:
-        p_hat = fit_decay(theta_ch, provider.series)
-    except EstimationFailure:
-        p_hat = None
     return EstimationResult(mode=mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
-                            value=pair.value, mirror=pair.mirror, p_hat=p_hat,
+                            value=pair.value, mirror=pair.mirror,
                             oracle_calls=sum(r.oracle_calls for r in records),
                             iterations=records,
                             series=provider.series)

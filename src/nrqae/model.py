@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import cmat, is_hermitian, square
 
-_NORM_TOL = 1e-10
+NORM_TOL = 1e-10
 
 
 def as_state(v) -> np.ndarray:
@@ -35,7 +35,7 @@ def as_state(v) -> np.ndarray:
     if s.ndim != 1:
         raise ValueError(f"expected a 1-D state vector, got shape {s.shape}")
     nrm = np.linalg.norm(s)
-    if abs(nrm - 1.0) > _NORM_TOL:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |v| = {nrm}")
     return s
 

@@ -16,7 +16,11 @@ from nrqae.channels import (
     DEFAULT_PARAMS,
     NOISE_KINDS,
     NoiseSpec,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     avg_gate_fidelity,
+    fixed_conjugation_ptm,
     noise_superop,
     pauli_string,
     pauli_vec_basis,
@@ -64,6 +68,19 @@ def test_pauli_vec_basis_is_built_once_and_read_only(qubits):
     fresh = np.stack([(pauli_string("".join(labels)) / np.sqrt(2 ** qubits)).reshape(-1)
                       for labels in product("IXYZ", repeat=qubits)], axis=1)
     assert np.array_equal(v, fresh)
+
+
+@pytest.mark.parametrize("name, op", [
+    ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z),
+    ("K00", np.array([[1, 0], [0, 0]], dtype=complex)),
+    ("K01", np.array([[0, 1], [0, 0]], dtype=complex)),
+])
+def test_fixed_conjugation_ptms_are_built_once_and_read_only(name, op):
+    r = fixed_conjugation_ptm(name)
+    assert r is fixed_conjugation_ptm(name)
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+    assert np.array_equal(r, ptm_of_conjugation(op))
 
 
 def test_ptm_superop_round_trip():

@@ -1,6 +1,8 @@
 """Depth series simulation: exact propagation, sampling, the provider."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,24 @@ def test_prob_builds_each_measurement_vector_once(monkeypatch):
         assert sum(np.array_equal(op, projector) for op in built) == 1
     for (n, trial), value in zip(calls, values):
         assert value == CircuitSimulator(p, noise).sampled_t(n, 1000, seed=5, trial=trial)
+
+
+def test_simulator_is_freed_without_the_cyclic_collector():
+    # nothing the simulator keeps may point back at it, so refcounting
+    # frees it as soon as its last user lets go
+    p = random_problem(np.random.default_rng(251), 2)
+    gc.disable()
+    try:
+        sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+        sim.exact_t(5)
+        sim.prob(p.psi, p.second_state(), 3)
+        sim.sampled_t(4, 1000, seed=3)
+        run(exact_provider(sim), k=2)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_exact_run_stays_matrix_free():

@@ -1,4 +1,8 @@
-"""Property test: any mix of valid and invalid scalar settings ends in a clean exit."""
+"""Property test: any mix of valid and invalid settings ends in a clean exit.
+
+The draws cover the scalar settings, the config version, the observable and
+one state geometry (amplitude, theta_g or explicit psi/phi vectors).
+"""
 
 import contextlib
 import io
@@ -7,11 +11,12 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrqae.cli import main
-from nrqae.config import MAX_QUBITS, MAX_SHOTS
+from nrqae.config import MAX_ITERATIONS, MAX_QUBITS, MAX_SHOTS
 
 JUNK = st.one_of(st.text(max_size=3), st.lists(st.integers(), max_size=2))
 NUMBERS = st.floats(allow_nan=True, allow_infinity=True)
@@ -37,7 +42,7 @@ def _integer(valid, lo, hi=None, nullable=False):
 FIELDS = {
     # small valid values keep each run short; the range checks see the rest
     "qubits": _integer(st.integers(1, 3), 1, MAX_QUBITS),
-    "iterations": _integer(st.integers(0, 6), 0),
+    "iterations": _integer(st.integers(0, 6), 0, MAX_ITERATIONS),
     "trials": _integer(st.integers(1, 50), 1),
     "shots": _integer(st.integers(1, MAX_SHOTS), 1, MAX_SHOTS, nullable=True),
     "seed": _integer(st.integers(0, 2 ** 70), 0),
@@ -47,14 +52,64 @@ FIELDS = {
         | st.sampled_from([math.nan, math.inf]) | st.booleans() | JUNK),
     "exact": _scalar(st.booleans(), st.integers(0, 1) | NUMBERS | st.none() | JUNK),
     "retry": _scalar(st.booleans(), st.integers(0, 1) | NUMBERS | st.none() | JUNK),
+    "config_version": _scalar(st.just(1), st.integers().filter(lambda v: v != 1)
+                              | st.just(1.0) | st.booleans() | st.none() | JUNK),
+    "observable": _scalar(st.none() | st.sampled_from(["Z", "XZ"]),
+                          st.integers() | NUMBERS | st.booleans() | st.lists(st.text(max_size=2),
+                                                                            max_size=2)),
 }
+
+# an invalid angle: the wrong type, or a number that leaves no state phase in (0, pi)
+BAD_ANGLE = (st.text(max_size=3) | st.lists(st.floats(0.1, 0.9), max_size=2) | st.booleans()
+             | st.none() | st.floats(min_value=3.2) | st.floats(max_value=-0.01)
+             | st.just(math.nan))
+PAIR = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+BAD_PAIRS = (st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3) | st.text(max_size=3)
+             | st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1,
+                        max_size=2)
+             | st.lists(st.lists(st.booleans(), min_size=2, max_size=2), min_size=1, max_size=2)
+             | NUMBERS)
+
+
+def _pairs(vec) -> list:
+    return [[float(v), 0.0] for v in vec]
+
+
+@st.composite
+def geometry(draw, dim: int):
+    """({setting: value}, is_valid) for one state geometry on dim amplitudes."""
+    kind = draw(st.sampled_from(["amplitude", "theta_g", "psi"]))
+    if kind == "amplitude":
+        value, ok = draw(_scalar(st.floats(0.05, 0.95), BAD_ANGLE))
+        return {"amplitude": value}, ok
+    if kind == "theta_g":
+        value, ok = draw(_scalar(st.floats(0.1, 3.0), BAD_ANGLE))
+        return {"theta_g": value}, ok
+    # phi is the uniform state; a valid psi is a basis state of the right size,
+    # an invalid one the wrong type, the wrong size or not normalized
+    phi = _pairs([dim ** -0.5] * dim)
+    basis = draw(st.integers(0, dim - 1))
+    valid = st.just(_pairs(1.0 * (np.arange(dim) == basis)))
+    invalid = (BAD_PAIRS | st.just(_pairs(np.ones(dim)))
+               | st.lists(PAIR, min_size=1, max_size=8).filter(lambda v: len(v) != dim))
+    value, ok = draw(_scalar(valid, invalid))
+    return {"psi": value, "phi": phi}, ok
+
+
+@st.composite
+def configs(draw):
+    """(config dict, every setting valid)."""
+    drawn = draw(st.fixed_dictionaries({}, optional=FIELDS))
+    qubits, qubits_ok = drawn.get("qubits", (1, True))
+    state, state_ok = draw(geometry(2 ** qubits if qubits_ok else 2))
+    config = {**state, **{name: value for name, (value, _) in drawn.items()}}
+    return config, state_ok and all(ok for _, ok in drawn.values())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.fixed_dictionaries({}, optional=FIELDS))
+@given(configs())
 def test_estimate_exits_cleanly_on_any_scalar_settings(drawn):
-    config = {"amplitude": 0.3, **{name: value for name, (value, _) in drawn.items()}}
-    all_valid = all(ok for _, ok in drawn.values())
+    config, all_valid = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nrqae import estimator
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, exact_provider,
                             perturbed_provider, sampled_provider)
@@ -246,6 +247,23 @@ def test_run_worked_instance():
     assert abs(res.p_hat - 1.0) < 1e-6
     with pytest.raises(ValueError):
         run(exact(plane_problem(np.pi / 6)), k=-1)
+
+
+def test_p_hat_is_fitted_when_read_and_once(monkeypatch):
+    fits = []
+
+    def counting_fit(theta_ch, series):
+        fits.append(theta_ch)
+        return fit_decay(theta_ch, series)
+
+    monkeypatch.setattr(estimator, "fit_decay", counting_fit)
+    res = run(exact(plane_problem(np.pi / 6), NoiseSpec(kind="depolarizing")), k=3)
+    assert fits == []
+    p_hat = res.p_hat
+    assert res.p_hat == p_hat
+    assert len(fits) == 1
+    assert p_hat == fit_decay(res.theta_ch, res.series)
+    assert abs(p_hat - 0.6) < 1e-6
 
 
 def test_run_identical_states():

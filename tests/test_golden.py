@@ -6,6 +6,10 @@ sweep_depth.svg hash includes the nan coordinates svgplot currently writes
 for a constant log axis; the change that fixes svgplot updates that hash.
 verify-perturbation is also pinned at q = 3 with the pauli and statistical
 kinds, at one seed that passes (exit 0) and one that fails a check (exit 3).
+The --help text of the CLI and of each command is pinned too, at 80
+columns, so an edit to the shared parser cannot change the interface
+unseen; the hashes are of Python 3.11's argparse layout, which other
+versions may change.
 """
 
 import hashlib
@@ -72,6 +76,17 @@ VERIFY_Q3_GOLDEN = {
 }
 
 
+HELP = {
+    "nrqae": "cba0f55e46ca205e6af48559022a1071a89bb8b31951fc7c9c9e741bb86bf99d",
+    "nrqae estimate": "7630d4b857600e393b10ed2b9f2d9b046c34f2d1f4b26f3715a4db777ff1bcdc",
+    "nrqae sweep-depth": "248e91c51cd5ffbfe7a38162033170f8d7e62bb9467affaa216e0be85f80e6ca",
+    "nrqae compare-noise": "553a6b35b982a44165f9d6e876ffe2751298643ab6f64efe504c17649345e2f9",
+    "nrqae verify-perturbation":
+        "8594146433afe3d8f5f2ac337563b297d3849d0fe1328ee2375fef1f8d1cad56",
+    "nrqae plan-shots": "824818afbfd00bddd3ee0052f2f491ecba35cd450ac3f805ec2e120d9dae34bf",
+}
+
+
 def _artifact_hashes(out) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
@@ -98,6 +113,15 @@ def test_verify_perturbation_q3_artifacts(seed, tmp_path):
     assert main(["verify-perturbation", "--config", str(cfg), "--seed", str(seed),
                  "--out", str(out)]) == code
     assert _artifact_hashes(out) == hashes
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split()[1:], "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP[command]
 
 
 def test_readme_quick_start_values():

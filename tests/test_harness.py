@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nrqae import perturbation
+from nrqae import cli, perturbation
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
@@ -366,6 +366,38 @@ def test_cli_estimate_flag_overrides_config(tmp_path, capsys):
     assert "iterations ok: 2/2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep-depth", "compare-noise",
+                                     "verify-perturbation"])
+def test_cli_main_twice_writes_the_same_bytes(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "noise": {"kind": "pauli"}, "shots": 2000,
+                               "iterations": 3, "trials": 2}))
+    artifacts = []
+    for run_dir in ("first", "second"):
+        out = tmp_path / run_dir
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert artifacts[0] and artifacts[0] == artifacts[1]
+
+
+def test_cli_flags_do_not_carry_into_the_next_call(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return run_estimate(cfg)
+
+    monkeypatch.setattr(cli, "run_estimate", capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "shots": 2000, "iterations": 2}))
+    out = str(tmp_path / "out")
+    assert main(["estimate", "--config", str(cfg), "--out", out, "--retry", "--exact",
+                 "--seed", "3", "--trials", "2"]) == 0
+    assert main(["estimate", "--config", str(cfg), "--out", out]) == 0
+    assert (seen[0].retry, seen[0].exact, seen[0].seed, seen[0].trials) == (True, True, 3, 2)
+    assert seen[1] == load_config(str(cfg))
+
+
 def test_cli_missing_config(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path / "gone.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -500,6 +532,15 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
      f"perturbation must be a finite number >= 0, got {10 ** 400}"),
     ("estimate", {"retry": "no"}, [], "retry must be true or false, got 'no'"),
     ("estimate", {"exact": 1}, [], "exact must be true or false, got 1"),
+    ("estimate", {"iterations": 13}, [], "iterations must be <= 12, got 13"),
+    ("estimate", {}, ["--iterations", "40"], "iterations must be <= 12, got 40"),
+    ("estimate", {"amplitude": "0.3"}, [], "amplitude must be a number, got '0.3'"),
+    ("estimate", {"theta_g": [1]}, [], "theta_g must be a number, got [1]"),
+    ("estimate", {"config_version": True}, [], "config_version must be an integer, got True"),
+    ("estimate", {"observable": 3}, [], "observable must be a Pauli string, got 3"),
+    ("estimate", {"psi": [1, 0]}, [], "psi must be a list of [re, im] pairs, got [1, 0]"),
+    ("estimate", {"amplitude": None, "psi": [[1, 0], [1, 0]], "phi": [[1, 0], [0, 0]]}, [],
+     "psi is not normalized: |psi| = 1.41421"),
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):
@@ -518,13 +559,14 @@ def test_grid_edge_values_are_accepted():
 
 
 def test_import_builds_no_cached_basis():
-    # the cached bases are built on first use, so `import nrqae` stays cheap
+    # the cached bases, PTMs and parser are built on first use, so `import nrqae` stays cheap
     code = ("import nrqae, nrqae.cli\n"
-            "from nrqae.channels import pauli_vec_basis\n"
+            "from nrqae.channels import fixed_conjugation_ptm, pauli_vec_basis\n"
             "from nrqae.estimator import _seed_basis\n"
-            "print(pauli_vec_basis.cache_info().currsize, _seed_basis.cache_info().currsize)\n")
+            "print(*(f.cache_info().currsize for f in (pauli_vec_basis, _seed_basis,\n"
+            "      fixed_conjugation_ptm, nrqae.cli._build_parser)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]
