@@ -94,24 +94,29 @@ def _branch(m: int, x_lo: float, x_hi: float) -> int:
     return math.floor(m * 0.5 * (x_lo + x_hi) / math.pi)
 
 
-def _branch_ok(m: int, x_lo: float, x_hi: float) -> bool:
-    j = _branch(m, x_lo, x_hi)
-    return (m * x_lo >= j * np.pi - _BRANCH_TOL
-            and m * x_hi <= (j + 1) * np.pi + _BRANCH_TOL)
-
-
 def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
+    """Largest m >= 2 m_cur of the mode's parity with m [x_lo, x_hi] in one half-period.
+
+    The scan runs over Python floats: iqae_run passes numpy scalars, whose
+    arithmetic costs several times more. Its branch index repeats _branch's
+    expression term for term, so _invert inverts on the half-period checked here.
+    """
+    x_lo = float(x_lo)
+    x_hi = float(x_hi)
     width = x_hi - x_lo
     if width <= 0:
         return m_cur
-    m_max = min(int(np.floor(np.pi / width)), _MAX_MULTIPLIER)
+    m_max = min(math.floor(math.pi / width), _MAX_MULTIPLIER)
     if mode == "amplitude" and m_max % 2 == 0:
         m_max -= 1
     if mode == "observable" and m_max % 2 == 1:
         m_max -= 1
+    x_sum = x_lo + x_hi
     m = m_max
     while m >= 2 * m_cur:
-        if _branch_ok(m, x_lo, x_hi):
+        j = math.floor(m * 0.5 * x_sum / math.pi)
+        if (m * x_lo >= j * math.pi - _BRANCH_TOL
+                and m * x_hi <= (j + 1) * math.pi + _BRANCH_TOL):
             return m
         m -= 2
     return m_cur
@@ -138,6 +143,8 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     problem = sim.problem
     psi = problem.psi
     sec = problem.second_state()
@@ -146,6 +153,7 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
                       m=0)
     m_min = 1 if mode == "amplitude" else 2
     delta_round = (1.0 - confidence) / max_rounds
+    eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
     converged = False
 
     for idx in range(max_rounds):
@@ -159,9 +167,8 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
             break
         p_true = sim.prob(psi, sec, k)
         p_hat = substream(seed, trial, idx).binomial(shots_per_round, p_true) / shots_per_round
-        eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
-        c_lo = float(np.clip(2.0 * (p_hat - eps_p) - 1.0, -1.0, 1.0))
-        c_hi = float(np.clip(2.0 * (p_hat + eps_p) - 1.0, -1.0, 1.0))
+        c_lo = float(min(max(2.0 * (p_hat - eps_p) - 1.0, -1.0), 1.0))
+        c_hi = float(min(max(2.0 * (p_hat + eps_p) - 1.0, -1.0), 1.0))
         u_lo, u_hi = _invert(m, state.x_lo, state.x_hi, c_lo, c_hi)
         new_lo = max(state.x_lo, u_lo)
         new_hi = min(state.x_hi, u_hi)

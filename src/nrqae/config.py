@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import NoiseSpec, pauli_string
+from .channels import NOISE_KINDS, NoiseSpec, pauli_string
 from .errors import ConfigError
 from .linalg import eig_dense
 from .model import NORM_TOL, EstimationProblem, amplitude_problem, observable_problem
@@ -28,6 +28,9 @@ MAX_QUBITS = 8
 MAX_ITERATIONS = 12
 # Shot counts are drawn as int64 binomial counts, 4x larger on a retry.
 MAX_SHOTS = 2 ** 60
+# Trials run one after another, each adding its rows to the CSVs: at the cap a
+# README-config compare-noise run (q = 1) takes about 20 s and writes 5 MB.
+MAX_TRIALS = 10_000
 
 DEFAULT_S_GRID = [0.001, 0.002154434690032, 0.004641588833613, 0.01,
                   0.02154434690032, 0.04641588833613, 0.1]
@@ -74,6 +77,16 @@ class ExperimentConfig:
             _check_type(name, getattr(self, name), _optional(_is_pairs), "a list of [re, im] pairs")
         _check_type("observable", self.observable, _optional(lambda v: isinstance(v, str)),
                     "a Pauli string")
+        for key, value in self.noise.params.items():
+            _check_type(f"noise param {key}", value,
+                        lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+                        "a finite number")
+        _check_type("noise seed", self.noise.seed, _optional(_is_int), "an integer")
+        if self.noise.seed is not None and self.noise.seed < 0:
+            raise ConfigError(f"noise seed must be >= 0, got {self.noise.seed}")
+        _check_type("compare_kinds", self.compare_kinds, _optional(
+            lambda v: isinstance(v, list) and all(kind in NOISE_KINDS for kind in v)),
+            "a list of noise kinds")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
         if self.iterations < 0:
@@ -82,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.shots is not None:
             _check_type("shots", self.shots, _is_int, "an integer")
             if self.shots < 1:
@@ -148,8 +163,9 @@ def _noise_from_dict(d) -> NoiseSpec:
     unknown = set(d) - {"kind", "params", "seed"}
     if unknown:
         raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
-    return NoiseSpec(kind=d.get("kind", "none"), params=dict(d.get("params", {})),
-                     seed=d.get("seed"))
+    params = d.get("params", {})
+    _check_type("noise params", params, lambda v: isinstance(v, dict), "an object")
+    return NoiseSpec(kind=d.get("kind", "none"), params=dict(params), seed=d.get("seed"))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -61,7 +61,7 @@ def roots_cos(y: float) -> list:
     for x in raw:
         if abs(x) > 1.0 + _ROOT_CLIP_TOL:
             continue
-        x = float(np.clip(x, -1.0, 1.0))
+        x = float(min(max(x, -1.0), 1.0))
         if not any(abs(x - r) <= _MERGE_TOL for r in roots):
             roots.append(x)
     return sorted(roots)
@@ -73,7 +73,7 @@ def candidate_angles(x: float, n: int) -> list:
         raise ValueError(f"depth must be >= 1, got {n}")
     if abs(x) > 1.0 + _ROOT_CLIP_TOL:
         raise ValueError(f"|x| = {abs(x)} exceeds 1")
-    alpha = float(np.arccos(np.clip(x, -1.0, 1.0)))
+    alpha = float(np.arccos(min(max(x, -1.0), 1.0)))
     raw = []
     for k in range(n):
         raw.append((alpha + 2.0 * np.pi * k) / (2.0 * n))

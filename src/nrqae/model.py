@@ -154,7 +154,7 @@ def theta_to_value(theta_ch: float, mode: str) -> ValuePair:
     """
     if not -1e-12 <= theta_ch <= np.pi + 1e-12:
         raise ValueError(f"theta_ch = {theta_ch} outside [0, pi]")
-    theta_ch = float(np.clip(theta_ch, 0.0, np.pi))
+    theta_ch = float(min(max(theta_ch, 0.0), np.pi))
     c = np.cos(theta_ch / 2.0)
     if mode == "amplitude":
         v = (1.0 + c) / 2.0

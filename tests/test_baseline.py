@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nrqae.baseline import _branch, iqae_run
+from nrqae.baseline import (_BRANCH_TOL, _MAX_MULTIPLIER, _branch, _next_multiplier,
+                            iqae_run)
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator
 from nrqae.model import amplitude_problem, observable_problem
@@ -111,6 +112,8 @@ def test_determinism_and_validation():
         iqae_run(CircuitSimulator(p), shots_per_round=0)
     with pytest.raises(ValueError):
         iqae_run(CircuitSimulator(p), confidence=1.5)
+    with pytest.raises(ValueError):
+        iqae_run(CircuitSimulator(p), max_rounds=0)
 
 
 def test_branch_index_matches_the_numpy_floor():
@@ -132,3 +135,78 @@ def test_branch_index_matches_the_numpy_floor():
     for m, x_lo, x_hi in cases:
         got = _branch(m, x_lo, x_hi)
         assert type(got) is int and got == reference(m, x_lo, x_hi), (m, x_lo, x_hi)
+
+
+def _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur):
+    """The numpy-scalar scan _next_multiplier replaced, kept here as the reference."""
+    def branch_ok(m):
+        j = _branch(m, x_lo, x_hi)
+        return (m * x_lo >= j * np.pi - _BRANCH_TOL
+                and m * x_hi <= (j + 1) * np.pi + _BRANCH_TOL)
+
+    width = x_hi - x_lo
+    if width <= 0:
+        return m_cur
+    m_max = min(int(np.floor(np.pi / width)), _MAX_MULTIPLIER)
+    if mode == "amplitude" and m_max % 2 == 0:
+        m_max -= 1
+    if mode == "observable" and m_max % 2 == 1:
+        m_max -= 1
+    m = m_max
+    while m >= 2 * m_cur:
+        if branch_ok(m):
+            return m
+        m -= 2
+    return m_cur
+
+
+def test_next_multiplier_matches_the_numpy_scan():
+    rng = np.random.default_rng(47)
+    count = 50_000
+    modes = rng.choice(["amplitude", "observable"], count).tolist()
+    widths = 10.0 ** rng.uniform(-7.0, 0.0, count)
+    lows = rng.uniform(0.0, np.pi, count) * (1.0 - widths / np.pi)
+    highs = lows + widths
+    # m_cur near half the widest multiplier, as in a run, keeps each scan short;
+    # the top of the range makes the scan hold m_cur
+    m_tops = np.minimum(np.floor(np.pi / widths), 2 ** 24).astype(np.int64) // 2
+    m_curs = np.maximum(m_tops - rng.integers(-2, 48, count), 1).tolist()
+    # numpy scalars, as iqae_run passes them, and the same values as Python floats
+    cases = list(zip(modes, lows, highs, m_curs))
+    cases += [(mode, float(lo), float(hi), m) for mode, lo, hi, m in cases]
+    # intervals whose ends sit on, or one ulp off, an exact multiple of pi / m
+    # (a width of one subnormal ulp at 0 overflows pi / width in both scans);
+    # a full scan from m_cur = 1 only where it stays short
+    def m_curs_at(m):
+        return {max(1, m // 2), max(1, m // 2 - 8)} | ({1} if m < 2 ** 12 else set())
+
+    for m in (1, 2, 3, 7, 64, 1023, 2 ** 24):
+        for j in range(1, m + 1, max(1, m // 16)):
+            x = j * np.pi / m
+            for lo, hi in ((x, x), (x, np.nextafter(x, 4.0)), (np.nextafter(x, -1.0), x),
+                           (x, x + np.pi / m), (x - np.pi / m, x)):
+                for mode in ("amplitude", "observable"):
+                    cases += [(mode, lo, hi, m_cur) for m_cur in m_curs_at(m)]
+        cases += [(mode, lo, hi, 1) for mode in ("amplitude", "observable")
+                  for lo, hi in ((0.0, 0.0), (0.0, np.pi), (np.pi, np.pi))]
+        # an end a few ulps from j pi -+ _BRANCH_TOL at the first m scanned, which
+        # is m itself: a width just under pi / m and m_cur = m // 2
+        mode = "amplitude" if m % 2 else "observable"
+        for j in range(0, m, max(1, m // 16)):
+            lo = (j * np.pi - _BRANCH_TOL) / m
+            hi = ((j + 1) * np.pi + _BRANCH_TOL) / m
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 4.0)
+            for _ in range(8):
+                cases += [(mode, lo, lo + np.pi / (m + 1), max(1, m // 2)),
+                          (mode, hi - np.pi / (m + 1), hi, max(1, m // 2))]
+                lo, hi = np.nextafter(lo, 4.0), np.nextafter(hi, -1.0)
+    assert len(cases) >= 100_000
+    moved = 0
+    for mode, x_lo, x_hi, m_cur in cases:
+        got = _next_multiplier(mode, x_lo, x_hi, m_cur)
+        assert type(got) is int
+        assert got == _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur), (mode, x_lo, x_hi, m_cur)
+        moved += got != m_cur
+    # the scan both advances and holds m on this set
+    assert 0 < moved < len(cases)

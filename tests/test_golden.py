@@ -5,7 +5,8 @@ claims to keep the behaviour can be checked by running this file. The
 sweep_depth.svg hash includes the nan coordinates svgplot currently writes
 for a constant log axis; the change that fixes svgplot updates that hash.
 verify-perturbation is also pinned at q = 3 with the pauli and statistical
-kinds, at one seed that passes (exit 0) and one that fails a check (exit 3).
+kinds, at one seed that passes (exit 0) and one that fails a check (exit 3),
+and the sampled estimate and compare-noise artifacts at a seed of 2^40 + 3.
 The --help text of the CLI and of each command is pinned too, at 80
 columns, so an edit to the shared parser cannot change the interface
 unseen; the hashes are of Python 3.11's argparse layout, which other
@@ -76,6 +77,20 @@ VERIFY_Q3_GOLDEN = {
 }
 
 
+# A seed of 2^40 + 3 takes two entropy words, so every substream of the run is
+# assembled from a multi-word seed; hashed before substream assembled its words.
+BIG_SEED = 2 ** 40 + 3
+BIG_SEED_GOLDEN = {
+    "estimate": {
+        "estimate.csv": "79c3bf6485b400878cd3e916b7b5b05f9ee25d8aad1c78043a51993dff058d7e",
+    },
+    "compare-noise": {
+        "compare_noise.csv": "a37e317848e6ba685ee638b09bdc345f39e51ac4e9448bb7a2e10cda6889f1b0",
+        "compare_noise.svg": "cf075a28b3088df90a7620267480bf5962bbbe993fc26e997b813d7fbddded6d",
+    },
+}
+
+
 HELP = {
     "nrqae": "cba0f55e46ca205e6af48559022a1071a89bb8b31951fc7c9c9e741bb86bf99d",
     "nrqae estimate": "7630d4b857600e393b10ed2b9f2d9b046c34f2d1f4b26f3715a4db777ff1bcdc",
@@ -113,6 +128,15 @@ def test_verify_perturbation_q3_artifacts(seed, tmp_path):
     assert main(["verify-perturbation", "--config", str(cfg), "--seed", str(seed),
                  "--out", str(out)]) == code
     assert _artifact_hashes(out) == hashes
+
+
+@pytest.mark.parametrize("command", sorted(BIG_SEED_GOLDEN))
+def test_multi_word_seed_artifacts(command, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--seed", str(BIG_SEED), "--out", str(out)]) == 0
+    assert _artifact_hashes(out) == BIG_SEED_GOLDEN[command]
 
 
 @pytest.mark.parametrize("command", sorted(HELP))

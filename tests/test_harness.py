@@ -541,6 +541,23 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
     ("estimate", {"psi": [1, 0]}, [], "psi must be a list of [re, im] pairs, got [1, 0]"),
     ("estimate", {"amplitude": None, "psi": [[1, 0], [1, 0]], "phi": [[1, 0], [0, 0]]}, [],
      "psi is not normalized: |psi| = 1.41421"),
+    ("estimate", {"noise": {"kind": "pauli", "params": "x"}}, [],
+     "noise params must be an object, got 'x'"),
+    ("estimate", {"noise": {"kind": "pauli", "params": {"weight_i": "a"}}}, [],
+     "noise param weight_i must be a finite number, got 'a'"),
+    ("estimate", {"noise": {"kind": "pauli", "params": {"weight_i": float("nan")}}}, [],
+     "noise param weight_i must be a finite number, got nan"),
+    ("estimate", {"noise": {"kind": "coherent", "params": {"delta_t": 10 ** 400}}}, [],
+     f"noise param delta_t must be a finite number, got {10 ** 400}"),
+    ("estimate", {"noise": {"kind": "statistical", "seed": "a"}}, [],
+     "noise seed must be an integer, got 'a'"),
+    ("estimate", {"noise": {"kind": "statistical", "seed": -1}}, [],
+     "noise seed must be >= 0, got -1"),
+    ("compare-noise", {"compare_kinds": 3}, [], "compare_kinds must be a list of noise kinds, got 3"),
+    ("compare-noise", {}, ["--kinds", "pauli,bogus"],
+     "compare_kinds must be a list of noise kinds, got ['pauli', 'bogus']"),
+    ("sweep-depth", {}, ["--trials", "1000000000"], "trials must be <= 10000, got 1000000000"),
+    ("sweep-depth", {"trials": 10_001}, [], "trials must be <= 10000, got 10001"),
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):
