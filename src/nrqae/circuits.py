@@ -9,11 +9,13 @@ layer n times. The depth statistic is
 which a hardware run assembles from four prepare/measure probabilities with
 signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 
-S is never formed as a matrix: the simulator pushes a d x d density matrix
-through one layer at a time and keeps the scalar read-outs of every depth
-it passes. One provider class, TProvider, serves the depths (n, 2n, 3n) to
-the estimator; exact_provider, sampled_provider and perturbed_provider
-give it its measurement rule (exact, binomial or offset) and its guard.
+S is never formed as a matrix: the simulator pushes a stack of d x d
+density matrices through one layer at a time and keeps the scalar
+read-outs of every depth it passes; a sampled run follows both of its
+preparations in one two-slice stack. One provider class, TProvider,
+serves the depths (n, 2n, 3n) to the estimator; exact_provider,
+sampled_provider and perturbed_provider give it its measurement rule
+(exact, binomial or offset) and its guard.
 """
 
 from __future__ import annotations
@@ -41,16 +43,29 @@ def _clamped_real(value: complex, context: str) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-class _Trajectory:
-    """One initial operator pushed through successive layers.
+def _pair_indices(qubits: int):
+    """Gather indices between rho's flat order and its qubit-paired order.
 
-    Only the latest operator is kept, plus the read-out <<probe|rho_m>> of
-    every registered probe at every depth m passed so far. A depth below the
-    current one that was never read (a probe registered late) replays the
-    trajectory from depth 0; the replay repeats the same arithmetic, so its
-    values are bit-identical to a fresh trajectory's. The layer comes with
-    each call: a stored bound method of the simulator would close a
-    reference cycle and leave a dead simulator to the cyclic collector.
+    rho.reshape(-1).take(pair) is rho.reshape((2,) * 2q).transpose(pairs)
+    flattened, with the axes (i_1..i_q, k_1..k_q) reordered to
+    (i_1, k_1, ..., i_q, k_q); unpair is the inverse permutation.
+    """
+    pairs = tuple(a for j in range(qubits) for a in (j, qubits + j))
+    pair = np.arange(4 ** qubits).reshape((2,) * (2 * qubits)).transpose(pairs).reshape(-1)
+    return pair, np.argsort(pair)
+
+
+class _Trajectory:
+    """A stack of initial operators (B, d, d) pushed through successive layers.
+
+    Only the latest stack is kept, plus the read-out <<probe|rho_m[b]>> of
+    every registered (slice b, probe) at every depth m passed so far. A
+    depth below the current one that was never read (a probe registered
+    late) replays the trajectory from depth 0; the replay repeats the same
+    arithmetic, so its values are bit-identical to a fresh trajectory's.
+    The layer comes with each call: a stored bound method of the simulator
+    would close a reference cycle and leave a dead simulator to the cyclic
+    collector.
     """
 
     def __init__(self, rho0: np.ndarray):
@@ -60,13 +75,13 @@ class _Trajectory:
         self._probes: dict = {}
         self._readouts: dict = {}
 
-    def readout(self, key, probe_vec: np.ndarray, n: int, layer) -> complex:
+    def readout(self, index: int, key, probe_vec: np.ndarray, n: int, layer) -> complex:
         if n < 0:
             raise ValueError(f"negative depth {n}")
-        value = self._readouts.get((key, n))
+        value = self._readouts.get((index, key, n))
         if value is not None:
             return value
-        self._probes.setdefault(key, probe_vec)
+        self._probes.setdefault((index, key), probe_vec)
         if n < self._depth:
             self._rho, self._depth = self._rho0, 0
         self._record()
@@ -74,26 +89,29 @@ class _Trajectory:
             self._rho = layer(self._rho)
             self._depth += 1
             self._record()
-        return self._readouts[(key, n)]
+        return self._readouts[(index, key, n)]
 
     def _record(self):
-        flat = self._rho.reshape(-1)
-        for key, vec in self._probes.items():
-            self._readouts[(key, self._depth)] = complex(np.vdot(vec, flat))
+        flat = self._rho.reshape(len(self._rho), -1)
+        for (index, key), vec in self._probes.items():
+            self._readouts[(index, key, self._depth)] = complex(np.vdot(vec, flat[index]))
 
 
 class CircuitSimulator:
-    """Propagates density matrices through layers rho -> N(G rho G^dag).
+    """Propagates stacks of density matrices through layers rho -> N(G rho G^dag).
 
-    A layer is two d x d products for the walk and, per qubit, one product
-    of the 4 x 4 single-qubit noise superoperator with the (i_j, k_j) index
-    pair of rho. exact_t follows rho_tilde itself and prob follows each
-    preparation once and builds each measurement vector once; each
-    trajectory keeps only its latest matrix, so a depth costs the layers
-    beyond the deepest one reached and a repeated depth is free. Build one
-    simulator per (problem, noise) and share it: every value is independent
-    of what the simulator served before. It is the handle the providers and
-    the IQAE baseline take.
+    A layer is, per slice of the stack, two d x d products for the walk
+    and, per qubit, one product of the 4 x 4 single-qubit noise
+    superoperator with the (i_j, k_j) index pair of rho; the pairs are
+    brought together and apart by two gathers through index arrays built
+    once. exact_t follows rho_tilde itself. prob follows psi and the second
+    state as one two-slice stack, built on its first call, any other
+    preparation as its own one-slice stack, and builds each measurement
+    vector once. Each trajectory keeps only its latest stack, so a depth
+    costs the layers beyond the deepest one reached and a repeated depth
+    is free. Build one simulator per (problem, noise) and share it: every
+    value is independent of what the simulator served before. It is the
+    handle the providers and the IQAE baseline take.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -102,41 +120,55 @@ class CircuitSimulator:
         self._g = grover(problem)
         self._g_dag = self._g.conj().T.copy()
         self._noise_t = noise_superop(noise, 1).T.copy()
-        q = problem.qubits
-        # (i_1..i_q, k_1..k_q) <-> (i_1, k_1, ..., i_q, k_q)
-        self._pairs = tuple(a for j in range(q) for a in (j, q + j))
-        self._unpairs = tuple(np.argsort(self._pairs))
+        self._pair, self._unpair = _pair_indices(problem.qubits)
         tilde = rho_tilde(problem)
         self.rho_tilde_vec = vectorize(tilde)
-        self._tilde = _Trajectory(tilde)
-        self._preps: dict = {}
+        self._tilde = _Trajectory(tilde[None])
+        self._preps: dict = {}  # preparation bytes -> (trajectory, slice)
         self._meas_vecs: dict = {}
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
-        d = rho.shape[0]
-        q = self.problem.qubits
-        rho = self._g @ rho @ self._g_dag
-        x = rho.reshape((2,) * (2 * q)).transpose(self._pairs)
+        # matmul runs one product per slice of a (B, ...) stack, so every
+        # slice gets the arithmetic of a lone d x d matrix.
+        b, d, _ = rho.shape
+        x = (self._g @ rho @ self._g_dag).reshape(b, -1).take(self._pair, axis=1)
         # Each pass maps the leading (i_j, k_j) pair and rotates it to the
         # back; after q passes the pairs are back in order.
-        for _ in range(q):
-            x = x.reshape(4, -1).T @ self._noise_t
-        return x.reshape((2,) * (2 * q)).transpose(self._unpairs).reshape(d, d)
+        for _ in range(self.problem.qubits):
+            x = x.reshape(b, 4, -1).swapaxes(1, 2) @ self._noise_t
+        return x.reshape(b, -1).take(self._unpair, axis=1).reshape(b, d, d)
+
+    def _follow(self, *preps):
+        """Start one trajectory whose stack holds the given preparations."""
+        preps = [np.asarray(p, dtype=complex) for p in preps]
+        traj = _Trajectory(np.stack([np.outer(p, np.conj(p)) for p in preps]))
+        for index, prep in enumerate(preps):
+            self._preps.setdefault(prep.tobytes(), (traj, index))
+
+    def _state(self, v, role: str) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        d = 2 ** self.problem.qubits
+        if v.shape != (d,):
+            raise ValueError(f"{role} has shape {v.shape}, expected length 2^q = {d}")
+        return v
 
     def prob(self, prep, meas, n: int) -> float:
         """Probability of projecting onto meas after n layers from prep."""
-        prep = np.asarray(prep, dtype=complex)
-        meas = np.asarray(meas, dtype=complex)
-        traj = self._preps.get(prep.tobytes())
-        if traj is None:
-            traj = _Trajectory(np.outer(prep, np.conj(prep)))
-            self._preps[prep.tobytes()] = traj
+        prep = self._state(prep, "preparation")
+        meas = self._state(meas, "measurement")
+        if not self._preps:
+            self._follow(self.problem.psi, self.problem.second_state())
+        prep_key = prep.tobytes()
+        if prep_key not in self._preps:
+            self._follow(prep)
+        traj, index = self._preps[prep_key]
         key = meas.tobytes()
         meas_vec = self._meas_vecs.get(key)
         if meas_vec is None:
             meas_vec = vectorize(np.outer(meas, np.conj(meas)))
             self._meas_vecs[key] = meas_vec
-        return _clamped_real(traj.readout(key, meas_vec, n, self._noisy_walk), f"depth {n}")
+        value = traj.readout(index, key, meas_vec, n, self._noisy_walk)
+        return _clamped_real(value, f"depth {n}")
 
     def _signed_pairs(self):
         psi = self.problem.psi
@@ -145,7 +177,7 @@ class CircuitSimulator:
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
-        raw = self._tilde.readout(None, self.rho_tilde_vec, n, self._noisy_walk)
+        raw = self._tilde.readout(0, None, self.rho_tilde_vec, n, self._noisy_walk)
         if abs(raw.imag) > _IMAG_TOL:
             raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
         return float(raw.real)
@@ -229,6 +261,8 @@ def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 
     Trials may share one simulator: its probabilities do not depend on the
     trial, and each draw has its own substream.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
 
     def measure(m: int, boost: int) -> float:
         return sim.sampled_t(m, shots, seed, trial, boost=boost)
@@ -243,8 +277,8 @@ def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int 
     guard scales with the perturbation the way the sampled guard scales
     with shot noise.
     """
-    if eps < 0:
-        raise ValueError(f"perturbation must be >= 0, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"perturbation must be a finite number >= 0, got {eps}")
 
     def measure(m: int, boost: int) -> float:
         sign = 1.0 if substream(seed, trial, m).integers(0, 2) else -1.0

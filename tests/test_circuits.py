@@ -121,6 +121,112 @@ def test_propagation_matches_dense_matrix_power(qubits):
                 sim.prob(p.psi, sec, -1)
 
 
+def _reference_walk(sim, rho):
+    """The transpose-based layer the gathers replaced, kept here as the reference."""
+    d = rho.shape[0]
+    q = sim.problem.qubits
+    pairs = tuple(a for j in range(q) for a in (j, q + j))
+    rho = sim._g @ rho @ sim._g_dag
+    x = rho.reshape((2,) * (2 * q)).transpose(pairs)
+    for _ in range(q):
+        x = x.reshape(4, -1).T @ sim._noise_t
+    return x.reshape((2,) * (2 * q)).transpose(tuple(np.argsort(pairs))).reshape(d, d)
+
+
+def _reference_probs(sim, prep, meas, depths):
+    """prob at each depth from the reference layer, one preparation alone."""
+    meas_vec = vectorize(np.outer(meas, np.conj(meas)))
+    rho = np.outer(prep, np.conj(prep)).astype(complex)
+    out = {}
+    for n in range(max(depths) + 1):
+        if n in depths:
+            out[n] = circuits._clamped_real(complex(np.vdot(meas_vec, rho.reshape(-1))), "")
+        rho = _reference_walk(sim, rho)
+    return out
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
+def test_stacked_layer_matches_the_transpose_layer(qubits):
+    rng = np.random.default_rng(263 + qubits)
+    d = 2 ** qubits
+    for p in oracle_problems(rng, qubits):
+        for noise in ORACLE_NOISES:
+            sim = CircuitSimulator(p, noise)
+            for b in (1, 2):
+                a = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
+                stack = a + a.conj().swapaxes(1, 2)
+                got = sim._noisy_walk(stack)
+                assert got.shape == (b, d, d)
+                for rho, want in zip(stack, got):
+                    assert np.array_equal(want, _reference_walk(sim, rho)), (p.mode, noise.kind, b)
+
+
+@pytest.mark.parametrize("qubits", range(1, 9))
+def test_pair_indices_are_the_transpose_permutations(qubits):
+    pair, unpair = circuits._pair_indices(qubits)
+    n = 4 ** qubits
+    assert np.array_equal(pair[unpair], np.arange(n))
+    assert np.array_equal(unpair[pair], np.arange(n))
+    pairs = tuple(a for j in range(qubits) for a in (j, qubits + j))
+    grid = np.arange(n).reshape((2,) * (2 * qubits))
+    assert np.array_equal(pair, grid.transpose(pairs).reshape(-1))
+    assert np.array_equal(unpair, grid.transpose(tuple(np.argsort(pairs))).reshape(-1))
+
+
+def test_preparations_share_one_stack():
+    rng = np.random.default_rng(269)
+    p = random_problem(rng, 3)
+    noise = NoiseSpec(kind="amplitude-damping")
+    sim = CircuitSimulator(p, noise)
+    psi, sec = p.psi, p.second_state()
+    states = {"psi": psi, "sec": sec}
+    want = {(a, b): _reference_probs(sim, states[a], states[b], range(13))
+            for a in states for b in states}
+    # interleaved preparations and measurements, up and down in depth
+    calls = [("sec", "sec", 3), ("psi", "sec", 3), ("sec", "psi", 3), ("psi", "psi", 7),
+             ("psi", "sec", 1), ("sec", "sec", 12), ("psi", "psi", 5), ("sec", "psi", 12)]
+    for a, b, n in calls:
+        assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
+    traj, index = sim._preps[np.asarray(psi, dtype=complex).tobytes()]
+    assert sim._preps[np.asarray(sec, dtype=complex).tobytes()] == (traj, 1 - index)
+    assert traj._rho0.shape == (2, 8, 8)
+    assert traj._depth == 12
+    # a probe registered after the trajectory passed its depth replays it from 0
+    basis = np.zeros(8)
+    basis[5] = 1.0
+    assert sim.prob(sec, basis, 4) == _reference_probs(sim, sec, basis, [4])[4]
+    assert traj._depth == 4
+    # every value read before stays served from the read-outs
+    for a, b, n in calls:
+        assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
+    assert traj._depth == 4
+    # a third preparation follows its own one-slice stack
+    assert sim.prob(basis, psi, 6) == _reference_probs(sim, basis, psi, [6])[6]
+    own, own_index = sim._preps[np.asarray(basis, dtype=complex).tobytes()]
+    assert own is not traj and own_index == 0 and own._rho0.shape == (1, 8, 8)
+    assert own._depth == 6 and traj._depth == 4
+
+
+def test_exact_run_builds_no_preparation_stack():
+    p = random_problem(np.random.default_rng(271), 2)
+    sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+    run(exact_provider(sim), k=3)
+    assert sim._preps == {}
+    assert sim._tilde._rho0.shape == (1, 4, 4)
+
+
+def test_prob_checks_vector_lengths():
+    p = random_problem(np.random.default_rng(277), 2)
+    sim = CircuitSimulator(p)
+    with pytest.raises(ValueError, match=r"preparation .*2\^q = 4"):
+        sim.prob(np.ones(3) / np.sqrt(3), p.psi, 1)
+    with pytest.raises(ValueError, match=r"measurement .*2\^q = 4"):
+        sim.prob(p.psi, np.ones(8) / np.sqrt(8), 1)
+    with pytest.raises(ValueError, match=r"measurement .*2\^q = 4"):
+        sim.prob(p.psi, np.eye(4), 1)
+    assert sim._preps == {}
+
+
 def test_shared_simulator_matches_fresh_one():
     """Values do not depend on what a simulator served before."""
     rng = np.random.default_rng(233)
@@ -289,6 +395,15 @@ def test_perturbed_provider():
     assert prov.calls_for(2) == 0
     with pytest.raises(ValueError):
         perturbed_provider(sim, eps=-1e-3, seed=1)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            perturbed_provider(sim, eps=eps, seed=1)
+
+
+@pytest.mark.parametrize("shots", [0, -1, -100000])
+def test_sampled_provider_rejects_a_shot_count_below_one(shots):
+    with pytest.raises(ValueError, match="shots"):
+        sampled_provider(CircuitSimulator(plane_problem(0.9)), shots=shots, seed=1)
 
 
 def test_unphysical_noise_matrix_is_rejected():
