@@ -19,9 +19,10 @@ indistinguishable mirror reading reported by theta_to_value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +32,11 @@ from .model import theta_to_value
 _MERGE_TOL = 1e-12
 _ROOT_CLIP_TOL = 1e-9
 SEED_GRID_SIZE = 2048
+_EPS = float(np.finfo(np.float64).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
+# |t|^2 range in which seed_theta's score roundings stay relative: far from
+# float32 underflow, subnormals flushed to zero included, and overflow
+_SEED_NORM2_RANGE = (1e-50, 1e50)
 
 
 def ratio_y(t1: float, t2: float, t3: float, eps_div: float) -> float:
@@ -102,19 +108,46 @@ def select_candidate(candidates, theta_prev: float) -> float:
     return float(best)
 
 
+class _SeedTables(NamedTuple):
+    """seed_theta's fixed grids and tables; see _seed_basis."""
+
+    grid: np.ndarray          # SEED_GRID_SIZE angles on [0, pi]
+    decays: np.ndarray        # 17 envelopes on [0.2, 1]
+    cos: np.ndarray           # cos(m theta), (m, angle)
+    powers: np.ndarray        # p^m, (m, decay)
+    denom: np.ndarray         # guarded sum over m of basis^2, (angle, decay)
+    score_cos: np.ndarray     # cos in float32
+    score_powers: np.ndarray  # powers transposed to (decay, m), in float32
+    inv_norm: np.ndarray      # denom^-1/2 transposed to (decay, angle), in float32
+
+
 @cache
-def _seed_basis():
-    """seed_theta's fixed grids, basis and guarded denominator, built on first use."""
+def _seed_basis() -> _SeedTables:
+    """seed_theta's fixed grids and tables, built on first use.
+
+    The basis basis[m, theta, p] = cos(m theta) p^m is the product of a
+    cosine table cos[m, theta] and a power table powers[m, p]. Only the two
+    factors are kept; _seed_residual rebuilds the rows it needs from them,
+    value for value, since each entry is one rounded product. The score
+    pass of _near_best_rows reads float32 copies of the factors and of the
+    inverse basis norms.
+    """
     grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
     decays = np.linspace(0.2, 1.0, 17)
     m = np.array([1.0, 2.0, 3.0])
-    # basis[m, theta, p] = p^m cos(m theta)
-    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
+    cos = np.cos(np.outer(m, grid))
+    powers = decays[None, :] ** m[:, None]
+    basis = cos[:, :, None] * powers[:, None, :]
     denom = np.sum(basis * basis, axis=0)
     denom = np.where(denom > 0, denom, 1.0)
-    for arr in (grid, decays, basis, denom):
+    tables = _SeedTables(grid, decays, cos, powers, denom,
+                         score_cos=cos.astype(np.float32),
+                         score_powers=np.ascontiguousarray(powers.T, dtype=np.float32),
+                         inv_norm=np.ascontiguousarray((1.0 / np.sqrt(denom)).T,
+                                                       dtype=np.float32))
+    for arr in tables:
         arr.setflags(write=False)
-    return grid, decays, basis, denom
+    return tables
 
 
 def seed_theta(triplet) -> float:
@@ -128,32 +161,80 @@ def seed_theta(triplet) -> float:
     through a negative scale, neither of which the model class contains.
     The returned angle is on the series-phase scale, directly comparable
     with candidate_angles output. An all-zero triplet returns 0.0.
+
+    The search runs in two stages. _near_best_rows scores every grid point
+    in one small matrix product and keeps the angle rows within rounding
+    of the best score; _seed_residual evaluates the residual on those rows
+    only, with the full-grid arithmetic, so the result is the first
+    minimum of the full-grid residual in flat (angle, decay) order.
     """
-    grid, decays, _, _ = _seed_basis()
-    flat = int(np.argmin(_seed_residual(np.asarray(triplet, dtype=float))))
-    return float(grid[flat // decays.size])
+    tables = _seed_basis()
+    t = np.asarray(triplet, dtype=float)
+    rows = _near_best_rows(t)
+    flat = int(np.argmin(_seed_residual(t, rows)))
+    return float(tables.grid[rows[flat // tables.decays.size]])
 
 
-def _seed_residual(t: np.ndarray) -> np.ndarray:
-    """Squared residual of the best scale c >= 0 at every (angle, decay) grid point."""
-    _, _, basis, denom = _seed_basis()
+def _near_best_rows(t: np.ndarray) -> np.ndarray:
+    """Ascending angle rows that hold the first minimum of the computed residual.
+
+    With the best scale c >= 0, the residual at a grid point with basis
+    vector b is |t|^2 - s^2, s = max(t.b, 0) / |b|, so the rows are ranked
+    by the score t.b / |b|. Why the cut below keeps the row of the first
+    minimizer k of the computed residual, with T = |t| and u = 2^-53 and
+    v = 2^-24 the float64 and float32 unit roundoffs:
+
+    - The computed residual is within 8u T^2 of |t|^2 - s^2. The rounded
+      scale moves the residual by O(u^2) T^2 only, since the exact scale
+      minimizes it. Then three products, differences and squares and two
+      additions each err by u relative; every term is at most T^2 because
+      c |b| <= T.
+    - The computed score is within e = 9v T of t.b / |b|. t and the two
+      factors are rounded to float32, and the numerator rounds two
+      products and two sums: 7v relative to sum |t_m b_m| <= T |b|.
+      inv_norm's rounding and the product add 2v relative to
+      |t.b / |b|| <= T.
+
+    k's residual is at most every other point's, so s_k^2 >= s_j^2 - 16u
+    T^2 for every j, and k's computed score is at least
+    sqrt((best - e)^2 - 16u T^2) - e, with best the largest computed
+    score. The cut uses e = 16 eps32 T = 32v T and 64 eps T^2 = 128u T^2,
+    3.5x and 8x the derived bounds, which also covers the cut's own
+    roundings; most triplets keep one to three rows. Every row is kept
+    when nothing bounds k: a non-finite triplet, |t|^2 outside
+    _SEED_NORM2_RANGE (the all-zero triplet among them), or a best score
+    too close to 0 (a fully clipped grid).
+    """
+    tables = _seed_basis()
+    norm2 = sum(v * v for v in t.tolist())
+    if not _SEED_NORM2_RANGE[0] <= norm2 <= _SEED_NORM2_RANGE[1]:
+        return np.arange(SEED_GRID_SIZE)
+    # score[p, theta] = (sum_m t_m powers[m, p] cos[m, theta]) / |b|
+    score = (tables.score_powers * t.astype(np.float32)) @ tables.score_cos
+    score *= tables.inv_norm
+    row_best = score.max(axis=0)
+    err = 16.0 * _EPS32 * math.sqrt(norm2)
+    best = float(row_best.max()) - err
+    slack = best * best - 64.0 * _EPS * norm2
+    if not (best > 0.0 and slack > 0.0):
+        return np.arange(SEED_GRID_SIZE)
+    return np.flatnonzero(row_best >= math.sqrt(slack) - err)
+
+
+def _seed_residual(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared residual of the best scale c >= 0 on the given angle rows, (rows, decays).
+
+    Bitwise what the full grid gives on those rows: the rows of the basis
+    are rebuilt entry for entry, and every step is elementwise or, for the
+    einsum over whole rows and the sum over the leading axis, runs the same
+    loop over each row as over the full grid.
+    """
+    tables = _seed_basis()
+    basis = tables.cos[:, rows, None] * tables.powers[:, None, :]
     c = np.einsum("m,mtp->tp", t, basis)
-    c /= denom
+    c /= tables.denom[rows]
     np.maximum(c, 0.0, out=c)
-    # sum over m of (t_m - c basis_m)^2, added in m order as a sum over the
-    # leading axis does, in two grid-sized buffers
-    resid = _squared_miss(t[0], c, basis[0], np.empty_like(c))
-    term = np.empty_like(c)
-    for m in (1, 2):
-        resid += _squared_miss(t[m], c, basis[m], term)
-    return resid
-
-
-def _squared_miss(t_m: float, c: np.ndarray, basis_m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(t_m - c basis_m)^2, written into out."""
-    np.multiply(c, basis_m, out=out)
-    np.subtract(t_m, out, out=out)
-    return np.multiply(out, out, out=out)
+    return np.sum((t[:, None, None] - c * basis) ** 2, axis=0)
 
 
 def fold_theta(theta: float) -> float:

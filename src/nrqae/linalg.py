@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import NrqaeError
 
-MAX_EIG_DIM = 64
-
 
 def cmat(entries) -> np.ndarray:
     """Coerce to a 2-D complex array."""
@@ -54,10 +52,8 @@ class Spectrum:
 
 
 def eig_dense(m) -> Spectrum:
-    """Full eigendecomposition of a dense matrix (dimension <= 64)."""
+    """Full eigendecomposition of a dense square matrix."""
     m = square(m)
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds eig limit {MAX_EIG_DIM}")
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:

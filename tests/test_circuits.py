@@ -145,12 +145,15 @@ def _reference_probs(sim, prep, meas, depths):
     return out
 
 
-@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("qubits", range(1, 9))
 def test_stacked_layer_matches_the_transpose_layer(qubits):
     rng = np.random.default_rng(263 + qubits)
     d = 2 ** qubits
+    # every kind is one 4 x 4 PTM to the layer; at q = 7 and 8 a non-unital
+    # and a generic one keep the test short
+    noises = ORACLE_NOISES if qubits <= 6 else ORACLE_NOISES[3::2]
     for p in oracle_problems(rng, qubits):
-        for noise in ORACLE_NOISES:
+        for noise in noises:
             sim = CircuitSimulator(p, noise)
             for b in (1, 2):
                 a = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))

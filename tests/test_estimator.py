@@ -1,6 +1,7 @@
 """Ratio estimator: root algebra, candidate selection, the full iteration."""
 
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, e
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
+    _near_best_rows,
     _seed_residual,
     candidate_angles,
     fit_decay,
@@ -178,9 +180,54 @@ def _seed_fit_rebuilt(triplet):
     return resid, float(grid[flat // decays.size])
 
 
+@cache
+def _full_grid():
+    """The grid, full basis and guarded denominator seed_theta once kept whole."""
+    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
+    decays = np.linspace(0.2, 1.0, 17)
+    m = np.array([1.0, 2.0, 3.0])
+    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
+    denom = np.sum(basis * basis, axis=0)
+    return grid, decays, basis, np.where(denom > 0, denom, 1.0)
+
+
+def _full_grid_residual(t):
+    """_seed_fit_rebuilt's residual from a basis built once, in two grid-sized buffers.
+
+    seed_theta evaluated this on every call before its two-stage search. It
+    is the fast reference for the bulk of the random triplets.
+    """
+    _, _, basis, denom = _full_grid()
+    c = np.einsum("m,mtp->tp", t, basis)
+    c /= denom
+    np.maximum(c, 0.0, out=c)
+    resid = _squared_miss(t[0], c, basis[0], np.empty_like(c))
+    term = np.empty_like(c)
+    for m in (1, 2):
+        resid += _squared_miss(t[m], c, basis[m], term)
+    return resid
+
+
+def _squared_miss(t_m, c, basis_m, out):
+    """(t_m - c basis_m)^2, written into out."""
+    np.multiply(c, basis_m, out=out)
+    np.subtract(t_m, out, out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _assert_seed_fit(trip, resid, theta):
+    """seed_theta picks theta; its re-checked rows hold resid's values bit for bit."""
+    t = np.asarray(trip, dtype=float)
+    rows = _near_best_rows(t)
+    assert np.all(np.diff(rows) > 0), trip
+    assert int(np.argmin(resid)) // resid.shape[1] in rows, trip
+    assert np.array_equal(_seed_residual(t, rows), resid[rows]), trip
+    assert seed_theta(trip) == theta, trip
+
+
 def test_seed_theta_matches_the_per_call_basis():
     rng = np.random.default_rng(337)
-    triplets = [(0.0, 0.0, 0.0)]
+    triplets = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)]
     triplets += [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(150)]
     for _ in range(150):
         theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
@@ -194,23 +241,46 @@ def test_seed_theta_matches_the_per_call_basis():
     triplets += [(1e-12, 1e-12, 1e-12), (-1e-12, 2e-12, -1e-12)]
     triplets += [tuple(rng.uniform(-1.0, 1.0, 3) * 1e3) for _ in range(20)]
     triplets += [(1e3, 1e3, 1e3), (-1e3, 1e3, -1e3)]
+    # outside the range where the score's rounding is bounded: every row is re-checked
+    triplets += [(1e-160, 0.0, 0.0), (1e-150, -2e-150, 1e-150), (1e150, 1.0, -1.0)]
     for trip in triplets:
         resid, theta = _seed_fit_rebuilt(trip)
-        assert np.array_equal(_seed_residual(np.asarray(trip, dtype=float)), resid)
-        assert seed_theta(trip) == theta
+        assert np.array_equal(_full_grid_residual(np.asarray(trip, dtype=float)), resid)
+        _assert_seed_fit(trip, resid, theta)
+    # 10,000 random triplets, four families of 2,500, plus near ties, held to
+    # the full-grid residual that the triplets above hold to _seed_fit_rebuilt
+    grid, decays, basis, denom = _full_grid()
+    unit = basis / np.sqrt(denom)
+    triplets = []
+    for _ in range(2500):
+        triplets.append(tuple(rng.uniform(-1.0, 1.0, 3)))
+        triplets.append(tuple(-rng.uniform(0.0, 1.0, 3)))
+        triplets.append(tuple(rng.uniform(-1.0, 1.0, 3) * 1e-12))
+        theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
+        triplets.append(tuple(c * p ** m * np.cos(m * theta) + rng.normal(0.0, 0.01)
+                              for m in (1, 2, 3)))
+    # halfway between two neighbouring angles: the two best points tie up to
+    # rounding, and the score's rounding orders them differently from the
+    # residual's in about a third of these
+    for _ in range(500):
+        i, j = int(rng.integers(0, SEED_GRID_SIZE - 1)), int(rng.integers(0, decays.size))
+        triplets.append(tuple(unit[:, i, j] + unit[:, i + 1, j]))
+    for trip in triplets:
+        resid = _full_grid_residual(np.asarray(trip, dtype=float))
+        _assert_seed_fit(trip, resid, float(grid[int(np.argmin(resid)) // decays.size]))
 
 
 def test_seed_theta_peak_memory():
-    seed_theta((0.1, 0.2, 0.3))  # build the cached basis outside the traced call
+    seed_theta((0.1, 0.2, 0.3))  # build the cached tables outside the traced call
     tracemalloc.start()
     try:
         seed_theta((0.3, -0.1, 0.2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the scale c and two residual buffers fit; three full 3-slice
-    # temporaries (1.9 MB) do not
-    assert peak < 4 * SEED_GRID_SIZE * 17 * 8, peak
+    # the float32 grid of scores fits; a float64 grid-sized buffer, let alone
+    # the full 3-slice basis, does not
+    assert peak < 0.75 * SEED_GRID_SIZE * 17 * 8, peak
 
 
 def test_fold_theta():

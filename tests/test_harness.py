@@ -463,7 +463,7 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_verify_perturbation_qubit_limit(tmp_path, monkeypatch, capsys):
-    # eig_dense stops at dimension 64, so the 4^q step superoperator caps q at 3
+    # the checks diagonalize the dense 4^q x 4^q step superoperator, so q stops at 3
     def no_work(cfg):
         raise AssertionError("the limit is checked before any work")
 
@@ -476,6 +476,26 @@ def test_cli_verify_perturbation_qubit_limit(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "qubits <= 3" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("qubits", range(1, MAX_QUBITS + 1))
+def test_cli_observable_estimate_runs_at_every_allowed_qubit_count(qubits, tmp_path, capsys):
+    # build_problem diagonalizes the 2^q x 2^q Pauli observable at every q the
+    # config admits; the eigensolver has no size cap of its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "observable", "qubits": qubits,
+                               "observable": ("ZXY" * 3)[:qubits], "expectation": 0.3,
+                               "exact": True, "iterations": 2}))
+    code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert sum(line.startswith("value=") for line in captured.out.splitlines()) == 1
+        assert captured.err == ""
+    else:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("estimation failed:")
 
 
 def test_qubit_limit_is_checked_when_the_config_is_read(tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nrqae.linalg import (
-    MAX_EIG_DIM,
     cmat,
     eig_dense,
     frob_norm,
@@ -56,12 +55,6 @@ def test_eig_dense_ordering():
     # the three unit-modulus values come out phase ordered: 1, i, -1
     assert np.allclose(spec.eigenvalues[:3], [1.0, 1j, -1.0], atol=1e-12)
     assert abs(spec.eigenvalues[3] - 0.5) < 1e-12
-
-
-def test_eig_dense_rejects_oversized_input():
-    d = MAX_EIG_DIM + 1
-    with pytest.raises(ValueError):
-        eig_dense(np.eye(d))
 
 
 def test_eig_dense_rejects_non_square():
