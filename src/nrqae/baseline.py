@@ -136,7 +136,11 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
              shots_per_round: int = 10_000, seed: int = 0, trial: int = 0,
              confidence: float = 0.95, max_rounds: int = 64,
              max_oracle_calls: Optional[int] = None) -> IqaeResult:
-    """Run the iterative baseline on the circuits of sim's (problem, noise)."""
+    """Run the iterative baseline on the circuits of sim's (problem, noise).
+
+    Round idx draws its count from substream(seed, trial, idx), re-keying
+    sim.rng rather than building a generator per round.
+    """
     if target_eps < 0:
         raise ValueError(f"target_eps must be >= 0, got {target_eps}")
     if shots_per_round < 1:
@@ -166,7 +170,8 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         if max_oracle_calls is not None and state.oracle_calls + cost > max_oracle_calls:
             break
         p_true = sim.prob(psi, sec, k)
-        p_hat = substream(seed, trial, idx).binomial(shots_per_round, p_true) / shots_per_round
+        gen = substream(seed, trial, idx, into=sim.rng)
+        p_hat = gen.binomial(shots_per_round, p_true) / shots_per_round
         c_lo = float(min(max(2.0 * (p_hat - eps_p) - 1.0, -1.0), 1.0))
         c_hi = float(min(max(2.0 * (p_hat + eps_p) - 1.0, -1.0), 1.0))
         u_lo, u_hi = _invert(m, state.x_lo, state.x_hi, c_lo, c_hi)

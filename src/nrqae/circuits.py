@@ -20,6 +20,8 @@ sampled_provider and perturbed_provider give it its measurement rule
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .channels import NoiseSpec, noise_superop
@@ -112,6 +114,12 @@ class CircuitSimulator:
     is free. Build one simulator per (problem, noise) and share it: every
     value is independent of what the simulator served before. It is the
     handle the providers and the IQAE baseline take.
+
+    rng is the one Philox generator the simulator's sampled draws use,
+    built on the first of them: each draw re-keys it through substream's
+    ``into``, so a draw is that of its own fresh substream and an exact run
+    builds none. Like the trajectories, it is mutable state: use a
+    simulator from one thread at a time.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -126,6 +134,10 @@ class CircuitSimulator:
         self._tilde = _Trajectory(tilde[None])
         self._preps: dict = {}  # preparation bytes -> (trajectory, slice)
         self._meas_vecs: dict = {}
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(0))
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         # matmul runs one product per slice of a (B, ...) stack, so every
@@ -188,6 +200,8 @@ class CircuitSimulator:
         Each of the four probabilities is drawn from its own substream keyed
         by (trial, depth, term, boost), so any value is reproducible in
         isolation and a retry with boosted shots is a fresh measurement.
+        The draws re-key the simulator's rng instead of building a generator
+        each; the values are the same.
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -195,7 +209,7 @@ class CircuitSimulator:
         eff = shots * boost
         for term, (prep, meas, sign) in enumerate(self._signed_pairs()):
             p = self.prob(prep, meas, n)
-            gen = substream(seed, trial, n, term, boost)
+            gen = substream(seed, trial, n, term, boost, into=self.rng)
             total += sign * gen.binomial(eff, p) / eff
         return total
 
@@ -273,15 +287,15 @@ def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 
 def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int = 0) -> TProvider:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
-    The sign is drawn once per (trial, depth) from a seeded substream; the
-    guard scales with the perturbation the way the sampled guard scales
-    with shot noise.
+    The sign is drawn once per (trial, depth) from a seeded substream,
+    re-keying sim.rng; the guard scales with the perturbation the way the
+    sampled guard scales with shot noise.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"perturbation must be a finite number >= 0, got {eps}")
 
     def measure(m: int, boost: int) -> float:
-        sign = 1.0 if substream(seed, trial, m).integers(0, 2) else -1.0
+        sign = 1.0 if substream(seed, trial, m, into=sim.rng).integers(0, 2) else -1.0
         return sim.exact_t(m) + sign * eps
 
     return TProvider(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD))

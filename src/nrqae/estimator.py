@@ -115,10 +115,9 @@ class _SeedTables(NamedTuple):
     decays: np.ndarray        # 17 envelopes on [0.2, 1]
     cos: np.ndarray           # cos(m theta), (m, angle)
     powers: np.ndarray        # p^m, (m, decay)
-    denom: np.ndarray         # guarded sum over m of basis^2, (angle, decay)
     score_cos: np.ndarray     # cos in float32
     score_powers: np.ndarray  # powers transposed to (decay, m), in float32
-    inv_norm: np.ndarray      # denom^-1/2 transposed to (decay, angle), in float32
+    inv_norm: np.ndarray      # |basis|^-1 transposed to (decay, angle), in float32
 
 
 @cache
@@ -130,21 +129,29 @@ def _seed_basis() -> _SeedTables:
     factors are kept; _seed_residual rebuilds the rows it needs from them,
     value for value, since each entry is one rounded product. The score
     pass of _near_best_rows reads float32 copies of the factors and of the
-    inverse basis norms.
+    inverse basis norms. The squared norms are summed one m at a time, in
+    the order a sum over the basis's leading axis adds them, so the basis
+    itself is never formed and no norm is kept in float64.
     """
     grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
     decays = np.linspace(0.2, 1.0, 17)
     m = np.array([1.0, 2.0, 3.0])
     cos = np.cos(np.outer(m, grid))
     powers = decays[None, :] ** m[:, None]
-    basis = cos[:, :, None] * powers[:, None, :]
-    denom = np.sum(basis * basis, axis=0)
-    denom = np.where(denom > 0, denom, 1.0)
-    tables = _SeedTables(grid, decays, cos, powers, denom,
+    # in place, so the build holds at most two float64 grid-sized buffers
+    norm = np.zeros((grid.size, decays.size))
+    term = np.empty_like(norm)
+    for cos_m, powers_m in zip(cos, powers):
+        np.multiply.outer(cos_m, powers_m, out=term)
+        norm += np.multiply(term, term, out=term)
+    del term
+    norm[norm <= 0] = 1.0
+    np.sqrt(norm, out=norm)
+    np.divide(1.0, norm, out=norm)
+    tables = _SeedTables(grid, decays, cos, powers,
                          score_cos=cos.astype(np.float32),
                          score_powers=np.ascontiguousarray(powers.T, dtype=np.float32),
-                         inv_norm=np.ascontiguousarray((1.0 / np.sqrt(denom)).T,
-                                                       dtype=np.float32))
+                         inv_norm=np.ascontiguousarray(norm.T, dtype=np.float32))
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -226,13 +233,15 @@ def _seed_residual(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     Bitwise what the full grid gives on those rows: the rows of the basis
     are rebuilt entry for entry, and every step is elementwise or, for the
-    einsum over whole rows and the sum over the leading axis, runs the same
-    loop over each row as over the full grid.
+    einsum over whole rows and the sums over the leading axis (the guarded
+    squared norms among them), runs the same loop over each row as over
+    the full grid.
     """
     tables = _seed_basis()
     basis = tables.cos[:, rows, None] * tables.powers[:, None, :]
+    denom = np.sum(basis * basis, axis=0)
     c = np.einsum("m,mtp->tp", t, basis)
-    c /= tables.denom[rows]
+    c /= np.where(denom > 0, denom, 1.0)
     np.maximum(c, 0.0, out=c)
     return np.sum((t[:, None, None] - c * basis) ** 2, axis=0)
 

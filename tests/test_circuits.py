@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nrqae import circuits
+from nrqae.baseline import iqae_run
 from nrqae.channels import NoiseSpec, noise_superop, pauli_string
 from nrqae.circuits import (
     EXACT_DIVISION_GUARD,
@@ -216,6 +217,7 @@ def test_exact_run_builds_no_preparation_stack():
     run(exact_provider(sim), k=3)
     assert sim._preps == {}
     assert sim._tilde._rho0.shape == (1, 4, 4)
+    assert "rng" not in vars(sim)  # nor a generator
 
 
 def test_prob_checks_vector_lengths():
@@ -331,6 +333,52 @@ def test_sampled_t_is_reproducible():
     assert a != sim.sampled_t(2, 500, seed=9, trial=4)
     with pytest.raises(ValueError):
         sim.sampled_t(1, 0, seed=1)
+
+
+def _fresh_stream(seed, *path):
+    """A new generator for (seed, path), built as numpy spawns one."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def test_draws_on_one_simulator_match_fresh_streams():
+    """Interleaved draws through the simulator's one generator are each a fresh stream's."""
+    p = random_problem(np.random.default_rng(281), 1)
+    sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+    psi, sec = p.psi, p.second_state()
+    seed, shots, eps = 11, 3000, 1e-3
+    draws = [("sampled", n, trial, boost) for n in (1, 2, 3, 6, 12) for trial in (0, 5)
+             for boost in (1, 4)]
+    draws += [("sign", m, trial) for m in (1, 2, 4, 9) for trial in (0, 3)]
+    draws += [("iqae", trial, rounds) for trial in (0, 1025) for rounds in (1, 4)]
+    order = np.random.default_rng(283).permutation(len(draws))
+    owned = set()
+    for i in order:
+        kind, *args = draws[i]
+        if kind == "sampled":
+            n, trial, boost = args
+            eff = shots * boost
+            want = 0.0
+            for term, (prep, meas, sign) in enumerate(sim._signed_pairs()):
+                gen = _fresh_stream(seed, trial, n, term, boost)
+                want += sign * gen.binomial(eff, sim.prob(prep, meas, n)) / eff
+            assert sim.sampled_t(n, shots, seed, trial, boost=boost) == want, draws[i]
+        elif kind == "sign":
+            m, trial = args
+            sign = 1.0 if _fresh_stream(seed, trial, m).integers(0, 2) else -1.0
+            prov = perturbed_provider(sim, eps, seed, trial)
+            assert prov.measure(m, 1) == sim.exact_t(m) + sign * eps, draws[i]
+        else:
+            trial, rounds = args
+            res = iqae_run(sim, target_eps=0.0, shots_per_round=shots, seed=seed,
+                           trial=trial, max_rounds=rounds)
+            assert len(res.rounds) == rounds
+            for r in res.rounds:
+                count = _fresh_stream(seed, trial, r.index).binomial(
+                    shots, sim.prob(psi, sec, r.applications))
+                assert r.p_hat == count / shots, (draws[i], r.index)
+        owned.add(id(vars(sim)["rng"]))
+    assert len(owned) == 1  # every draw re-keyed the one generator
 
 
 def test_sampled_t_concentrates_on_exact_value():

@@ -14,6 +14,7 @@ from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     SEED_GRID_SIZE,
     _near_best_rows,
+    _seed_basis,
     _seed_residual,
     candidate_angles,
     fit_decay,
@@ -268,6 +269,15 @@ def test_seed_theta_matches_the_per_call_basis():
     for trip in triplets:
         resid = _full_grid_residual(np.asarray(trip, dtype=float))
         _assert_seed_fit(trip, resid, float(grid[int(np.argmin(resid)) // decays.size]))
+
+
+def test_seed_tables_are_small_and_match_the_full_grid():
+    tables = _seed_basis()
+    assert sum(arr.nbytes for arr in tables) < 0.25 * 2 ** 20
+    # the inverse norms, summed one m at a time, are those of the full basis
+    _, _, _, denom = _full_grid()
+    want = np.ascontiguousarray((1.0 / np.sqrt(denom)).T, dtype=np.float32)
+    assert np.array_equal(tables.inv_norm, want)
 
 
 def test_seed_theta_peak_memory():

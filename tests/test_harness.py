@@ -438,6 +438,30 @@ def test_cli_compare_noise(tmp_path, capsys):
     assert (out / "compare_noise.svg").exists()
 
 
+def test_compare_noise_builds_one_generator_per_simulator(tmp_path, monkeypatch, capsys):
+    # every sampled draw re-keys its simulator's generator instead of building one
+    philox, sims = [], []
+    build_philox, build_sim = np.random.Philox, CircuitSimulator.__init__
+
+    def counted_philox(*args, **kwargs):
+        philox.append(args)
+        return build_philox(*args, **kwargs)
+
+    def counted_sim(self, *args, **kwargs):
+        sims.append(self)
+        build_sim(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(CircuitSimulator, "__init__", counted_sim)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config_version": 1, "mode": "amplitude", "qubits": 1,
+                               "amplitude": 0.75, "noise": {"kind": "pauli"},
+                               "shots": 100000, "iterations": 5, "trials": 10, "seed": 7}))
+    assert main(["compare-noise", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(sims) == 1
+    assert 1 <= len(philox) <= len(sims)
+
+
 def test_cli_verify_perturbation(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta_g": 2.0,

@@ -49,10 +49,48 @@ def test_streams_match_the_spawn_key_construction():
                               want.standard_normal((2, 4, 4))), (seed, path)
 
 
+def test_streams_match_through_one_rekeyed_generator():
+    """One generator re-keyed from case to case gives every case's fresh stream."""
+    cases = _random_cases(3000)
+    rng = np.random.default_rng(2025)
+    gen = np.random.Generator(np.random.Philox(0))
+    left = []  # the Philox state each case leaves for the next re-key
+    for i, (seed, path) in enumerate(cases):
+        got = substream(seed, *path, into=gen)
+        assert got is gen
+        want = _reference(seed, *path)
+        # small n and n p take the inversion sampler, large ones BTPE
+        n = int(rng.choice([1, 7, 40, 1000, 100_000, 2 ** 40]))
+        p = float(rng.choice([0.0, 1.0, 1e-4, float(rng.uniform())]))
+        assert got.binomial(n, p) == want.binomial(n, p), (seed, path, n, p)
+        assert got.integers(0, 2) == want.integers(0, 2)
+        size = i % 7 + 1
+        assert np.array_equal(got.standard_normal(size), want.standard_normal(size))
+        if i % 3 == 0:
+            # a second 32-bit draw leaves none pending
+            assert got.integers(0, 2) == want.integers(0, 2)
+        state = gen.bit_generator.state
+        left.append((state["has_uint32"], state["buffer_pos"]))
+    # re-keys happen after an odd number of 32-bit draws, after an even
+    # one, and with a partly used buffer
+    assert {has for has, _ in left} == {0, 1}
+    assert {pos for _, pos in left} >= {1, 2, 3}
+
+
+def test_into_must_be_a_philox_generator():
+    with pytest.raises(ValueError):
+        substream(7, 1, into=np.random.default_rng(0))
+    with pytest.raises(AttributeError):
+        substream(7, 1, into=np.random.Philox(0))
+
+
 def test_numpy_integer_arguments_match():
     # numpy integer scalars give the words of the Python ints they hold
     args = (np.int64(7), np.int32(3), np.uint64(2 ** 40 + 5))
     assert np.array_equal(substream(*args).standard_normal(8),
+                          _reference(*args).standard_normal(8))
+    gen = np.random.Generator(np.random.Philox(0))
+    assert np.array_equal(substream(*args, into=gen).standard_normal(8),
                           _reference(*args).standard_normal(8))
 
 
@@ -63,3 +101,5 @@ def test_negative_values_are_rejected(seed, path):
         _reference(seed, *path)
     with pytest.raises(ValueError):
         substream(seed, *path)
+    with pytest.raises(ValueError):
+        substream(seed, *path, into=np.random.Generator(np.random.Philox(0)))
