@@ -24,7 +24,7 @@ contradiction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,18 +47,6 @@ class IqaeRound:
     x_lo: float
     x_hi: float
     contradiction: bool = False
-
-
-@dataclass
-class IqaeState:
-    """Confidence interval on the phase plus the round log."""
-
-    x_lo: float
-    x_hi: float
-    m: int
-    shots_used: int = 0
-    oracle_calls: int = 0
-    rounds: list = field(default_factory=list)
 
 
 @dataclass
@@ -153,47 +141,46 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
     psi = problem.psi
     sec = problem.second_state()
     mode = problem.mode
-    state = IqaeState(x_lo=0.0, x_hi=np.pi if mode == "amplitude" else np.pi / 2.0,
-                      m=0)
+    # the confidence interval on the phase, the current multiplier and the round log
+    x_lo, x_hi = 0.0, np.pi if mode == "amplitude" else np.pi / 2.0
+    m_cur = shots_used = oracle_calls = 0
+    rounds = []
     m_min = 1 if mode == "amplitude" else 2
     delta_round = (1.0 - confidence) / max_rounds
     eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
     converged = False
 
     for idx in range(max_rounds):
-        if _value_width(mode, state.x_lo, state.x_hi) <= target_eps:
+        if _value_width(mode, x_lo, x_hi) <= target_eps:
             converged = True
             break
-        m = _next_multiplier(mode, state.x_lo, state.x_hi, state.m) if state.m else m_min
+        m = _next_multiplier(mode, x_lo, x_hi, m_cur) if m_cur else m_min
         k = _applications(mode, m)
         cost = shots_per_round * k
-        if max_oracle_calls is not None and state.oracle_calls + cost > max_oracle_calls:
+        if max_oracle_calls is not None and oracle_calls + cost > max_oracle_calls:
             break
         p_true = sim.prob(psi, sec, k)
         gen = substream(seed, trial, idx, into=sim.rng)
         p_hat = gen.binomial(shots_per_round, p_true) / shots_per_round
         c_lo = float(min(max(2.0 * (p_hat - eps_p) - 1.0, -1.0), 1.0))
         c_hi = float(min(max(2.0 * (p_hat + eps_p) - 1.0, -1.0), 1.0))
-        u_lo, u_hi = _invert(m, state.x_lo, state.x_hi, c_lo, c_hi)
-        new_lo = max(state.x_lo, u_lo)
-        new_hi = min(state.x_hi, u_hi)
+        u_lo, u_hi = _invert(m, x_lo, x_hi, c_lo, c_hi)
+        new_lo = max(x_lo, u_lo)
+        new_hi = min(x_hi, u_hi)
         contradiction = new_lo > new_hi
         if not contradiction:
-            state.x_lo, state.x_hi = new_lo, new_hi
-        state.m = m
-        state.shots_used += shots_per_round
-        state.oracle_calls += cost
-        state.rounds.append(IqaeRound(index=idx, m=m, applications=k,
-                                      shots=shots_per_round, p_hat=p_hat, eps_p=eps_p,
-                                      x_lo=state.x_lo, x_hi=state.x_hi,
-                                      contradiction=contradiction))
+            x_lo, x_hi = new_lo, new_hi
+        m_cur = m
+        shots_used += shots_per_round
+        oracle_calls += cost
+        rounds.append(IqaeRound(index=idx, m=m, applications=k, shots=shots_per_round,
+                                p_hat=p_hat, eps_p=eps_p, x_lo=x_lo, x_hi=x_hi,
+                                contradiction=contradiction))
     else:
-        converged = _value_width(mode, state.x_lo, state.x_hi) <= target_eps
+        converged = _value_width(mode, x_lo, x_hi) <= target_eps
 
-    x_mid = 0.5 * (state.x_lo + state.x_hi)
-    vals = sorted((_value(mode, state.x_lo), _value(mode, state.x_hi)))
-    return IqaeResult(mode=mode, estimate=_value(mode, x_mid),
-                      interval=(vals[0], vals[1]),
-                      x_interval=(state.x_lo, state.x_hi),
-                      oracle_calls=state.oracle_calls, shots_used=state.shots_used,
-                      converged=converged, rounds=state.rounds)
+    x_mid = 0.5 * (x_lo + x_hi)
+    vals = sorted((_value(mode, x_lo), _value(mode, x_hi)))
+    return IqaeResult(mode=mode, estimate=_value(mode, x_mid), interval=(vals[0], vals[1]),
+                      x_interval=(x_lo, x_hi), oracle_calls=oracle_calls,
+                      shots_used=shots_used, converged=converged, rounds=rounds)

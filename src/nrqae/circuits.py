@@ -60,43 +60,37 @@ def _pair_indices(qubits: int):
 class _Trajectory:
     """A stack of initial operators (B, d, d) pushed through successive layers.
 
-    Only the latest stack is kept, plus the read-out <<probe|rho_m[b]>> of
-    every registered (slice b, probe) at every depth m passed so far. A
-    depth below the current one that was never read (a probe registered
-    late) replays the trajectory from depth 0; the replay repeats the same
-    arithmetic, so its values are bit-identical to a fresh trajectory's.
-    The layer comes with each call: a stored bound method of the simulator
-    would close a reference cycle and leave a dead simulator to the cyclic
-    collector.
+    probes is a fixed list of (slice b, probe vector); readouts[m] holds
+    <<probe|rho_m[b]>> for each of them, in that order, for every depth m
+    passed so far. Only the latest stack is kept. The layer comes with each
+    call: a stored bound method of the simulator would close a reference
+    cycle and leave a dead simulator to the cyclic collector.
     """
 
-    def __init__(self, rho0: np.ndarray):
-        self._rho0 = rho0
+    def __init__(self, rho0: np.ndarray, probes):
         self._rho = rho0
-        self._depth = 0
-        self._probes: dict = {}
-        self._readouts: dict = {}
+        self._probes = probes
+        self.readouts: list = []
+        self._record()
 
-    def readout(self, index: int, key, probe_vec: np.ndarray, n: int, layer) -> complex:
+    def at(self, n: int, layer) -> tuple:
+        """The read-outs at depth n."""
         if n < 0:
             raise ValueError(f"negative depth {n}")
-        value = self._readouts.get((index, key, n))
-        if value is not None:
-            return value
-        self._probes.setdefault((index, key), probe_vec)
-        if n < self._depth:
-            self._rho, self._depth = self._rho0, 0
-        self._record()
-        while self._depth < n:
+        while len(self.readouts) <= n:
             self._rho = layer(self._rho)
-            self._depth += 1
             self._record()
-        return self._readouts[(index, key, n)]
+        return self.readouts[n]
 
     def _record(self):
         flat = self._rho.reshape(len(self._rho), -1)
-        for (index, key), vec in self._probes.items():
-            self._readouts[(index, key, self._depth)] = complex(np.vdot(vec, flat[index]))
+        self.readouts.append(tuple(complex(np.vdot(vec, flat[b])) for b, vec in self._probes))
+
+
+# The four circuits of t_n in the order sampled_t draws them, as
+# (preparation, measurement, sign) with 0 = psi and 1 = the second state.
+_TERMS = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
+_TERM_OF = {(prep, meas): term for term, (prep, meas, _) in enumerate(_TERMS)}
 
 
 class CircuitSimulator:
@@ -106,14 +100,15 @@ class CircuitSimulator:
     and, per qubit, one product of the 4 x 4 single-qubit noise
     superoperator with the (i_j, k_j) index pair of rho; the pairs are
     brought together and apart by two gathers through index arrays built
-    once. exact_t follows rho_tilde itself. prob follows psi and the second
-    state as one two-slice stack, built on its first call, any other
-    preparation as its own one-slice stack, and builds each measurement
-    vector once. Each trajectory keeps only its latest stack, so a depth
-    costs the layers beyond the deepest one reached and a repeated depth
-    is free. Build one simulator per (problem, noise) and share it: every
-    value is independent of what the simulator served before. It is the
-    handle the providers and the IQAE baseline take.
+    once. The walk runs only its own circuits, so the simulator follows two
+    fixed trajectories: rho_tilde, read against itself by exact_t, and psi
+    with the second state as one two-slice stack, each measured onto both,
+    built on the first sampled_t or prob call. Each trajectory keeps only
+    its latest stack, so a depth costs the layers beyond the deepest one
+    reached and a repeated depth is free. Build one simulator per
+    (problem, noise) and share it: every value is independent of what the
+    simulator served before. It is the handle the providers and the IQAE
+    baseline take.
 
     rng is the one Philox generator the simulator's sampled draws use,
     built on the first of them: each draw re-keys it through substream's
@@ -129,15 +124,22 @@ class CircuitSimulator:
         self._g_dag = self._g.conj().T.copy()
         self._noise_t = noise_superop(noise, 1).T.copy()
         self._pair, self._unpair = _pair_indices(problem.qubits)
+        self._states = tuple(np.asarray(v, dtype=complex)
+                             for v in (problem.psi, problem.second_state()))
         tilde = rho_tilde(problem)
         self.rho_tilde_vec = vectorize(tilde)
-        self._tilde = _Trajectory(tilde[None])
-        self._preps: dict = {}  # preparation bytes -> (trajectory, slice)
-        self._meas_vecs: dict = {}
+        self._tilde = _Trajectory(tilde[None], [(0, self.rho_tilde_vec)])
 
     @cached_property
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(0))
+
+    @cached_property
+    def _circuits(self) -> _Trajectory:
+        """psi and the second state as one stack, with the probes of the four terms."""
+        rho0 = np.stack([np.outer(v, np.conj(v)) for v in self._states])
+        meas = [vectorize(r) for r in rho0]
+        return _Trajectory(rho0, [(prep, meas[m]) for prep, m, _ in _TERMS])
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         # matmul runs one product per slice of a (B, ...) stack, so every
@@ -150,46 +152,29 @@ class CircuitSimulator:
             x = x.reshape(b, 4, -1).swapaxes(1, 2) @ self._noise_t
         return x.reshape(b, -1).take(self._unpair, axis=1).reshape(b, d, d)
 
-    def _follow(self, *preps):
-        """Start one trajectory whose stack holds the given preparations."""
-        preps = [np.asarray(p, dtype=complex) for p in preps]
-        traj = _Trajectory(np.stack([np.outer(p, np.conj(p)) for p in preps]))
-        for index, prep in enumerate(preps):
-            self._preps.setdefault(prep.tobytes(), (traj, index))
-
-    def _state(self, v, role: str) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        d = 2 ** self.problem.qubits
-        if v.shape != (d,):
-            raise ValueError(f"{role} has shape {v.shape}, expected length 2^q = {d}")
-        return v
+    def _which(self, v, role: str) -> int:
+        """0 for psi, 1 for the second state; the callers' own arrays match by identity."""
+        for index, state in enumerate(self._states):
+            if v is state:
+                return index
+        for index, state in enumerate(self._states):
+            if np.array_equal(v, state):
+                return index
+        raise ValueError(f"{role} must be problem.psi or problem.second_state()")
 
     def prob(self, prep, meas, n: int) -> float:
-        """Probability of projecting onto meas after n layers from prep."""
-        prep = self._state(prep, "preparation")
-        meas = self._state(meas, "measurement")
-        if not self._preps:
-            self._follow(self.problem.psi, self.problem.second_state())
-        prep_key = prep.tobytes()
-        if prep_key not in self._preps:
-            self._follow(prep)
-        traj, index = self._preps[prep_key]
-        key = meas.tobytes()
-        meas_vec = self._meas_vecs.get(key)
-        if meas_vec is None:
-            meas_vec = vectorize(np.outer(meas, np.conj(meas)))
-            self._meas_vecs[key] = meas_vec
-        value = traj.readout(index, key, meas_vec, n, self._noisy_walk)
-        return _clamped_real(value, f"depth {n}")
+        """Probability of projecting onto meas after n layers from prep.
 
-    def _signed_pairs(self):
-        psi = self.problem.psi
-        sec = self.problem.second_state()
-        return ((sec, sec, 1.0), (psi, sec, -1.0), (sec, psi, -1.0), (psi, psi, 1.0))
+        prep and meas are each problem.psi or problem.second_state(),
+        matched by value: those are the only states the walk's circuits
+        prepare and measure.
+        """
+        term = _TERM_OF[self._which(prep, "preparation"), self._which(meas, "measurement")]
+        return _clamped_real(self._circuits.at(n, self._noisy_walk)[term], f"depth {n}")
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
-        raw = self._tilde.readout(0, None, self.rho_tilde_vec, n, self._noisy_walk)
+        raw = self._tilde.at(n, self._noisy_walk)[0]
         if abs(raw.imag) > _IMAG_TOL:
             raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
         return float(raw.real)
@@ -207,8 +192,9 @@ class CircuitSimulator:
             raise ValueError(f"shots must be >= 1, got {shots}")
         total = 0.0
         eff = shots * boost
-        for term, (prep, meas, sign) in enumerate(self._signed_pairs()):
-            p = self.prob(prep, meas, n)
+        values = self._circuits.at(n, self._noisy_walk)
+        for term, (_, _, sign) in enumerate(_TERMS):
+            p = _clamped_real(values[term], f"depth {n}")
             gen = substream(seed, trial, n, term, boost, into=self.rng)
             total += sign * gen.binomial(eff, p) / eff
         return total

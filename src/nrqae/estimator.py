@@ -96,16 +96,12 @@ def merge_angles(values) -> list:
 
 
 def select_candidate(candidates, theta_prev: float) -> float:
-    """Candidate nearest theta_prev; ties (within 1e-12) take the smaller."""
-    if len(candidates) == 0:
-        raise ValueError("empty candidate list")
-    best = None
-    best_d = None
-    for theta in sorted(candidates):
-        d = abs(theta - theta_prev)
-        if best is None or d < best_d - _MERGE_TOL:
-            best, best_d = theta, d
-    return float(best)
+    """Candidate nearest theta_prev; ties (within 1e-12) take the smaller.
+
+    The candidates lie on [0, pi], where the seeded rule's fold is the
+    identity, so this is that rule at depth 1.
+    """
+    return _select_seeded(candidates, theta_prev, 1)
 
 
 class _SeedTables(NamedTuple):
@@ -251,24 +247,23 @@ def fold_theta(theta: float) -> float:
     return float(min(theta, np.pi - theta))
 
 
-def _fold_series(angle: float) -> float:
-    """Map any angle to the [0, pi] representative with the same cosine series."""
-    a = float(np.mod(angle, 2.0 * np.pi))
-    return min(a, 2.0 * np.pi - a)
-
-
 def _select_seeded(candidates, beta: float, n: int) -> float:
-    """First-success selection against a seed fitted to a depth-n triplet.
+    """Candidate theta whose folded n * theta is nearest beta; ties take the smaller.
 
     seed_theta reads its triplet at unit depth spacing, so on the depths
     (n, 2n, 3n) it estimates the folded angle n * theta rather than theta
     itself; candidates are compared on that measured scale. At n = 1 this
     is plain nearest-candidate selection.
     """
-    best = None
-    best_d = None
+    if len(candidates) == 0:
+        raise ValueError("empty candidate list")
+    period = 2.0 * np.pi
+    best = best_d = None
     for theta in sorted(candidates):
-        d = abs(_fold_series(n * theta) - beta)
+        # the [0, pi] angle with the same cosine series as n * theta; Python's
+        # float % rounds as np.mod does
+        a = n * theta % period
+        d = abs((a if a <= period - a else period - a) - beta)
         if best is None or d < best_d - _MERGE_TOL:
             best, best_d = theta, d
     return float(best)

@@ -48,6 +48,13 @@ def hoeffding_shots(eps: float, delta: float) -> int:
     return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
 
 
+def _median(values) -> float:
+    """np.median of a non-empty list, bit for bit, without numpy's import of numpy.ma."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -137,7 +144,7 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     summary_rows = []
     medians = {}
     for n in depths:
-        med = float(np.median(errors[n])) if errors[n] else None
+        med = _median(errors[n]) if errors[n] else None
         medians[n] = med
         summary_rows.append((n, med, len(errors[n])))
     fit_pts = [(n, m) for n, m in medians.items() if m is not None and m > 0]
@@ -211,10 +218,8 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
                 per_depth_nrqae.setdefault(rec.n, []).append(nrqae_err)
                 per_depth_iqae.setdefault(rec.n, []).append(iqae_err)
         depths = sorted(per_depth_nrqae)
-        median_series[f"{kind} nrqae"] = (depths, [float(np.median(per_depth_nrqae[n]))
-                                                   for n in depths])
-        median_series[f"{kind} iqae"] = (depths, [float(np.median(per_depth_iqae[n]))
-                                                  for n in depths])
+        median_series[f"{kind} nrqae"] = (depths, [_median(per_depth_nrqae[n]) for n in depths])
+        median_series[f"{kind} iqae"] = (depths, [_median(per_depth_iqae[n]) for n in depths])
     svg = line_plot(median_series, title="estimation error vs depth",
                     xlabel="max depth n", ylabel="median |estimate - true|",
                     logx=True, logy=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import NoiseSpec, noise_superop
 from .errors import DegenerateProblemError, NonPhysicalChannelError
-from .linalg import Spectrum, eig_dense, frob_norm
+from .linalg import Spectrum, eig_dense
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
 
 OVERLAP_FLAG_THRESHOLD = 0.5
@@ -116,7 +116,6 @@ class PerturbedStep:
 
     s: float
     step: np.ndarray
-    eps: float
     lam1: complex
     lam2: complex
     plane: np.ndarray
@@ -159,16 +158,15 @@ def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> P
         lam2, v2, overlap2 = _matched_pair(spec, sub.vectors[:, 2])
         plane = np.stack([v1, v2], axis=1)
         coef, *_ = np.linalg.lstsq(plane, rho_vec, rcond=None)
-        steps.append(PerturbedStep(s=float(s), step=step, eps=frob_norm(step - mg),
-                                   lam1=lam1, lam2=lam2, plane=plane, coef=coef,
-                                   overlap1=overlap1, overlap=min(overlap1, overlap2)))
+        steps.append(PerturbedStep(s=float(s), step=step, lam1=lam1, lam2=lam2, plane=plane,
+                                   coef=coef, overlap1=overlap1,
+                                   overlap=min(overlap1, overlap2)))
     return PerturbedSteps(basis=sub, mg=mg, rho_vec=rho_vec, steps=tuple(steps))
 
 
 @dataclass
 class Lemma1Row:
     s: float
-    eps: float
     eigenvalue: complex
     prediction: complex
     residual: float
@@ -184,7 +182,7 @@ def lemma1_check(steps: PerturbedSteps) -> list:
     for st in steps.steps:
         first = complex(np.vdot(b2, (st.step - steps.mg) @ b2))
         resid = abs(st.lam1 - (lam0 + first))
-        rows.append(Lemma1Row(s=st.s, eps=st.eps, eigenvalue=complex(st.lam1),
+        rows.append(Lemma1Row(s=st.s, eigenvalue=complex(st.lam1),
                               prediction=lam0 + first, residual=float(resid),
                               overlap=st.overlap1,
                               flagged=st.overlap1 < OVERLAP_FLAG_THRESHOLD))
@@ -194,7 +192,6 @@ def lemma1_check(steps: PerturbedSteps) -> list:
 @dataclass
 class Lemma2Row:
     s: float
-    eps: float
     c1_error: float
     c2_error: float
     span_residual: float
@@ -208,8 +205,7 @@ def lemma2_check(steps: PerturbedSteps) -> list:
     rows = []
     for st in steps.steps:
         resid = float(np.linalg.norm(steps.rho_vec - st.plane @ st.coef))
-        rows.append(Lemma2Row(s=st.s, eps=st.eps,
-                              c1_error=float(abs(st.coef[0] - c)),
+        rows.append(Lemma2Row(s=st.s, c1_error=float(abs(st.coef[0] - c)),
                               c2_error=float(abs(st.coef[1] - np.conj(c))),
                               span_residual=resid, overlap=st.overlap,
                               flagged=st.overlap < OVERLAP_FLAG_THRESHOLD))

@@ -73,18 +73,24 @@ def test_single_qubit_depolarizing_scales_the_series():
 
 
 def test_probabilities_form_a_distribution():
+    """Every layer maps a stack of density matrices to density matrices.
+
+    Trace 1 and a non-negative diagonal: the basis-state probabilities of
+    every slice form a distribution at every depth.
+    """
     rng = np.random.default_rng(223)
     p = random_problem(rng, 2)
+    a = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    rhos = a @ a.conj().swapaxes(1, 2)
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     for noise in (NoiseSpec(), NoiseSpec(kind="pauli"), NoiseSpec(kind="amplitude-damping")):
         sim = CircuitSimulator(p, noise)
-        total = 0.0
-        for i in range(4):
-            meas = np.zeros(4)
-            meas[i] = 1.0
-            val = sim.prob(p.psi, meas, 3)
-            assert 0.0 <= val <= 1.0
-            total += val
-        assert abs(total - 1.0) < 1e-10
+        stack = rhos
+        for _ in range(3):
+            stack = sim._noisy_walk(stack)
+            assert np.all(abs(np.trace(stack, axis1=1, axis2=2) - 1.0) < 1e-10), noise.kind
+            diag = np.diagonal(stack, axis1=1, axis2=2)
+            assert np.all(diag.real >= -1e-12) and np.all(abs(diag.imag) < 1e-12), noise.kind
 
 
 ORACLE_NOISES = (NoiseSpec(), NoiseSpec(kind="depolarizing"), NoiseSpec(kind="pauli"),
@@ -191,45 +197,42 @@ def test_preparations_share_one_stack():
              ("psi", "sec", 1), ("sec", "sec", 12), ("psi", "psi", 5), ("sec", "psi", 12)]
     for a, b, n in calls:
         assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
-    traj, index = sim._preps[np.asarray(psi, dtype=complex).tobytes()]
-    assert sim._preps[np.asarray(sec, dtype=complex).tobytes()] == (traj, 1 - index)
-    assert traj._rho0.shape == (2, 8, 8)
-    assert traj._depth == 12
-    # a probe registered after the trajectory passed its depth replays it from 0
-    basis = np.zeros(8)
-    basis[5] = 1.0
-    assert sim.prob(sec, basis, 4) == _reference_probs(sim, sec, basis, [4])[4]
-    assert traj._depth == 4
+    traj = sim._circuits
+    assert traj._rho.shape == (2, 8, 8)
+    assert len(traj.readouts) == 13  # depths 0..12
     # every value read before stays served from the read-outs
     for a, b, n in calls:
         assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
-    assert traj._depth == 4
-    # a third preparation follows its own one-slice stack
-    assert sim.prob(basis, psi, 6) == _reference_probs(sim, basis, psi, [6])[6]
-    own, own_index = sim._preps[np.asarray(basis, dtype=complex).tobytes()]
-    assert own is not traj and own_index == 0 and own._rho0.shape == (1, 8, 8)
-    assert own._depth == 6 and traj._depth == 4
+    assert sim._circuits is traj and len(traj.readouts) == 13
 
 
 def test_exact_run_builds_no_preparation_stack():
     p = random_problem(np.random.default_rng(271), 2)
     sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
     run(exact_provider(sim), k=3)
-    assert sim._preps == {}
-    assert sim._tilde._rho0.shape == (1, 4, 4)
+    assert "_circuits" not in vars(sim)
+    assert sim._tilde._rho.shape == (1, 4, 4)
     assert "rng" not in vars(sim)  # nor a generator
 
 
-def test_prob_checks_vector_lengths():
+def test_prob_accepts_only_the_walks_states():
+    """prob serves psi and the second state, matched by value, and nothing else."""
     p = random_problem(np.random.default_rng(277), 2)
     sim = CircuitSimulator(p)
-    with pytest.raises(ValueError, match=r"preparation .*2\^q = 4"):
+    third = np.ones(4) / 2.0
+    with pytest.raises(ValueError, match=r"preparation must be problem.psi"):
+        sim.prob(third, p.psi, 1)
+    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
+        sim.prob(p.psi, third, 1)
+    with pytest.raises(ValueError, match=r"preparation must be problem.psi"):
         sim.prob(np.ones(3) / np.sqrt(3), p.psi, 1)
-    with pytest.raises(ValueError, match=r"measurement .*2\^q = 4"):
+    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
         sim.prob(p.psi, np.ones(8) / np.sqrt(8), 1)
-    with pytest.raises(ValueError, match=r"measurement .*2\^q = 4"):
+    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
         sim.prob(p.psi, np.eye(4), 1)
-    assert sim._preps == {}
+    assert "_circuits" not in vars(sim)  # rejected before the stack is built
+    sec = p.second_state()
+    assert sim.prob(list(p.psi), sec.copy(), 2) == sim.prob(p.psi, sec, 2)
 
 
 def test_shared_simulator_matches_fresh_one():
@@ -243,14 +246,10 @@ def test_shared_simulator_matches_fresh_one():
         for n in (1, 2, 3, 24, 40):
             shared.sampled_t(n, 1000, seed=3, trial=trial)
     shared.exact_t(40)
-    # a measurement first asked for after the trajectory passed its depths
-    basis = np.zeros(4)
-    basis[1] = 1.0
-    assert shared.prob(sec, basis, 40) == CircuitSimulator(p, noise).prob(sec, basis, 40)
     for n in (0, 1, 5, 17, 40):
         fresh = CircuitSimulator(p, noise)
         assert shared.exact_t(n) == fresh.exact_t(n)
-        assert shared.prob(sec, basis, n) == fresh.prob(sec, basis, n)
+        assert shared.prob(sec, p.psi, n) == fresh.prob(sec, p.psi, n)
         assert shared.prob(p.psi, sec, n) == fresh.prob(p.psi, sec, n)
         assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
             fresh.sampled_t(n, 1000, seed=3, trial=7)
@@ -359,7 +358,8 @@ def test_draws_on_one_simulator_match_fresh_streams():
             n, trial, boost = args
             eff = shots * boost
             want = 0.0
-            for term, (prep, meas, sign) in enumerate(sim._signed_pairs()):
+            terms = ((sec, sec, 1.0), (psi, sec, -1.0), (sec, psi, -1.0), (psi, psi, 1.0))
+            for term, (prep, meas, sign) in enumerate(terms):
                 gen = _fresh_stream(seed, trial, n, term, boost)
                 want += sign * gen.binomial(eff, sim.prob(prep, meas, n)) / eff
             assert sim.sampled_t(n, shots, seed, trial, boost=boost) == want, draws[i]

@@ -134,6 +134,45 @@ def test_select_candidate():
     assert select_candidate([0.4, 0.6], 0.5) == 0.4  # tie toward the smaller
     with pytest.raises(ValueError):
         select_candidate([], 1.0)
+    with pytest.raises(ValueError):
+        estimator._select_seeded([], 1.0, 3)
+
+
+def _reference_select_candidate(candidates, theta_prev):
+    """The separate nearest-candidate loop select_candidate replaced, kept as the reference."""
+    best = best_d = None
+    for theta in sorted(candidates):
+        d = abs(theta - theta_prev)
+        if best is None or d < best_d - 1e-12:
+            best, best_d = theta, d
+    return float(best)
+
+
+def _reference_select_seeded(candidates, beta, n):
+    """The seeded rule with its fold through np.mod, kept as the reference."""
+    best = best_d = None
+    for theta in sorted(candidates):
+        a = float(np.mod(n * theta, 2.0 * np.pi))
+        d = abs(min(a, 2.0 * np.pi - a) - beta)
+        if best is None or d < best_d - 1e-12:
+            best, best_d = theta, d
+    return float(best)
+
+
+def test_selection_rules_match_their_references():
+    rng = np.random.default_rng(131)
+    for _ in range(4000):
+        n = 2 ** int(rng.integers(0, 7))
+        cands = candidate_angles(float(rng.uniform(-1.0, 1.0)), n)
+        ref = float(rng.uniform(0.0, np.pi))
+        # exact ties too: a reference on a candidate or halfway between two
+        if rng.random() < 0.2:
+            i = int(rng.integers(len(cands)))
+            ref = cands[i] if i == 0 else 0.5 * (cands[i - 1] + cands[i])
+        assert select_candidate(cands, ref) == _reference_select_candidate(cands, ref)
+        m = int(rng.integers(1, 65))
+        assert estimator._select_seeded(cands, ref, m) == \
+            _reference_select_seeded(cands, ref, m)
 
 
 def test_seed_theta_worked_triplet():

@@ -16,7 +16,7 @@ from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_fr
                           config_to_dict, load_config, save_config)
 from nrqae.errors import ConfigError
 from nrqae.estimator import run
-from nrqae.experiments import (VerifyReport, hoeffding_shots, run_compare_noise,
+from nrqae.experiments import (VerifyReport, _median, hoeffding_shots, run_compare_noise,
                                run_estimate, run_sweep_depth,
                                run_verify_perturbation, write_csv)
 from nrqae.svgplot import line_plot
@@ -631,3 +631,32 @@ def test_import_builds_no_cached_basis():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["0", "0", "0", "0"]
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(643)
+    for size in range(1, 41):
+        for _ in range(25):
+            values = (rng.standard_normal(size) * 10.0 ** rng.integers(-12, 4)).tolist()
+            if rng.random() < 0.3:
+                values += values[: size // 2]  # repeated values
+            assert _median(values) == float(np.median(values)), values
+
+
+def test_sweeps_do_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call; the drivers take their
+    # medians without it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config_version": 1, "mode": "amplitude", "qubits": 1,
+                               "amplitude": 0.75, "noise": {"kind": "pauli"},
+                               "shots": 100000, "iterations": 5, "trials": 10, "seed": 7}))
+    code = ("import sys\n"
+            "from nrqae.cli import main\n"
+            f"for command in ('sweep-depth', 'compare-noise'):\n"
+            f"    assert main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
