@@ -17,9 +17,8 @@ from .errors import (ConfigError, DegenerateProblemError, DepthGuardError,
 from .estimator import (EstimationResult, candidate_angles, fit_decay, ratio_y,
                         roots_cos, run, seed_theta, select_candidate)
 from .experiments import hoeffding_shots
-from .model import (EstimationProblem, amplitude_problem, grover, grover_amplitude,
-                    grover_observable, observable_problem, reflection_about, rho_tilde,
-                    theta_to_value)
+from .model import (EstimationProblem, amplitude_problem, grover, observable_problem,
+                    reflection_about, rho_tilde, theta_to_value)
 from .perturbation import (lemma1_check, lemma2_check, perturbed_steps, subspace_basis,
                            theorem1_check)
 
@@ -31,9 +30,8 @@ __all__ = [
     "IqaeResult", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError", "TProvider",
     "amplitude_problem", "avg_gate_fidelity", "build_problem",
     "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
-    "fit_decay", "grover", "grover_amplitude", "grover_observable", "hoeffding_shots",
-    "iqae_run", "lemma1_check", "lemma2_check", "noise_superop", "observable_problem",
-    "perturbed_provider", "perturbed_steps", "ratio_y", "reflection_about", "rho_tilde",
-    "roots_cos", "run", "sampled_provider", "seed_theta", "select_candidate",
-    "subspace_basis", "theorem1_check", "theta_to_value",
+    "fit_decay", "grover", "hoeffding_shots", "iqae_run", "lemma1_check", "lemma2_check",
+    "noise_superop", "observable_problem", "perturbed_provider", "perturbed_steps", "ratio_y",
+    "reflection_about", "rho_tilde", "roots_cos", "run", "sampled_provider", "seed_theta",
+    "select_candidate", "subspace_basis", "theorem1_check", "theta_to_value",
 ]

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NonPhysicalChannelError
-from .linalg import square
 from .rng import substream
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -102,14 +101,9 @@ def ptm_to_superop(ptm, qubits: int) -> np.ndarray:
     return v @ np.asarray(ptm, dtype=complex) @ v.conj().T
 
 
-def superop_to_ptm(superop, qubits: int) -> np.ndarray:
-    v = pauli_vec_basis(qubits)
-    return v.conj().T @ np.asarray(superop, dtype=complex) @ v
-
-
 def ptm_of_conjugation(k) -> np.ndarray:
     """PTM of rho -> K rho K^dag for a single-qubit operator K."""
-    k = square(k)
+    k = np.asarray(k, dtype=complex)
     if k.shape != (2, 2):
         raise ValueError("expected a 2x2 operator")
     paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
@@ -261,8 +255,10 @@ def avg_gate_fidelity(noisy, ideal) -> float:
     twirled-overlap formula; the package uses it for every kind, with the
     statistical kind rescaled at draw time to hit its configured target.
     """
-    noisy = square(noisy)
-    ideal = square(ideal)
+    noisy = np.asarray(noisy, dtype=complex)
+    ideal = np.asarray(ideal, dtype=complex)
+    if noisy.ndim != 2 or noisy.shape[0] != noisy.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {noisy.shape}")
     if noisy.shape != ideal.shape:
         raise ValueError(f"superoperator shapes differ: {noisy.shape} vs {ideal.shape}")
     d = int(round(np.sqrt(noisy.shape[0])))

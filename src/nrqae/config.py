@@ -17,8 +17,7 @@ import numpy as np
 
 from .channels import NOISE_KINDS, NoiseSpec, pauli_string
 from .errors import ConfigError
-from .linalg import eig_dense
-from .model import NORM_TOL, EstimationProblem, amplitude_problem, observable_problem
+from .model import NORM_TOL, EstimationProblem, amplitude_problem, eig_dense, observable_problem
 
 CONFIG_VERSION = 1
 # Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
@@ -89,6 +88,13 @@ class ExperimentConfig:
             "a list of noise kinds")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
+        label = self.observable or ""
+        if self.mode == "observable" and (len(label) != self.qubits
+                                          or not set(label) <= set("IXYZ")
+                                          or not set(label) & set("XYZ")):
+            raise ConfigError(f"observable must be one IXYZ letter per qubit "
+                              f"(qubits = {self.qubits}), not all I (the identity is not "
+                              f"traceless), got {self.observable!r}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.iterations > MAX_ITERATIONS:
@@ -138,14 +144,15 @@ def _check_type(name: str, value, valid, wanted: str):
 
 
 def _check_grid(name: str, grid, valid, wanted: str):
-    """Entry-wise check plus the two positive points the log-log slope fits need."""
+    """Entry-wise check plus the two distinct positive points the log-log slope fits need."""
     if not isinstance(grid, list):
         raise ConfigError(f"{name} must be a list, got {type(grid).__name__}")
     for entry in grid:
         if not valid(entry):
             raise ConfigError(f"{name} entry {entry!r} is not {wanted}")
-    if sum(entry > 0 for entry in grid) < 2:
-        raise ConfigError(f"{name} needs at least two positive points, got {grid}")
+    if len({entry for entry in grid if entry > 0}) < 2:
+        raise ConfigError(f"{name} needs at least two positive points with distinct values, "
+                          f"got {grid}")
 
 
 def _noise_to_dict(spec: NoiseSpec) -> dict:
@@ -277,17 +284,12 @@ def build_problem(cfg: ExperimentConfig) -> EstimationProblem:
         return amplitude_problem(psi, phi)
     if cfg.amplitude is not None or cfg.phi is not None:
         raise ConfigError("amplitude/phi are amplitude-mode settings")
-    if cfg.observable is None:
-        raise ConfigError("observable mode needs an observable Pauli string")
     obs = pauli_string(cfg.observable)
-    if obs.shape[0] != dim:
-        raise ConfigError(f"observable {cfg.observable!r} acts on "
-                          f"{int(np.log2(obs.shape[0]))} qubits, config says {cfg.qubits}")
     if cfg.psi is not None:
         return observable_problem(_vector_from(cfg.psi, dim, "psi"), obs)
     chi = _theta_g_from(cfg)
-    spec = eig_dense(obs)
-    plus = spec.eigenvectors[:, int(np.argmin(np.abs(spec.eigenvalues - 1.0)))]
-    minus = spec.eigenvectors[:, int(np.argmin(np.abs(spec.eigenvalues + 1.0)))]
+    w, v = eig_dense(obs)
+    plus = v[:, int(np.argmin(np.abs(w - 1.0)))]
+    minus = v[:, int(np.argmin(np.abs(w + 1.0)))]
     psi = np.cos(chi / 2.0) * plus + np.sin(chi / 2.0) * minus
     return observable_problem(psi, obs)

@@ -45,7 +45,12 @@ def hoeffding_shots(eps: float, delta: float) -> int:
         raise ConfigError(f"eps must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    return int(math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps)))
+    # eps^2 can underflow to 0 and 2 / delta overflow to inf
+    denominator = 2.0 * eps * eps
+    shots = math.log(2.0 / delta) / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(shots):
+        raise ConfigError(f"the shot count for eps={eps}, delta={delta} overflows a float")
+    return int(math.ceil(shots))
 
 
 def _median(values) -> float:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import cmat, is_hermitian, square
+from .errors import NrqaeError
 
 NORM_TOL = 1e-10
 
@@ -79,10 +79,10 @@ class EstimationProblem:
         else:
             if self.observable is None:
                 raise ValueError("observable mode needs an observable")
-            obs = square(self.observable)
-            if obs.shape[0] != dim:
+            obs = np.asarray(self.observable, dtype=complex)
+            if obs.shape != (dim, dim):
                 raise ValueError(f"observable is {obs.shape}, expected ({dim}, {dim})")
-            if not is_hermitian(obs):
+            if not np.linalg.norm(obs - obs.conj().T) <= 1e-10:
                 raise ValueError("observable is not Hermitian")
             if np.linalg.norm(obs @ obs - np.eye(dim)) > 1e-10:
                 raise ValueError("observable is not an involution (O @ O != I)")
@@ -117,24 +117,11 @@ def observable_problem(psi, observable) -> EstimationProblem:
     return EstimationProblem(mode="observable", qubits=q, psi=psi, observable=observable)
 
 
-def grover_amplitude(problem: EstimationProblem) -> np.ndarray:
-    """Walk operator (2|phi><phi| - I)(2|psi><psi| - I)."""
-    if problem.mode != "amplitude":
-        raise ValueError("grover_amplitude needs an amplitude-mode problem")
-    return reflection_about(problem.phi) @ reflection_about(problem.psi)
-
-
-def grover_observable(problem: EstimationProblem) -> np.ndarray:
-    """Walk operator (2|psi><psi| - I) O."""
-    if problem.mode != "observable":
-        raise ValueError("grover_observable needs an observable-mode problem")
-    return reflection_about(problem.psi) @ problem.observable
-
-
 def grover(problem: EstimationProblem) -> np.ndarray:
+    """Walk operator (2|phi><phi| - I)(2|psi><psi| - I), or (2|psi><psi| - I) O."""
     if problem.mode == "amplitude":
-        return grover_amplitude(problem)
-    return grover_observable(problem)
+        return reflection_about(problem.phi) @ reflection_about(problem.psi)
+    return reflection_about(problem.psi) @ problem.observable
 
 
 @dataclass(frozen=True)
@@ -179,10 +166,35 @@ def rho_tilde(problem: EstimationProblem) -> np.ndarray:
 
 def vectorize(op) -> np.ndarray:
     """Row-stacking vec: C-order reshape to a vector."""
-    return cmat(op).reshape(-1)
+    return np.asarray(op, dtype=complex).reshape(-1)
 
 
 def conjugation_superop(u) -> np.ndarray:
     """Superoperator of rho -> U rho U^dag in the row-stacking basis."""
-    u = square(u)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {u.shape}")
     return np.kron(u, u.conj())
+
+
+def eig_dense(m):
+    """Full eigendecomposition (w, v) of a dense square matrix.
+
+    w[i] pairs with the unit-norm column v[:, i]. Entries are sorted by
+    descending modulus, ties by phase in [0, 2*pi). Within a degenerate
+    cluster the basis is whatever the solver returned; callers that need an
+    invariant subspace should project onto the cluster.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    try:
+        w, v = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NrqaeError(f"eigensolver did not converge: {exc}") from exc
+    phase = np.mod(np.angle(w), 2.0 * np.pi)
+    order = np.lexsort((phase, -np.abs(w)))
+    w = w[order]
+    v = v[:, order]
+    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    return w, v

@@ -35,8 +35,7 @@ import numpy as np
 
 from .channels import NoiseSpec, noise_superop
 from .errors import DegenerateProblemError, NonPhysicalChannelError
-from .linalg import Spectrum, eig_dense
-from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
+from .model import EstimationProblem, conjugation_superop, eig_dense, grover, rho_tilde, vectorize
 
 OVERLAP_FLAG_THRESHOLD = 0.5
 _IMAG_TOL = 1e-8
@@ -72,8 +71,8 @@ def subspace_basis(problem: EstimationProblem) -> SubspaceBasis:
     u2 = perp / nrm
     basis = np.stack([psi, u2], axis=1)
     g2 = basis.conj().T @ g @ basis
-    spec = eig_dense(g2)
-    phases = np.angle(spec.eigenvalues)
+    w, v = eig_dense(g2)
+    phases = np.angle(w)
     plus_idx = int(np.argmax(phases))
     minus_idx = 1 - plus_idx
     theta_g = float(phases[plus_idx])
@@ -81,10 +80,10 @@ def subspace_basis(problem: EstimationProblem) -> SubspaceBasis:
         raise DegenerateProblemError(f"degenerate rotation phase {theta_g}")
 
     def lifted(idx: int) -> np.ndarray:
-        v = basis @ spec.eigenvectors[:, idx]
-        v = v / np.linalg.norm(v)
-        j = int(np.argmax(np.abs(v)))
-        return v * np.exp(-1j * np.angle(v[j]))
+        u = basis @ v[:, idx]
+        u = u / np.linalg.norm(u)
+        j = int(np.argmax(np.abs(u)))
+        return u * np.exp(-1j * np.angle(u[j]))
 
     phi_plus = lifted(plus_idx)
     phi_minus = lifted(minus_idx)
@@ -134,14 +133,16 @@ class PerturbedSteps:
     steps: tuple
 
 
-def _matched_pair(spec: Spectrum, target_vec: np.ndarray):
-    overlaps = np.abs(spec.eigenvectors.conj().T @ target_vec)
+def _matched_pair(eig, target_vec: np.ndarray):
+    """The eigenpair of eig = (w, v) whose vector overlaps target_vec most, phase-aligned to it."""
+    w, v = eig
+    overlaps = np.abs(v.conj().T @ target_vec)
     idx = int(np.argmax(overlaps))
-    vec = spec.eigenvectors[:, idx]
+    vec = v[:, idx]
     phase = np.vdot(target_vec, vec)
     if abs(phase) > 0:
         vec = vec * np.exp(-1j * np.angle(phase))
-    return spec.eigenvalues[idx], vec, float(overlaps[idx])
+    return w[idx], vec, float(overlaps[idx])
 
 
 def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> PerturbedSteps:
@@ -153,9 +154,9 @@ def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> P
     steps = []
     for s in s_values:
         step = interpolated_noise(n_full, s) @ mg
-        spec = eig_dense(step)
-        lam1, v1, overlap1 = _matched_pair(spec, sub.vectors[:, 1])
-        lam2, v2, overlap2 = _matched_pair(spec, sub.vectors[:, 2])
+        eig = eig_dense(step)
+        lam1, v1, overlap1 = _matched_pair(eig, sub.vectors[:, 1])
+        lam2, v2, overlap2 = _matched_pair(eig, sub.vectors[:, 2])
         plane = np.stack([v1, v2], axis=1)
         coef, *_ = np.linalg.lstsq(plane, rho_vec, rcond=None)
         steps.append(PerturbedStep(s=float(s), step=step, lam1=lam1, lam2=lam2, plane=plane,

@@ -14,8 +14,7 @@ from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.config import DEFAULT_S_GRID, ExperimentConfig
 from nrqae.estimator import ratio_y, roots_cos, run
 from nrqae.experiments import hoeffding_shots, run_compare_noise, run_sweep_depth
-from nrqae.linalg import eig_dense
-from nrqae.model import (amplitude_problem, conjugation_superop, grover,
+from nrqae.model import (amplitude_problem, conjugation_superop, eig_dense, grover,
                          observable_problem, rho_tilde, vectorize)
 from nrqae.perturbation import (fit_loglog_slope, lemma1_check, lemma2_check,
                                 perturbed_steps, subspace_basis, theorem1_check)
@@ -151,11 +150,11 @@ def test_06_noisy_phase_tracking():
     noise = NoiseSpec(kind="depolarizing")
     res = run(exact_provider(CircuitSimulator(problem, noise)), k=6)
     step = noise_superop(noise, 1) @ conjugation_superop(grover(problem))
-    spec = eig_dense(step)
+    w, v = eig_dense(step)
     ref = vectorize(rho_tilde(problem))
     ref = ref / np.linalg.norm(ref)
     best = None
-    for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
+    for lam, vec in zip(w, v.T):
         phase = abs(np.angle(lam))
         if phase < 1e-9 or abs(np.vdot(vec, ref)) <= 0.3:
             continue

@@ -1,7 +1,9 @@
 """Property test: any mix of valid and invalid settings ends in a clean exit.
 
-The draws cover the scalar settings, the config version, the observable and
-one state geometry (amplitude, theta_g or explicit psi/phi vectors).
+The draws cover the mode, the scalar settings, the config version, the
+observable and one state geometry: amplitude, theta_g or explicit psi/phi
+vectors in amplitude mode; expectation, theta_g or an explicit psi in
+observable mode.
 """
 
 import contextlib
@@ -54,15 +56,18 @@ FIELDS = {
     "retry": _scalar(st.booleans(), st.integers(0, 1) | NUMBERS | st.none() | JUNK),
     "config_version": _scalar(st.just(1), st.integers().filter(lambda v: v != 1)
                               | st.just(1.0) | st.booleans() | st.none() | JUNK),
-    "observable": _scalar(st.none() | st.sampled_from(["Z", "XZ"]),
-                          st.integers() | NUMBERS | st.booleans() | st.lists(st.text(max_size=2),
-                                                                            max_size=2)),
 }
+# the wrong type for the observable in either mode; amplitude mode reads nothing else of it
+BAD_OBSERVABLE = (st.integers() | NUMBERS | st.booleans()
+                  | st.lists(st.text(max_size=2), max_size=2))
 
-# an invalid angle: the wrong type, or a number that leaves no state phase in (0, pi)
-BAD_ANGLE = (st.text(max_size=3) | st.lists(st.floats(0.1, 0.9), max_size=2) | st.booleans()
-             | st.none() | st.floats(min_value=3.2) | st.floats(max_value=-0.01)
-             | st.just(math.nan))
+# an invalid angle or expectation: the wrong type, or a number that leaves no
+# state phase in (0, pi)
+BAD_TYPE = (st.text(max_size=3) | st.lists(st.floats(0.1, 0.9), max_size=2) | st.booleans()
+            | st.none())
+BAD_ANGLE = BAD_TYPE | st.floats(min_value=3.2) | st.floats(max_value=-0.01) | st.just(math.nan)
+BAD_EXPECTATION = (BAD_TYPE | st.floats(min_value=1.0) | st.floats(max_value=-1.0)
+                   | st.just(math.nan))
 PAIR = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
 BAD_PAIRS = (st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3) | st.text(max_size=3)
              | st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), min_size=1,
@@ -75,9 +80,32 @@ def _pairs(vec) -> list:
     return [[float(v), 0.0] for v in vec]
 
 
+def _bad_psi(dim: int):
+    """The wrong type, the wrong size or not normalized."""
+    return (BAD_PAIRS | st.just(_pairs(np.ones(dim)))
+            | st.lists(PAIR, min_size=1, max_size=8).filter(lambda v: len(v) != dim))
+
+
+@st.composite
+def observable_geometry(draw, dim: int):
+    """({setting: value}, is_valid) for one observable-mode state geometry on dim amplitudes."""
+    kind = draw(st.sampled_from(["expectation", "theta_g", "psi"]))
+    if kind == "expectation":
+        value, ok = draw(_scalar(st.floats(-0.95, 0.95), BAD_EXPECTATION))
+        return {"expectation": value}, ok
+    if kind == "theta_g":
+        value, ok = draw(_scalar(st.floats(0.1, 3.0), BAD_ANGLE))
+        return {"theta_g": value}, ok
+    # a generic complex state is an eigenvector of no Pauli string other than
+    # the identity, so every valid observable leaves it a rotation plane
+    vec = np.random.default_rng(dim).standard_normal((dim, 2))
+    value, ok = draw(_scalar(st.just((vec / np.linalg.norm(vec)).tolist()), _bad_psi(dim)))
+    return {"psi": value}, ok
+
+
 @st.composite
 def geometry(draw, dim: int):
-    """({setting: value}, is_valid) for one state geometry on dim amplitudes."""
+    """({setting: value}, is_valid) for one amplitude-mode state geometry on dim amplitudes."""
     kind = draw(st.sampled_from(["amplitude", "theta_g", "psi"]))
     if kind == "amplitude":
         value, ok = draw(_scalar(st.floats(0.05, 0.95), BAD_ANGLE))
@@ -85,14 +113,10 @@ def geometry(draw, dim: int):
     if kind == "theta_g":
         value, ok = draw(_scalar(st.floats(0.1, 3.0), BAD_ANGLE))
         return {"theta_g": value}, ok
-    # phi is the uniform state; a valid psi is a basis state of the right size,
-    # an invalid one the wrong type, the wrong size or not normalized
+    # phi is the uniform state; a valid psi is a basis state of the right size
     phi = _pairs([dim ** -0.5] * dim)
     basis = draw(st.integers(0, dim - 1))
-    valid = st.just(_pairs(1.0 * (np.arange(dim) == basis)))
-    invalid = (BAD_PAIRS | st.just(_pairs(np.ones(dim)))
-               | st.lists(PAIR, min_size=1, max_size=8).filter(lambda v: len(v) != dim))
-    value, ok = draw(_scalar(valid, invalid))
+    value, ok = draw(_scalar(st.just(_pairs(1.0 * (np.arange(dim) == basis))), _bad_psi(dim)))
     return {"psi": value, "phi": phi}, ok
 
 
@@ -101,7 +125,21 @@ def configs(draw):
     """(config dict, every setting valid)."""
     drawn = draw(st.fixed_dictionaries({}, optional=FIELDS))
     qubits, qubits_ok = drawn.get("qubits", (1, True))
-    state, state_ok = draw(geometry(2 ** qubits if qubits_ok else 2))
+    dim = 2 ** qubits if qubits_ok else 2
+    mode = draw(st.sampled_from(["amplitude", "observable"]))
+    if mode == "amplitude":
+        state, state_ok = draw(geometry(dim))
+        # amplitude mode checks only the observable's type
+        observable = _scalar(st.none() | st.sampled_from(["Z", "XZ"]), BAD_OBSERVABLE)
+    else:
+        state, state_ok = draw(observable_geometry(dim))
+        # one IXYZ letter per qubit, not all I; short strings make both faults common
+        label = draw(st.text("IXYZ", min_size=1, max_size=3))
+        label_ok = len(label) == qubits and set(label) != {"I"}
+        observable = st.just((label, label_ok)) | (st.none() | BAD_OBSERVABLE).map(
+            lambda v: (v, False))
+    drawn["mode"] = (mode, True)
+    drawn["observable"] = draw(observable)
     config = {**state, **{name: value for name, (value, _) in drawn.items()}}
     return config, state_ok and all(ok for _, ok in drawn.values())
 

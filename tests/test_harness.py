@@ -1,6 +1,7 @@
 """Config handling, experiment runners, SVG output, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,11 @@ def test_hoeffding_shots():
     for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.1, 0.0), (0.1, 1.0)):
         with pytest.raises(ConfigError):
             hoeffding_shots(eps, delta)
+    # eps^2 underflows to 0, or 2 / delta overflows: the count is not a finite float
+    for eps, delta in ((1e-200, 0.05), (0.01, 1e-320), (1e-160, 0.05)):
+        with pytest.raises(ConfigError, match="overflows"):
+            hoeffding_shots(eps, delta)
+    assert hoeffding_shots(1e-150, 0.05) == math.ceil(math.log(40.0) / (2.0 * 1e-150 * 1e-150))
 
 
 def test_config_dict_round_trip():
@@ -330,6 +336,12 @@ def test_cli_plan_shots(tmp_path, capsys):
 def test_cli_plan_shots_bad_range(capsys):
     assert main(["plan-shots", "--eps", "0", "--delta", "0.05"]) == 1
     assert "error:" in capsys.readouterr().err
+    # in range, but eps^2 underflows or 2 / delta overflows
+    for eps, delta in (("1e-200", "0.05"), ("0.01", "1e-320")):
+        assert main(["plan-shots", "--eps", eps, "--delta", delta]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_cli_usage_errors():
@@ -544,6 +556,11 @@ def test_qubit_limit_is_checked_when_the_config_is_read(tmp_path, capsys):
     ({}, ["--iterations", "-1"], "iterations must be >= 0, got -1"),
     ({}, ["--shots", "0"], "shots must be >= 1, got 0"),
     ({}, ["--trials", "0"], "trials must be >= 1, got 0"),
+    # the slope fits need two distinct strengths, not one repeated
+    ({"s_grid": [0.01, 0.01]}, [],
+     "s_grid needs at least two positive points with distinct values"),
+    ({"depth_grid": [0, 4, 4]}, [],
+     "depth_grid needs at least two positive points with distinct values"),
 ])
 def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, extra, flags,
                                                            message):
@@ -555,6 +572,14 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+OBSERVABLE_MODE = {"amplitude": None, "mode": "observable", "expectation": 0.5}
+
+
+def _bad_observable(qubits: int, got: str) -> str:
+    return (f"observable must be one IXYZ letter per qubit (qubits = {qubits}), not all I "
+            f"(the identity is not traceless), got {got}")
 
 
 @pytest.mark.parametrize("command, extra, flags, message", [
@@ -602,6 +627,22 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
      "compare_kinds must be a list of noise kinds, got ['pauli', 'bogus']"),
     ("sweep-depth", {}, ["--trials", "1000000000"], "trials must be <= 10000, got 1000000000"),
     ("sweep-depth", {"trials": 10_001}, [], "trials must be <= 10000, got 10001"),
+    # the observable is checked when the config is read: one IXYZ letter per
+    # qubit, and not all I, since the identity is not traceless
+    ("estimate", {**OBSERVABLE_MODE, "observable": "I"}, [], _bad_observable(1, "'I'")),
+    ("sweep-depth", {**OBSERVABLE_MODE, "observable": "I"}, [], _bad_observable(1, "'I'")),
+    ("compare-noise", {**OBSERVABLE_MODE, "observable": "I"}, [], _bad_observable(1, "'I'")),
+    ("verify-perturbation", {**OBSERVABLE_MODE, "observable": "I"}, [],
+     _bad_observable(1, "'I'")),
+    ("estimate", {**OBSERVABLE_MODE, "qubits": 2, "observable": "II"}, [],
+     _bad_observable(2, "'II'")),
+    ("estimate", {**OBSERVABLE_MODE, "observable": "ZZ"}, [], _bad_observable(1, "'ZZ'")),
+    ("estimate", {**OBSERVABLE_MODE, "qubits": 2, "observable": "Z"}, [],
+     _bad_observable(2, "'Z'")),
+    ("estimate", {**OBSERVABLE_MODE, "qubits": 2, "observable": "ZQ"}, [],
+     _bad_observable(2, "'ZQ'")),
+    ("estimate", {**OBSERVABLE_MODE, "observable": ""}, [], _bad_observable(1, "''")),
+    ("estimate", OBSERVABLE_MODE, [], _bad_observable(1, "None")),
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from nrqae.linalg import eig_dense
+from nrqae.errors import NrqaeError
 from nrqae.model import (
     EstimationProblem,
     ValuePair,
     amplitude_problem,
     as_state,
     conjugation_superop,
+    eig_dense,
     grover,
-    grover_amplitude,
-    grover_observable,
     observable_problem,
     reflection_about,
     rho_tilde,
@@ -81,7 +80,7 @@ def test_walk_matrix_on_plane_instance():
     # psi = |0>, phi at angle pi/6: the product of reflections rotates by pi/3.
     psi = np.array([1.0, 0.0])
     phi = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
-    g = grover_amplitude(amplitude_problem(psi, phi))
+    g = grover(amplitude_problem(psi, phi))
     half = np.sqrt(3.0) / 2.0
     assert np.allclose(g, [[0.5, -half], [half, 0.5]], atol=1e-12)
 
@@ -93,7 +92,7 @@ def test_amplitude_trace_relation():
         q = int(rng.integers(1, 4))
         d = 2 ** q
         psi, phi = random_state(rng, d), random_state(rng, d)
-        g = grover_amplitude(amplitude_problem(psi, phi))
+        g = grover(amplitude_problem(psi, phi))
         want = 4.0 * abs(np.vdot(phi, psi)) ** 2 - 4.0 + d
         assert abs(np.trace(g) - want) < 1e-10
 
@@ -106,7 +105,7 @@ def test_observable_trace_relation():
         d = 2 ** q
         psi = random_state(rng, d)
         obs = random_involution(rng, d)
-        g = grover_observable(observable_problem(psi, obs))
+        g = grover(observable_problem(psi, obs))
         want = 2.0 * np.vdot(psi, obs @ psi).real
         assert abs(np.trace(g) - want) < 1e-10
 
@@ -118,7 +117,7 @@ def test_observable_walk_negates_o_orthogonal_states():
         d = 4
         psi = random_state(rng, d)
         obs = random_involution(rng, d)
-        g = grover_observable(observable_problem(psi, obs))
+        g = grover(observable_problem(psi, obs))
         s = random_state(rng, d)
         os = obs @ s
         os -= np.vdot(psi, os) * psi
@@ -129,18 +128,18 @@ def test_observable_walk_negates_o_orthogonal_states():
 def test_observable_walk_literal():
     psi = np.array([1.0, 0.0, 0.0, 0.0])
     obs = np.diag([1.0, 1.0, -1.0, -1.0])
-    g = grover_observable(observable_problem(psi, obs))
+    g = grover(observable_problem(psi, obs))
     assert np.allclose(g, np.diag([1.0, -1.0, 1.0, 1.0]), atol=1e-12)
     assert abs(np.trace(g) - 2.0) < 1e-12
 
 
 def test_grover_dispatch():
+    # amplitude mode: diag(-1, 1) @ diag(1, -1); observable mode: diag(1, -1) @ X
     psi = np.array([1.0, 0.0])
     phi = np.array([0.0, 1.0])
-    p = amplitude_problem(psi, phi)
-    assert np.allclose(grover(p), grover_amplitude(p))
-    with pytest.raises(ValueError):
-        grover_observable(p)
+    assert np.array_equal(grover(amplitude_problem(psi, phi)), -np.eye(2))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(grover(observable_problem(psi, x)), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_theta_to_value():
@@ -178,12 +177,12 @@ def test_rho_tilde_avoids_stationary_eigenvectors():
     for _ in range(5):
         p = amplitude_problem(random_state(rng, 4), random_state(rng, 4))
         m = conjugation_superop(grover(p))
-        spec = eig_dense(m)
-        ones = np.abs(spec.eigenvalues - 1.0) < 1e-8
+        w, v = eig_dense(m)
+        ones = np.abs(w - 1.0) < 1e-8
         assert int(ones.sum()) >= 6
         rv = vectorize(rho_tilde(p))
         for i in np.flatnonzero(ones):
-            assert abs(np.vdot(spec.eigenvectors[:, i], rv)) < 1e-10
+            assert abs(np.vdot(v[:, i], rv)) < 1e-10
 
 
 def test_vectorize_round_trip():
@@ -194,8 +193,6 @@ def test_vectorize_round_trip():
     assert np.array_equal(v, a.reshape(-1))  # row stacking: v[4 i + j] = a[i, j]
     assert v[4 * 2 + 3] == a[2, 3]
     assert np.array_equal(v.reshape(4, 4), a)
-    with pytest.raises(ValueError):
-        vectorize(np.zeros(5))
 
 
 def test_conjugation_superop_action():
@@ -208,3 +205,34 @@ def test_conjugation_superop_action():
         lhs = conjugation_superop(u) @ vectorize(rho)
         rhs = vectorize(u @ rho @ u.conj().T)
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_eig_dense_reconstructs_action():
+    # A v_i = w_i v_i for every returned pair, on generic dense matrices.
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        d = int(rng.integers(2, 9))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        w, v = eig_dense(a)
+        for i in range(d):
+            assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) < 1e-8
+            assert abs(np.linalg.norm(v[:, i]) - 1.0) < 1e-12
+
+
+def test_eig_dense_ordering():
+    """Descending modulus, then ascending phase mod 2 pi on ties."""
+    w, _ = eig_dense(np.diag([1.0, -1.0, 1j, 0.5]))
+    assert np.all(np.diff(np.abs(w)) <= 1e-12)
+    # the three unit-modulus values come out phase ordered: 1, i, -1
+    assert np.allclose(w[:3], [1.0, 1j, -1.0], atol=1e-12)
+    assert abs(w[3] - 0.5) < 1e-12
+
+
+def test_eig_dense_rejects_non_square():
+    with pytest.raises(ValueError):
+        eig_dense(np.zeros((3, 4)))
+
+
+def test_eig_dense_wraps_solver_failure():
+    with pytest.raises(NrqaeError, match="eigensolver did not converge"):
+        eig_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
