@@ -17,7 +17,8 @@ import numpy as np
 
 from .channels import NOISE_KINDS, NoiseSpec, pauli_string
 from .errors import ConfigError
-from .model import NORM_TOL, EstimationProblem, amplitude_problem, eig_dense, observable_problem
+from .model import (NORM_TOL, EstimationProblem, amplitude_problem, eig_dense, observable_problem,
+                    rotation_plane)
 
 CONFIG_VERSION = 1
 # Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
@@ -261,7 +262,9 @@ def build_problem(cfg: ExperimentConfig) -> EstimationProblem:
     Synthetic states put |psi> on the first basis vector with the second
     direction on the last basis vector (amplitude mode), or split |psi>
     across the first +1 and -1 eigenvectors of the observable at the angle
-    matching the requested expectation (observable mode).
+    matching the requested expectation (observable mode). Explicit states
+    that span no plane for the walk raise DegenerateProblemError, as the
+    scalar forms of a degenerate geometry raise ConfigError.
     """
     count = _state_spec_count(cfg)
     if count != 1:
@@ -273,8 +276,10 @@ def build_problem(cfg: ExperimentConfig) -> EstimationProblem:
         if cfg.psi is not None:
             if cfg.phi is None:
                 raise ConfigError("explicit psi needs an explicit phi in amplitude mode")
-            return amplitude_problem(_vector_from(cfg.psi, dim, "psi"),
-                                     _vector_from(cfg.phi, dim, "phi"))
+            problem = amplitude_problem(_vector_from(cfg.psi, dim, "psi"),
+                                        _vector_from(cfg.phi, dim, "phi"))
+            rotation_plane(problem)  # the states must span the walk's plane
+            return problem
         delta = _theta_g_from(cfg) / 2.0
         psi = np.zeros(dim, dtype=complex)
         psi[0] = 1.0
@@ -286,7 +291,9 @@ def build_problem(cfg: ExperimentConfig) -> EstimationProblem:
         raise ConfigError("amplitude/phi are amplitude-mode settings")
     obs = pauli_string(cfg.observable)
     if cfg.psi is not None:
-        return observable_problem(_vector_from(cfg.psi, dim, "psi"), obs)
+        problem = observable_problem(_vector_from(cfg.psi, dim, "psi"), obs)
+        rotation_plane(problem)  # the states must span the walk's plane
+        return problem
     chi = _theta_g_from(cfg)
     w, v = eig_dense(obs)
     plus = v[:, int(np.argmin(np.abs(w - 1.0)))]

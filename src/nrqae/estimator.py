@@ -11,18 +11,18 @@ spacing halves each round while earlier rounds pin the branch.
 The working angle is the series phase in [0, pi], the frequency of
 cos(m theta) in the depth series; it is twice the folded state-space
 phase. Since cos(2 n theta) is symmetric about pi/2, pi - theta shows up
-as a candidate at every depth; the seed fit breaks that tie through the
-sign of the fitted scale, and later rounds inherit the branch through
-the nearest-candidate rule. What remains is the genuinely
+as a candidate at every depth. At the first success seed_theta breaks
+that tie through the sign of the fitted scale, with the depth-1 triplet
+when the success comes at a deeper depth, and later rounds inherit the
+branch through the nearest-candidate rule. What remains is the genuinely
 indistinguishable mirror reading reported by theta_to_value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +31,11 @@ from .model import theta_to_value
 
 _MERGE_TOL = 1e-12
 _ROOT_CLIP_TOL = 1e-9
-SEED_GRID_SIZE = 2048
-_EPS = float(np.finfo(np.float64).eps)
-_EPS32 = float(np.finfo(np.float32).eps)
-# |t|^2 range in which seed_theta's score roundings stay relative: far from
-# float32 underflow, subnormals flushed to zero included, and overflow
-_SEED_NORM2_RANGE = (1e-50, 1e50)
+# seed_theta's model c * p^m * cos(m a): the orders m, and p^m and p^2m on 17
+# envelopes p
+_M = np.array([1.0, 2.0, 3.0])
+_POWERS = np.linspace(0.2, 1.0, 17) ** _M[:, None]
+_POWERS2 = _POWERS ** 2
 
 
 def ratio_y(t1: float, t2: float, t3: float, eps_div: float) -> float:
@@ -96,177 +95,50 @@ def merge_angles(values) -> list:
 
 
 def select_candidate(candidates, theta_prev: float) -> float:
-    """Candidate nearest theta_prev; ties (within 1e-12) take the smaller.
+    """Candidate nearest theta_prev; ties (within 1e-12) take the smaller."""
+    if len(candidates) == 0:
+        raise ValueError("empty candidate list")
+    best = best_d = None
+    for theta in sorted(candidates):
+        d = abs(theta - theta_prev)
+        if best is None or d < best_d - _MERGE_TOL:
+            best, best_d = theta, d
+    return float(best)
 
-    The candidates lie on [0, pi], where the seeded rule's fold is the
-    identity, so this is that rule at depth 1.
+
+def seed_theta(candidates, triplet, n: int) -> list:
+    """The candidates whose folded n * theta best fits the triplet, ascending.
+
+    The triplet holds t at depths (n, 2n, 3n), so at unit depth spacing it
+    reads the angle a = n * theta folded into [0, pi]. Each candidate's a is
+    scored against c * p^m * cos(m a), m = 1, 2, 3, with the scale c >= 0
+    fitted in closed form and p on 17 envelopes in [0.2, 1]. With b the
+    basis vector, the best c leaves the squared residual
+    |t|^2 - max(t.b, 0)^2 / |b|^2, so a candidate's score is the subtracted
+    term at its best envelope. Both constraints carry information: a
+    decaying series mimics a different pure cosine only through a growing
+    envelope (p > 1), and the pi - a alias only through a negative scale,
+    neither of which the model class contains.
+
+    Scores within 1e-12 |t|^2 of the best count as ties; all of them are
+    returned. At depth n the 2n candidates of one root fold onto two
+    values of a, n candidates each, and each group ties; at even n theta
+    and pi - theta share a group. An all-zero triplet ties every candidate.
     """
-    return _select_seeded(candidates, theta_prev, 1)
-
-
-class _SeedTables(NamedTuple):
-    """seed_theta's fixed grids and tables; see _seed_basis."""
-
-    grid: np.ndarray          # SEED_GRID_SIZE angles on [0, pi]
-    decays: np.ndarray        # 17 envelopes on [0.2, 1]
-    cos: np.ndarray           # cos(m theta), (m, angle)
-    powers: np.ndarray        # p^m, (m, decay)
-    score_cos: np.ndarray     # cos in float32
-    score_powers: np.ndarray  # powers transposed to (decay, m), in float32
-    inv_norm: np.ndarray      # |basis|^-1 transposed to (decay, angle), in float32
-
-
-@cache
-def _seed_basis() -> _SeedTables:
-    """seed_theta's fixed grids and tables, built on first use.
-
-    The basis basis[m, theta, p] = cos(m theta) p^m is the product of a
-    cosine table cos[m, theta] and a power table powers[m, p]. Only the two
-    factors are kept; _seed_residual rebuilds the rows it needs from them,
-    value for value, since each entry is one rounded product. The score
-    pass of _near_best_rows reads float32 copies of the factors and of the
-    inverse basis norms. The squared norms are summed one m at a time, in
-    the order a sum over the basis's leading axis adds them, so the basis
-    itself is never formed and no norm is kept in float64.
-    """
-    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
-    decays = np.linspace(0.2, 1.0, 17)
-    m = np.array([1.0, 2.0, 3.0])
-    cos = np.cos(np.outer(m, grid))
-    powers = decays[None, :] ** m[:, None]
-    # in place, so the build holds at most two float64 grid-sized buffers
-    norm = np.zeros((grid.size, decays.size))
-    term = np.empty_like(norm)
-    for cos_m, powers_m in zip(cos, powers):
-        np.multiply.outer(cos_m, powers_m, out=term)
-        norm += np.multiply(term, term, out=term)
-    del term
-    norm[norm <= 0] = 1.0
-    np.sqrt(norm, out=norm)
-    np.divide(1.0, norm, out=norm)
-    tables = _SeedTables(grid, decays, cos, powers,
-                         score_cos=cos.astype(np.float32),
-                         score_powers=np.ascontiguousarray(powers.T, dtype=np.float32),
-                         inv_norm=np.ascontiguousarray(norm.T, dtype=np.float32))
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
-def seed_theta(triplet) -> float:
-    """Coarse grid fit of the first triplet to c * p^m * cos(m theta), m = 1, 2, 3.
-
-    Minimizes the squared residual over a uniform grid of SEED_GRID_SIZE
-    angles on [0, pi] crossed with a coarse envelope grid p in (0, 1], the
-    scale c >= 0 fitted in closed form per grid point. Both constraints
-    carry information: a decaying series mimics a different pure cosine
-    only through a growing envelope (p > 1), and the pi - theta alias only
-    through a negative scale, neither of which the model class contains.
-    The returned angle is on the series-phase scale, directly comparable
-    with candidate_angles output. An all-zero triplet returns 0.0.
-
-    The search runs in two stages. _near_best_rows scores every grid point
-    in one small matrix product and keeps the angle rows within rounding
-    of the best score; _seed_residual evaluates the residual on those rows
-    only, with the full-grid arithmetic, so the result is the first
-    minimum of the full-grid residual in flat (angle, decay) order.
-    """
-    tables = _seed_basis()
-    t = np.asarray(triplet, dtype=float)
-    rows = _near_best_rows(t)
-    flat = int(np.argmin(_seed_residual(t, rows)))
-    return float(tables.grid[rows[flat // tables.decays.size]])
-
-
-def _near_best_rows(t: np.ndarray) -> np.ndarray:
-    """Ascending angle rows that hold the first minimum of the computed residual.
-
-    With the best scale c >= 0, the residual at a grid point with basis
-    vector b is |t|^2 - s^2, s = max(t.b, 0) / |b|, so the rows are ranked
-    by the score t.b / |b|. Why the cut below keeps the row of the first
-    minimizer k of the computed residual, with T = |t| and u = 2^-53 and
-    v = 2^-24 the float64 and float32 unit roundoffs:
-
-    - The computed residual is within 8u T^2 of |t|^2 - s^2. The rounded
-      scale moves the residual by O(u^2) T^2 only, since the exact scale
-      minimizes it. Then three products, differences and squares and two
-      additions each err by u relative; every term is at most T^2 because
-      c |b| <= T.
-    - The computed score is within e = 9v T of t.b / |b|. t and the two
-      factors are rounded to float32, and the numerator rounds two
-      products and two sums: 7v relative to sum |t_m b_m| <= T |b|.
-      inv_norm's rounding and the product add 2v relative to
-      |t.b / |b|| <= T.
-
-    k's residual is at most every other point's, so s_k^2 >= s_j^2 - 16u
-    T^2 for every j, and k's computed score is at least
-    sqrt((best - e)^2 - 16u T^2) - e, with best the largest computed
-    score. The cut uses e = 16 eps32 T = 32v T and 64 eps T^2 = 128u T^2,
-    3.5x and 8x the derived bounds, which also covers the cut's own
-    roundings; most triplets keep one to three rows. Every row is kept
-    when nothing bounds k: a non-finite triplet, |t|^2 outside
-    _SEED_NORM2_RANGE (the all-zero triplet among them), or a best score
-    too close to 0 (a fully clipped grid).
-    """
-    tables = _seed_basis()
-    norm2 = sum(v * v for v in t.tolist())
-    if not _SEED_NORM2_RANGE[0] <= norm2 <= _SEED_NORM2_RANGE[1]:
-        return np.arange(SEED_GRID_SIZE)
-    # score[p, theta] = (sum_m t_m powers[m, p] cos[m, theta]) / |b|
-    score = (tables.score_powers * t.astype(np.float32)) @ tables.score_cos
-    score *= tables.inv_norm
-    row_best = score.max(axis=0)
-    err = 16.0 * _EPS32 * math.sqrt(norm2)
-    best = float(row_best.max()) - err
-    slack = best * best - 64.0 * _EPS * norm2
-    if not (best > 0.0 and slack > 0.0):
-        return np.arange(SEED_GRID_SIZE)
-    return np.flatnonzero(row_best >= math.sqrt(slack) - err)
-
-
-def _seed_residual(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared residual of the best scale c >= 0 on the given angle rows, (rows, decays).
-
-    Bitwise what the full grid gives on those rows: the rows of the basis
-    are rebuilt entry for entry, and every step is elementwise or, for the
-    einsum over whole rows and the sums over the leading axis (the guarded
-    squared norms among them), runs the same loop over each row as over
-    the full grid.
-    """
-    tables = _seed_basis()
-    basis = tables.cos[:, rows, None] * tables.powers[:, None, :]
-    denom = np.sum(basis * basis, axis=0)
-    c = np.einsum("m,mtp->tp", t, basis)
-    c /= np.where(denom > 0, denom, 1.0)
-    np.maximum(c, 0.0, out=c)
-    return np.sum((t[:, None, None] - c * basis) ** 2, axis=0)
+    thetas = sorted(candidates)
+    if not thetas:
+        raise ValueError("empty candidate list")
+    # cos(m a) = cos(m n theta) for integer m, so the fold needs no arithmetic
+    cos = np.cos(np.multiply.outer(thetas, n * _M))
+    fit = np.maximum((cos * triplet) @ _POWERS, 0.0)
+    score = (fit * fit / ((cos * cos) @ _POWERS2)).max(axis=1).tolist()
+    cut = max(score) - 1e-12 * sum(v * v for v in triplet)
+    return [theta for theta, s in zip(thetas, score) if s >= cut]
 
 
 def fold_theta(theta: float) -> float:
     """Fold into [0, pi/2]; theta and pi - theta carry the same series."""
     return float(min(theta, np.pi - theta))
-
-
-def _select_seeded(candidates, beta: float, n: int) -> float:
-    """Candidate theta whose folded n * theta is nearest beta; ties take the smaller.
-
-    seed_theta reads its triplet at unit depth spacing, so on the depths
-    (n, 2n, 3n) it estimates the folded angle n * theta rather than theta
-    itself; candidates are compared on that measured scale. At n = 1 this
-    is plain nearest-candidate selection.
-    """
-    if len(candidates) == 0:
-        raise ValueError("empty candidate list")
-    period = 2.0 * np.pi
-    best = best_d = None
-    for theta in sorted(candidates):
-        # the [0, pi] angle with the same cosine series as n * theta; Python's
-        # float % rounds as np.mod does
-        a = n * theta % period
-        d = abs((a if a <= period - a else period - a) - beta)
-        if best is None or d < best_d - _MERGE_TOL:
-            best, best_d = theta, d
-    return float(best)
 
 
 def fit_decay(theta_ch: float, series: dict) -> float:
@@ -376,7 +248,12 @@ def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
         if not rec.candidates:
             raise DepthGuardError(f"no candidate angles at depth {n} (y = {rec.y:.6g})")
         if ref is None:
-            return _select_seeded(rec.candidates, seed_theta(rec.triplet), n)
+            best = seed_theta(rec.candidates, rec.triplet, n)
+            if len(best) > 1 and n > 1:
+                # the depth-1 triplet, cached by iteration 0, tells apart the
+                # branches that fold to the same n * theta
+                best = seed_theta(best, provider.triplet(1), 1)
+            return best[0]
         return select_candidate(rec.candidates, ref)
 
     boosts = (1, 4) if retry and provider.shots else (1,)

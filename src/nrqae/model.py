@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NrqaeError
+from .errors import DegenerateProblemError, NrqaeError
 
 NORM_TOL = 1e-10
 
@@ -198,3 +198,29 @@ def eig_dense(m):
     v = v[:, order]
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
     return w, v
+
+
+def rotation_plane(problem: EstimationProblem):
+    """The plane the walk rotates, as (basis, theta_g, v_plus, v_minus).
+
+    basis holds psi and the unit part of the second state orthogonal to it
+    as columns; v_plus and v_minus are the eigenvectors, in that basis, of
+    the walk restricted to the plane, at the eigenphases +theta_g and
+    -theta_g. Raises DegenerateProblemError when the two states span no
+    plane: they are parallel (an observable-mode psi that is an eigenstate
+    of O among them), or theta_g is within 1e-9 of 0 or pi.
+    """
+    psi = problem.psi
+    sec = problem.second_state()
+    perp = sec - complex(np.vdot(psi, sec)) * psi
+    nrm = np.linalg.norm(perp)
+    if nrm < 1e-9:
+        raise DegenerateProblemError("the two states are parallel; no rotation plane")
+    basis = np.stack([psi, perp / nrm], axis=1)
+    w, v = eig_dense(basis.conj().T @ grover(problem) @ basis)
+    phases = np.angle(w)
+    plus_idx = int(np.argmax(phases))
+    theta_g = float(phases[plus_idx])
+    if theta_g < 1e-9 or theta_g > np.pi - 1e-9:
+        raise DegenerateProblemError(f"degenerate rotation phase {theta_g}")
+    return basis, theta_g, v[:, plus_idx], v[:, 1 - plus_idx]

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseSpec, noise_superop
-from .errors import DegenerateProblemError, NonPhysicalChannelError
-from .model import EstimationProblem, conjugation_superop, eig_dense, grover, rho_tilde, vectorize
+from .errors import NonPhysicalChannelError
+from .model import (EstimationProblem, conjugation_superop, eig_dense, grover, rho_tilde,
+                    rotation_plane, vectorize)
 
 OVERLAP_FLAG_THRESHOLD = 0.5
 _IMAG_TOL = 1e-8
@@ -60,33 +61,16 @@ class SubspaceBasis:
 
 
 def subspace_basis(problem: EstimationProblem) -> SubspaceBasis:
-    g = grover(problem)
-    psi = problem.psi
-    sec = problem.second_state()
-    overlap = complex(np.vdot(psi, sec))
-    perp = sec - overlap * psi
-    nrm = np.linalg.norm(perp)
-    if nrm < 1e-9:
-        raise DegenerateProblemError("the two states are parallel; no rotation plane")
-    u2 = perp / nrm
-    basis = np.stack([psi, u2], axis=1)
-    g2 = basis.conj().T @ g @ basis
-    w, v = eig_dense(g2)
-    phases = np.angle(w)
-    plus_idx = int(np.argmax(phases))
-    minus_idx = 1 - plus_idx
-    theta_g = float(phases[plus_idx])
-    if theta_g < 1e-9 or theta_g > np.pi - 1e-9:
-        raise DegenerateProblemError(f"degenerate rotation phase {theta_g}")
+    basis, theta_g, v_plus, v_minus = rotation_plane(problem)
 
-    def lifted(idx: int) -> np.ndarray:
-        u = basis @ v[:, idx]
+    def lifted(vec: np.ndarray) -> np.ndarray:
+        u = basis @ vec
         u = u / np.linalg.norm(u)
         j = int(np.argmax(np.abs(u)))
         return u * np.exp(-1j * np.angle(u[j]))
 
-    phi_plus = lifted(plus_idx)
-    phi_minus = lifted(minus_idx)
+    phi_plus = lifted(v_plus)
+    phi_minus = lifted(v_minus)
     dyads = [np.outer(phi_plus, phi_plus.conj()), np.outer(phi_plus, phi_minus.conj()),
              np.outer(phi_minus, phi_plus.conj()), np.outer(phi_minus, phi_minus.conj())]
     vectors = np.stack([vectorize(d) for d in dyads], axis=1)

@@ -4,9 +4,9 @@ A bench op fails when its fingerprint (exit codes, printed estimates and
 the sha256 of every artifact) differs from bench/reference/. This runs a
 handful of pool ops through the bench's own op runner, untimed, so a change
 that moves an output is caught by the test suite and not first by a timed
-bench run. It covers the whole 16-case wide-q5 cycle, eight readme-q1 ops
-(each runs about 21 seed fits), and two verify-q3 ops, one of which (s41)
-exits 3 in the reference.
+bench run. It covers the whole 16-case wide-q5 cycle, an eighth of the readme-q1
+pool (32 ops, each running about 21 seed picks), and two verify-q3 ops,
+one of which (s41) exits 3 in the reference.
 
 bench/workloads.py is run from its source, so no bytecode is written under
 bench/, and its work directory is moved to a temporary one.
@@ -25,7 +25,7 @@ WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "bench", "workloads.py")
 
 CASES = ([("wide-q5", f"j{j}") for j in range(16)]
-         + [("readme-q1", f"s{j}") for j in range(8)]
+         + [("readme-q1", f"s{j}") for j in range(32)]
          + [("verify-q3", "s0"), ("verify-q3", "s41")])
 
 

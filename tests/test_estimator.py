@@ -1,8 +1,5 @@
 """Ratio estimator: root algebra, candidate selection, the full iteration."""
 
-import tracemalloc
-from functools import cache
-
 import numpy as np
 import pytest
 
@@ -12,10 +9,6 @@ from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, e
                             perturbed_provider, sampled_provider)
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
-    SEED_GRID_SIZE,
-    _near_best_rows,
-    _seed_basis,
-    _seed_residual,
     candidate_angles,
     fit_decay,
     fold_theta,
@@ -134,8 +127,6 @@ def test_select_candidate():
     assert select_candidate([0.4, 0.6], 0.5) == 0.4  # tie toward the smaller
     with pytest.raises(ValueError):
         select_candidate([], 1.0)
-    with pytest.raises(ValueError):
-        estimator._select_seeded([], 1.0, 3)
 
 
 def _reference_select_candidate(candidates, theta_prev):
@@ -143,17 +134,6 @@ def _reference_select_candidate(candidates, theta_prev):
     best = best_d = None
     for theta in sorted(candidates):
         d = abs(theta - theta_prev)
-        if best is None or d < best_d - 1e-12:
-            best, best_d = theta, d
-    return float(best)
-
-
-def _reference_select_seeded(candidates, beta, n):
-    """The seeded rule with its fold through np.mod, kept as the reference."""
-    best = best_d = None
-    for theta in sorted(candidates):
-        a = float(np.mod(n * theta, 2.0 * np.pi))
-        d = abs(min(a, 2.0 * np.pi - a) - beta)
         if best is None or d < best_d - 1e-12:
             best, best_d = theta, d
     return float(best)
@@ -170,166 +150,64 @@ def test_selection_rules_match_their_references():
             i = int(rng.integers(len(cands)))
             ref = cands[i] if i == 0 else 0.5 * (cands[i - 1] + cands[i])
         assert select_candidate(cands, ref) == _reference_select_candidate(cands, ref)
-        m = int(rng.integers(1, 65))
-        assert estimator._select_seeded(cands, ref, m) == \
-            _reference_select_seeded(cands, ref, m)
+
+
+def _model_triplet(theta, n, c=1.0, p=1.0):
+    """t at depths (n, 2n, 3n) of the series c p^m cos(m theta)."""
+    return tuple(c * p ** m * np.cos(m * theta) for m in (n, 2 * n, 3 * n))
+
+
+def _candidates(triplet, n):
+    return merge_angles([a for x in roots_cos(ratio_y(*triplet, 1e-9))
+                         for a in candidate_angles(x, n)])
 
 
 def test_seed_theta_worked_triplet():
     # pi/3 would predict the sign pattern (+, -, -); only 2 pi / 3 fits (-, -, +)
-    got = seed_theta((-0.25, -0.25, 0.5))
-    assert abs(got - 2 * np.pi / 3) < 2 * np.pi / SEED_GRID_SIZE
+    got = seed_theta([np.pi / 3, 2 * np.pi / 3], (-0.25, -0.25, 0.5), 1)
+    assert got == [2 * np.pi / 3]
+    with pytest.raises(ValueError):
+        seed_theta([], (-0.25, -0.25, 0.5), 1)
 
 
 def test_seed_theta_self_consistency():
+    # on a pure cosine the true candidate wins at depth 1; at depth n every
+    # candidate whose n * theta folds onto the true one ties with it
     rng = np.random.default_rng(317)
     for _ in range(50):
         theta = rng.uniform(0.05, np.pi - 0.05)
         c = rng.uniform(0.1, 2.0)
-        trip = tuple(c * np.cos(m * theta) for m in (1, 2, 3))
-        assert abs(seed_theta(trip) - theta) <= np.pi / SEED_GRID_SIZE + 1e-12
+        trip = _model_triplet(theta, 1, c)
+        if abs(trip[1]) < 1e-3:
+            continue
+        got = seed_theta(_candidates(trip, 1), trip, 1)
+        assert len(got) == 1 and abs(got[0] - theta) < 1e-9
+        n = 2 ** int(rng.integers(1, 6))
+        trip = _model_triplet(theta, n, c)
+        if abs(trip[1]) < 1e-3:
+            continue
+        got = seed_theta(_candidates(trip, n), trip, n)
+        assert any(abs(g - theta) < 1e-9 for g in got)
+        assert got == sorted(got) and len(got) == n
+        for g in got:
+            assert abs(np.cos(n * g) - np.cos(n * theta)) < 1e-9
 
 
 def test_seed_theta_sees_through_decay():
-    # with a per-depth envelope the pure-cosine reading would drift; the
-    # joint (theta, p) grid keeps the angle honest
+    # with a per-depth envelope the pure-cosine reading would drift; scoring
+    # each candidate over the envelopes keeps the angle honest
     rng = np.random.default_rng(331)
     for _ in range(25):
         theta = rng.uniform(0.3, np.pi - 0.3)
         p = rng.uniform(0.5, 0.95)
-        trip = tuple(0.4 * p ** m * np.cos(m * theta) for m in (1, 2, 3))
-        assert abs(seed_theta(trip) - theta) < 0.05
+        trip = _model_triplet(theta, 1, 0.4, p)
+        got = seed_theta(_candidates(trip, 1), trip, 1)
+        assert abs(got[0] - theta) < 1e-9
 
 
 def test_seed_theta_zero_triplet():
-    assert seed_theta((0.0, 0.0, 0.0)) == 0.0
-
-
-def _seed_fit_rebuilt(triplet):
-    """seed_theta's residual and angle as written when it rebuilt its basis on every call."""
-    t = np.asarray(triplet, dtype=float)
-    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
-    decays = np.linspace(0.2, 1.0, 17)
-    m = np.array([1.0, 2.0, 3.0])
-    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
-    denom = np.sum(basis * basis, axis=0)
-    c = np.einsum("m,mtp->tp", t, basis) / np.where(denom > 0, denom, 1.0)
-    c = np.maximum(c, 0.0)
-    resid = np.sum((t[:, None, None] - c[None, :, :] * basis) ** 2, axis=0)
-    flat = int(np.argmin(resid))
-    return resid, float(grid[flat // decays.size])
-
-
-@cache
-def _full_grid():
-    """The grid, full basis and guarded denominator seed_theta once kept whole."""
-    grid = np.linspace(0.0, np.pi, SEED_GRID_SIZE)
-    decays = np.linspace(0.2, 1.0, 17)
-    m = np.array([1.0, 2.0, 3.0])
-    basis = np.cos(np.outer(m, grid))[:, :, None] * (decays[None, None, :] ** m[:, None, None])
-    denom = np.sum(basis * basis, axis=0)
-    return grid, decays, basis, np.where(denom > 0, denom, 1.0)
-
-
-def _full_grid_residual(t):
-    """_seed_fit_rebuilt's residual from a basis built once, in two grid-sized buffers.
-
-    seed_theta evaluated this on every call before its two-stage search. It
-    is the fast reference for the bulk of the random triplets.
-    """
-    _, _, basis, denom = _full_grid()
-    c = np.einsum("m,mtp->tp", t, basis)
-    c /= denom
-    np.maximum(c, 0.0, out=c)
-    resid = _squared_miss(t[0], c, basis[0], np.empty_like(c))
-    term = np.empty_like(c)
-    for m in (1, 2):
-        resid += _squared_miss(t[m], c, basis[m], term)
-    return resid
-
-
-def _squared_miss(t_m, c, basis_m, out):
-    """(t_m - c basis_m)^2, written into out."""
-    np.multiply(c, basis_m, out=out)
-    np.subtract(t_m, out, out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _assert_seed_fit(trip, resid, theta):
-    """seed_theta picks theta; its re-checked rows hold resid's values bit for bit."""
-    t = np.asarray(trip, dtype=float)
-    rows = _near_best_rows(t)
-    assert np.all(np.diff(rows) > 0), trip
-    assert int(np.argmin(resid)) // resid.shape[1] in rows, trip
-    assert np.array_equal(_seed_residual(t, rows), resid[rows]), trip
-    assert seed_theta(trip) == theta, trip
-
-
-def test_seed_theta_matches_the_per_call_basis():
-    rng = np.random.default_rng(337)
-    triplets = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 0.0)]
-    triplets += [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(150)]
-    for _ in range(150):
-        theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
-        triplets.append(tuple(c * p ** m * np.cos(m * theta) for m in (1, 2, 3)))
-    # all-negative triplets: the clip zeroes the scale on about a third of the grid,
-    # where the residual is the same sum of squares at every point
-    triplets += [(-0.25, -0.5, -0.125), (-1.0, -1.0, -1.0)]
-    triplets += [tuple(-rng.uniform(0.0, 1.0, 3)) for _ in range(20)]
-    # entries near the bottom and the top of the useful range
-    triplets += [tuple(rng.uniform(-1.0, 1.0, 3) * 1e-12) for _ in range(20)]
-    triplets += [(1e-12, 1e-12, 1e-12), (-1e-12, 2e-12, -1e-12)]
-    triplets += [tuple(rng.uniform(-1.0, 1.0, 3) * 1e3) for _ in range(20)]
-    triplets += [(1e3, 1e3, 1e3), (-1e3, 1e3, -1e3)]
-    # outside the range where the score's rounding is bounded: every row is re-checked
-    triplets += [(1e-160, 0.0, 0.0), (1e-150, -2e-150, 1e-150), (1e150, 1.0, -1.0)]
-    for trip in triplets:
-        resid, theta = _seed_fit_rebuilt(trip)
-        assert np.array_equal(_full_grid_residual(np.asarray(trip, dtype=float)), resid)
-        _assert_seed_fit(trip, resid, theta)
-    # 10,000 random triplets, four families of 2,500, plus near ties, held to
-    # the full-grid residual that the triplets above hold to _seed_fit_rebuilt
-    grid, decays, basis, denom = _full_grid()
-    unit = basis / np.sqrt(denom)
-    triplets = []
-    for _ in range(2500):
-        triplets.append(tuple(rng.uniform(-1.0, 1.0, 3)))
-        triplets.append(tuple(-rng.uniform(0.0, 1.0, 3)))
-        triplets.append(tuple(rng.uniform(-1.0, 1.0, 3) * 1e-12))
-        theta, p, c = rng.uniform(0.0, np.pi), rng.uniform(0.2, 1.0), rng.uniform(0.01, 1.0)
-        triplets.append(tuple(c * p ** m * np.cos(m * theta) + rng.normal(0.0, 0.01)
-                              for m in (1, 2, 3)))
-    # halfway between two neighbouring angles: the two best points tie up to
-    # rounding, and the score's rounding orders them differently from the
-    # residual's in about a third of these
-    for _ in range(500):
-        i, j = int(rng.integers(0, SEED_GRID_SIZE - 1)), int(rng.integers(0, decays.size))
-        triplets.append(tuple(unit[:, i, j] + unit[:, i + 1, j]))
-    for trip in triplets:
-        resid = _full_grid_residual(np.asarray(trip, dtype=float))
-        _assert_seed_fit(trip, resid, float(grid[int(np.argmin(resid)) // decays.size]))
-
-
-def test_seed_tables_are_small_and_match_the_full_grid():
-    tables = _seed_basis()
-    assert sum(arr.nbytes for arr in tables) < 0.25 * 2 ** 20
-    # the inverse norms, summed one m at a time, are those of the full basis
-    _, _, _, denom = _full_grid()
-    want = np.ascontiguousarray((1.0 / np.sqrt(denom)).T, dtype=np.float32)
-    assert np.array_equal(tables.inv_norm, want)
-
-
-def test_seed_theta_peak_memory():
-    seed_theta((0.1, 0.2, 0.3))  # build the cached tables outside the traced call
-    tracemalloc.start()
-    try:
-        seed_theta((0.3, -0.1, 0.2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the float32 grid of scores fits; a float64 grid-sized buffer, let alone
-    # the full 3-slice basis, does not
-    assert peak < 0.75 * SEED_GRID_SIZE * 17 * 8, peak
+    # nothing to fit: every candidate ties, in ascending order
+    assert seed_theta([1.2, 0.3, 2.5], (0.0, 0.0, 0.0), 1) == [0.3, 1.2, 2.5]
 
 
 def test_fold_theta():
@@ -428,6 +306,39 @@ def test_run_carries_through_guard_trips():
     assert res.iteration_thetas()[0] is None
     assert res.iteration_thetas()[1] is not None
     assert abs(res.theta_ch - np.pi / 4) < 1e-8
+
+
+def test_run_breaks_the_mirror_tie_with_the_depth_1_triplet(monkeypatch):
+    # series phase 3 pi / 4: iteration 0 trips the guard (cos(3 pi / 2) = 0), and
+    # at depth 2 the candidates pi / 4 and 3 pi / 4 fold 2 theta onto one angle
+    sim = CircuitSimulator(plane_problem(3 * np.pi / 16))
+    measured = []
+
+    def measure(m, boost):
+        measured.append((m, boost))
+        return sim.exact_t(m)
+
+    seeds = []
+
+    def recording_seed(candidates, triplet, n):
+        seeds.append((triplet, n))
+        best = seed_theta(candidates, triplet, n)
+        seeds[-1] += (best,)
+        return best
+
+    monkeypatch.setattr(estimator, "seed_theta", recording_seed)
+    res = run(TProvider(sim, measure, EXACT_DIVISION_GUARD), k=3)
+    assert not res.iterations[0].ok and res.iterations[1].ok
+    assert abs(res.theta_ch - 3 * np.pi / 4) < 1e-8
+    # the depth-2 score ties the two branches; the depth-1 triplet of the
+    # failed iteration 0 picks one
+    (trip2, n2, tied), (trip1, n1, best) = seeds
+    assert (n2, n1) == (2, 1)
+    assert trip2 == res.iterations[1].triplet and trip1 == res.iterations[0].triplet
+    assert np.allclose(tied, [np.pi / 4, 3 * np.pi / 4], atol=1e-9)
+    assert len(best) == 1 and best[0] == tied[1]
+    # the tie-break measured nothing again
+    assert len(measured) == len(set(measured)) == len(res.series)
 
 
 def test_run_all_iterations_failed():

@@ -9,13 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from nrqae import cli, perturbation
+from nrqae import cli, model, perturbation
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
 from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
                           config_to_dict, load_config, save_config)
-from nrqae.errors import ConfigError
+from nrqae.errors import ConfigError, DegenerateProblemError
 from nrqae.estimator import run
 from nrqae.experiments import (VerifyReport, _median, hoeffding_shots, run_compare_noise,
                                run_estimate, run_sweep_depth,
@@ -128,6 +128,16 @@ def test_build_problem_observable():
     got = np.vdot(build_problem(explicit).psi,
                   np.diag([1.0, -1.0]) @ build_problem(explicit).psi).real
     assert abs(got - (0.36 - 0.64)) < 1e-12
+
+
+@pytest.mark.parametrize("geometry", [
+    {"qubits": 2, "psi": [[0.5, 0.0]] * 4, "phi": [[0.0, 0.5]] * 4},  # phi = i psi
+    {"psi": [[1.0, 0.0], [0.0, 0.0]], "phi": [[0.0, 0.0], [1.0, 0.0]]},  # phase pi
+    {"mode": "observable", "observable": "X", "psi": [[0.5 ** 0.5, 0.0]] * 2},
+])
+def test_build_problem_rejects_explicit_states_that_span_no_plane(geometry):
+    with pytest.raises(DegenerateProblemError):
+        build_problem(ExperimentConfig(**geometry))
 
 
 def test_build_problem_errors():
@@ -272,8 +282,8 @@ def test_run_verify_perturbation_rejects_trivial_kind():
 
 
 def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
-    # per kind: the 2 x 2 eigendecomposition inside subspace_basis, one
-    # channel, then per strength one eigendecomposition of S(s) and one match
+    # per kind: the 2 x 2 eigendecomposition of subspace_basis's rotation
+    # plane (model.rotation_plane), one channel, then per strength one eigendecomposition of S(s) and one match
     # for each of the +-theta_ch dyads, shared by the three checks
     calls = []
     noise_superop, eig_dense = perturbation.noise_superop, perturbation.eig_dense
@@ -293,6 +303,7 @@ def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
 
     monkeypatch.setattr(perturbation, "noise_superop", counted_noise_superop)
     monkeypatch.setattr(perturbation, "eig_dense", counted_eig_dense)
+    monkeypatch.setattr(model, "eig_dense", counted_eig_dense)
     monkeypatch.setattr(perturbation, "_matched_pair", counted_matched_pair)
     cfg = ExperimentConfig(amplitude=0.75, compare_kinds=["pauli", "statistical"])
     run_verify_perturbation(cfg)
@@ -577,6 +588,11 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
 OBSERVABLE_MODE = {"amplitude": None, "mode": "observable", "expectation": 0.5}
 
 
+PARALLEL_STATES = {"psi": [[1, 0], [0, 0]], "phi": [[1, 0], [0, 0]]}
+ORTHOGONAL_STATES = {"psi": [[1, 0], [0, 0]], "phi": [[0, 0], [1, 0]]}
+EIGENSTATE_OF_Z = {"mode": "observable", "observable": "Z", "psi": [[1, 0], [0, 0]]}
+
+
 def _bad_observable(qubits: int, got: str) -> str:
     return (f"observable must be one IXYZ letter per qubit (qubits = {qubits}), not all I "
             f"(the identity is not traceless), got {got}")
@@ -643,6 +659,13 @@ def _bad_observable(qubits: int, got: str) -> str:
      _bad_observable(2, "'ZQ'")),
     ("estimate", {**OBSERVABLE_MODE, "observable": ""}, [], _bad_observable(1, "''")),
     ("estimate", OBSERVABLE_MODE, [], _bad_observable(1, "None")),
+    # explicit states must span a plane for the walk, as the scalar forms must
+    *[(command, {"amplitude": None, **states}, [], message)
+      for command in ("estimate", "sweep-depth", "compare-noise", "verify-perturbation")
+      for states, message in (
+          (PARALLEL_STATES, "the two states are parallel; no rotation plane"),
+          (ORTHOGONAL_STATES, f"degenerate rotation phase {np.pi}"),
+          (EIGENSTATE_OF_Z, "the two states are parallel; no rotation plane"))],
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):
@@ -664,14 +687,13 @@ def test_import_builds_no_cached_basis():
     # the cached bases, PTMs and parser are built on first use, so `import nrqae` stays cheap
     code = ("import nrqae, nrqae.cli\n"
             "from nrqae.channels import fixed_conjugation_ptm, pauli_vec_basis\n"
-            "from nrqae.estimator import _seed_basis\n"
-            "print(*(f.cache_info().currsize for f in (pauli_vec_basis, _seed_basis,\n"
+            "print(*(f.cache_info().currsize for f in (pauli_vec_basis,\n"
             "      fixed_conjugation_ptm, nrqae.cli._build_parser)))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_median_is_numpys_bit_for_bit():
