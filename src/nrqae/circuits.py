@@ -28,7 +28,7 @@ from .channels import NoiseSpec, noise_superop
 from .errors import NonPhysicalChannelError
 # conjugation_superop is unused here; the benchmark's traced pass looks it up.
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
-from .rng import substream
+from .rng import philox_keys, rekey, substream
 
 _CLAMP_TOL = 1e-6
 _IMAG_TOL = 1e-8
@@ -111,10 +111,10 @@ class CircuitSimulator:
     baseline take.
 
     rng is the one Philox generator the simulator's sampled draws use,
-    built on the first of them: each draw re-keys it through substream's
-    ``into``, so a draw is that of its own fresh substream and an exact run
-    builds none. Like the trajectories, it is mutable state: use a
-    simulator from one thread at a time.
+    built on the first of them: each draw re-keys it (rng.rekey), so a draw
+    is that of its own fresh substream and an exact run builds none. Like
+    the trajectories, it is mutable state: use a simulator from one thread
+    at a time.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -179,14 +179,15 @@ class CircuitSimulator:
             raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
         return float(raw.real)
 
-    def sampled_t(self, n: int, shots: int, seed: int, trial: int = 0, boost: int = 1) -> float:
+    def sampled_t(self, n: int, shots: int, seed: int, trial: int = 0, boost: int = 1,
+                  keys=None) -> float:
         """Binomial estimate of t_n from four independently sampled circuits.
 
         Each of the four probabilities is drawn from its own substream keyed
         by (trial, depth, term, boost), so any value is reproducible in
         isolation and a retry with boosted shots is a fresh measurement.
-        The draws re-key the simulator's rng instead of building a generator
-        each; the values are the same.
+        The draws re-key the simulator's rng, to the four terms' given keys
+        (from rng.philox_keys) or through substream; the values are the same.
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -195,7 +196,8 @@ class CircuitSimulator:
         values = self._circuits.at(n, self._noisy_walk)
         for term, (_, _, sign) in enumerate(_TERMS):
             p = _clamped_real(values[term], f"depth {n}")
-            gen = substream(seed, trial, n, term, boost, into=self.rng)
+            gen = (rekey(self.rng, keys[term]) if keys is not None
+                   else substream(seed, trial, n, term, boost, into=self.rng))
             total += sign * gen.binomial(eff, p) / eff
         return total
 
@@ -218,14 +220,17 @@ class TProvider:
     unboosted values enter series, the dict the envelope fit reads. eps_div is
     the division guard of the ratio. shots is the shot count per circuit,
     0 when the values are not sampled; it prices calls_for and allows a
-    failed iteration to be re-measured.
+    failed iteration to be re-measured. A run first passes its depth schedule
+    to prepare(depths), a no-op by default, to key its draws in one pass.
     """
 
-    def __init__(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0):
+    def __init__(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0,
+                 prepare=None):
         self.sim = sim
         self.measure = measure
         self.eps_div = eps_div
         self.shots = shots
+        self.prepare = prepare or (lambda depths: None)
         self._cache: dict[tuple, float] = {}
 
     @property
@@ -263,11 +268,17 @@ def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    keys: dict[tuple, list] = {}  # (depth, boost) -> the four draws' keys
+
+    def prepare(depths) -> None:
+        if max(seed, trial, *depths) < 2 ** 32:  # else every draw goes through substream
+            table = philox_keys(seed, [(trial, m, term, 1) for m in depths for term in range(4)])
+            keys.update(((m, 1), table[4 * i:4 * i + 4]) for i, m in enumerate(depths))
 
     def measure(m: int, boost: int) -> float:
-        return sim.sampled_t(m, shots, seed, trial, boost=boost)
+        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=keys.get((m, boost)))
 
-    return TProvider(sim, measure, 3.0 * t_halfwidth(shots), shots=shots)
+    return TProvider(sim, measure, 3.0 * t_halfwidth(shots), shots=shots, prepare=prepare)
 
 
 def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int = 0) -> TProvider:
@@ -279,9 +290,14 @@ def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int 
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"perturbation must be a finite number >= 0, got {eps}")
+    keys: dict[int, tuple] = {}  # depth -> its sign draw's key
+
+    def prepare(depths) -> None:
+        if max(seed, trial, *depths) < 2 ** 32:  # else every draw goes through substream
+            keys.update(zip(depths, philox_keys(seed, [(trial, m) for m in depths])))
 
     def measure(m: int, boost: int) -> float:
-        sign = 1.0 if substream(seed, trial, m, into=sim.rng).integers(0, 2) else -1.0
-        return sim.exact_t(m) + sign * eps
+        gen = rekey(sim.rng, keys[m]) if m in keys else substream(seed, trial, m, into=sim.rng)
+        return sim.exact_t(m) + (1.0 if gen.integers(0, 2) else -1.0) * eps
 
-    return TProvider(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD))
+    return TProvider(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD), prepare=prepare)

@@ -256,6 +256,7 @@ def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
             return best[0]
         return select_candidate(rec.candidates, ref)
 
+    provider.prepare(sorted({j * 2 ** i for i in range(k + 1) for j in (1, 2, 3)}))
     boosts = (1, 4) if retry and provider.shots else (1,)
     for i in range(k + 1):
         n = 2 ** i

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 _WORD_MASK = 0xFFFF_FFFF
@@ -14,6 +16,9 @@ _MULT_B = 0x58F38DED
 _HASH = tuple((_INIT_B * _MULT_B ** i & _WORD_MASK, _INIT_B * _MULT_B ** (i + 1) & _WORD_MASK)
               for i in range(_POOL_WORDS))
 _ZEROS = (0, 0, 0, 0)
+# SeedSequence's mix: with C_k = INIT_A MULT_A^k, hash step k maps w to (w ^ C_k) C_(k+1),
+# and a pool word x absorbs the result h as MIX_L x - MIX_R h; each xor-shifts by 16 after.
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
 
 
 def _long_words(seed: int, path) -> list:
@@ -48,6 +53,51 @@ def _philox_key(pool) -> tuple:
     return a ^ a >> 16 | (b ^ b >> 16) << 32, c ^ c >> 16 | (d ^ d >> 16) << 32
 
 
+def philox_keys(seed: int, paths) -> list:
+    """The Philox keys that ``substream(seed, *row, into=gen)`` writes, one per row.
+
+    The rows have one length; the seed and every element lie in [0, 2^32).
+    numpy mixes the seed into the pool (hash steps 0-15); the path words are
+    mixed in for all rows at once in uint32 arithmetic, which wraps as C does.
+    """
+    paths = list(paths)
+    try:
+        flat = np.fromiter(chain([seed], *paths), dtype=np.int64)
+    except OverflowError:  # beyond int64, so beyond 32 bits too
+        flat = None
+    if flat is None or (flat >> 32).any() or len(set(map(len, paths))) > 1:
+        raise ValueError("paths must have one length, with seed and elements in [0, 2^32)")
+    width = len(paths[0]) if paths else 0
+    steps = np.multiply.accumulate(np.array([_INIT_A] + [_MULT_A] * (16 + 4 * width),
+                                            dtype=np.uint32), dtype=np.uint32)[16:, None]
+    # hashed[p, d] is path word p hashed by step 16 + 4p + d, for pool word d
+    words = flat[1:].astype(np.uint32).reshape(len(paths), width).T[:, None]
+    hashed = (words ^ steps[:-1].reshape(width, 4, 1)) * steps[1:].reshape(width, 4, 1)
+    hashed ^= hashed >> 16
+    pool = np.repeat(np.random.SeedSequence(int(seed)).pool[:, None], len(paths), axis=1)
+    for h in hashed * _MIX_R:
+        pool *= _MIX_L
+        pool -= h
+        pool ^= pool >> 16
+    pool ^= np.array([x for x, _ in _HASH], dtype=np.uint32)[:, None]
+    pool *= np.array([m for _, m in _HASH], dtype=np.uint32)[:, None]
+    key = (pool ^ pool >> 16).astype(np.uint64)
+    return list(zip((key[0] | key[1] << 32).tolist(), (key[2] | key[3] << 32).tolist()))
+
+
+def rekey(gen: np.random.Generator, key) -> np.random.Generator:
+    """Write key, a zero counter and an empty buffer into a Generator over Philox.
+
+    That resets all of its state (binomial's cached constants depend only on
+    (n, p)), so the draws are a new generator's at about half the cost.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def substream(seed: int, *path: int,
               into: np.random.Generator | None = None) -> np.random.Generator:
     """Independent generator for a (seed, path) pair.
@@ -64,12 +114,9 @@ def substream(seed: int, *path: int,
     conversion of Python ints and gives the same pool, key and draws.
 
     Without ``into`` a new Philox generator is built. With ``into``, a
-    Generator over Philox, that generator is re-keyed and returned: the key
-    numpy derives from the SeedSequence's pool is written with a zero
-    counter and an empty buffer. That resets every field of the Philox
-    state, and the constants Generator.binomial caches depend only on its
-    (n, p), so the draws are those of a new generator at about half the
-    cost. Seeds and path elements in [0, 2^32) skip the word assembly.
+    Generator over Philox, that generator is given the key numpy derives
+    from the SeedSequence's pool through rekey, and returned. Seeds and
+    path elements in [0, 2^32) skip the word assembly.
     """
     for value in (seed, *path):
         if not 0 <= value <= _WORD_MASK:
@@ -80,8 +127,4 @@ def substream(seed: int, *path: int,
     ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     if into is None:
         return np.random.Generator(np.random.Philox(ss))
-    into.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": _philox_key(ss.pool)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return into
+    return rekey(into, _philox_key(ss.pool))

@@ -463,3 +463,62 @@ def test_unphysical_noise_matrix_is_rejected():
     sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(p.psi, p.psi, 1)
+
+
+_MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
+                                        "weight_z": 0.005})
+
+
+def _provider(kind, sim, seed):
+    if kind == "perturbed":
+        return perturbed_provider(sim, 0.1, seed, trial=3)
+    return sampled_provider(sim, shots=1000, seed=seed, trial=3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+@pytest.mark.parametrize("kind, retry", [("sampled", False), ("sampled", True),
+                                         ("perturbed", False)])
+def test_planned_run_matches_per_draw_run(kind, retry, seed):
+    """Keys derived for the whole schedule give the values of per-draw substreams."""
+    sim = CircuitSimulator(plane_problem(0.6), _MILD)
+    planned = run(_provider(kind, sim, seed), k=5, retry=retry)
+    per_draw = _provider(kind, sim, seed)
+    per_draw.prepare = lambda depths: None
+    unplanned = run(per_draw, k=5, retry=retry)
+    assert planned.series == unplanned.series
+    for got, want in zip(planned.iterations, unplanned.iterations, strict=True):
+        assert (got.triplet, got.selected, got.ok, got.retried, got.oracle_calls) == \
+            (want.triplet, want.selected, want.ok, want.retried, want.oracle_calls)
+    assert planned.oracle_calls == unplanned.oracle_calls
+    assert planned.theta_ch == unplanned.theta_ch
+    # the cases exercise both successes and boosted retries
+    assert any(rec.ok for rec in planned.iterations)
+    assert any(rec.retried for rec in planned.iterations) == retry
+
+
+def test_planned_run_draws_only_retries_through_substream(monkeypatch):
+    calls = []
+    real = circuits.substream
+
+    def counting(seed, *path, **kwargs):
+        calls.append((seed, *path))
+        return real(seed, *path, **kwargs)
+
+    monkeypatch.setattr(circuits, "substream", counting)
+    sim = CircuitSimulator(plane_problem(0.6), _MILD)
+    for seed in (7, 2 ** 40 + 3):
+        for kind in ("sampled", "perturbed"):
+            calls.clear()
+            res = run(_provider(kind, sim, seed), k=5, retry=True)
+            if kind == "perturbed":
+                every = [(seed, 3, m) for m in res.series]
+                retries = []
+            else:
+                every = [(seed, 3, m, term, 1) for m in res.series for term in range(4)]
+                boosted = {m for rec in res.iterations if rec.retried
+                           for m in (rec.n, 2 * rec.n, 3 * rec.n)}
+                retries = [(seed, 3, m, term, 4) for m in boosted for term in range(4)]
+                assert retries
+            assert len(res.series) == 13
+            want = retries if seed < 2 ** 32 else every + retries
+            assert sorted(calls) == sorted(want), (seed, kind)

@@ -696,6 +696,23 @@ def test_import_builds_no_cached_basis():
     assert out.split() == ["0", "0", "0"]
 
 
+def test_import_and_problem_build_leave_numpy_random_unloaded():
+    # numpy.random costs several ms and MB to import; set-up reaches no draw,
+    # so the rng module's constants are plain ints and its arrays are built per call
+    code = ("import sys\n"
+            "import nrqae.cli\n"
+            "from nrqae.config import build_problem, config_from_dict\n"
+            "build_problem(config_from_dict({'config_version': 1, 'mode': 'amplitude',\n"
+            "    'qubits': 1, 'amplitude': 0.75, 'noise': {'kind': 'pauli'}, 'shots': 100000,\n"
+            "    'iterations': 5, 'trials': 10, 'seed': 7}))\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_median_is_numpys_bit_for_bit():
     rng = np.random.default_rng(643)
     for size in range(1, 41):

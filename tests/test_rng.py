@@ -1,9 +1,9 @@
-"""substream: the same streams as numpy's SeedSequence spawn-key construction."""
+"""substream and philox_keys: the same streams as numpy's SeedSequence spawn-key construction."""
 
 import numpy as np
 import pytest
 
-from nrqae.rng import substream
+from nrqae.rng import philox_keys, rekey, substream
 
 
 def _reference(seed, *path):
@@ -103,3 +103,45 @@ def test_negative_values_are_rejected(seed, path):
         substream(seed, *path)
     with pytest.raises(ValueError):
         substream(seed, *path, into=np.random.Generator(np.random.Philox(0)))
+
+
+def test_philox_keys_match_generate_state():
+    """Batched keys are the ones SeedSequence derives, row by row."""
+    rng = np.random.default_rng(2026)
+
+    def word():
+        return int(rng.choice([0, 1, 2 ** 32 - 1, int(rng.integers(0, 2 ** 32))]))
+
+    checked, seeds, widths, edges = 0, set(), set(), set()
+    gen = np.random.Generator(np.random.Philox(0))
+    while checked < 3000:
+        seed = (0, 2 ** 32 - 1, word())[checked % 3]
+        width = int(rng.integers(1, 5))
+        paths = [tuple(word() for _ in range(width)) for _ in range(int(rng.integers(1, 9)))]
+        for path, key in zip(paths, philox_keys(seed, paths), strict=True):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(2, np.uint64)
+            assert key == tuple(want.tolist()), (seed, path)
+            edges.update(set(path) & {0, 2 ** 32 - 1})
+        seeds.add(seed)
+        widths.add(width)
+        # a generator re-keyed to the batch's last key draws that row's fresh stream
+        assert rekey(gen, key).standard_normal(3).tolist() == \
+            _reference(seed, *path).standard_normal(3).tolist()
+        checked += len(paths)
+    assert {0, 2 ** 32 - 1} <= seeds and widths == {1, 2, 3, 4} and edges == {0, 2 ** 32 - 1}
+
+
+@pytest.mark.parametrize("seed, paths", [
+    (7, [(1, 2), (3,)]),                  # ragged
+    (7, [(1,), (2, 3), (4,)]),
+    (2 ** 32, [(1,)]),                    # values beyond 32 bits
+    (7, [(1, 2 ** 32)]),
+    (7, [(2 ** 64,)]),
+    (7, [(1, 2 ** 70)]),
+    (7, [(np.uint64(2 ** 40),)]),
+    (-1, [(1,)]),
+    (7, [(0, -1)]),
+])
+def test_philox_keys_rejects_ragged_or_wide_values(seed, paths):
+    with pytest.raises(ValueError):
+        philox_keys(seed, paths)
