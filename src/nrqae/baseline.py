@@ -82,12 +82,20 @@ def _branch(m: int, x_lo: float, x_hi: float) -> int:
     return math.floor(m * 0.5 * (x_lo + x_hi) / math.pi)
 
 
-def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
+def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int,
+                     m_top: Optional[int] = None) -> int:
     """Largest m >= 2 m_cur of the mode's parity with m [x_lo, x_hi] in one half-period.
 
-    The scan runs over Python floats: iqae_run passes numpy scalars, whose
-    arithmetic costs several times more. Its branch index repeats _branch's
-    expression term for term, so _invert inverts on the half-period checked here.
+    Without such an m it returns m_cur. m_top, of the mode's parity, is the
+    largest m the budget affords, or None for no budget. Any fitting m above
+    m_top ends the run, so the scan looks upward from m_top + 2 and returns
+    the first m that fits; if none does, it scans down from m_top. The
+    caller's budget test then decides as after a full scan down from
+    pi / width, at a few tests instead of dozens.
+
+    The scan runs over Python floats, which are several times cheaper than
+    numpy scalars. Its branch index repeats _branch's expression term for
+    term, so _invert inverts on the half-period checked here.
     """
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -100,24 +108,37 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int) -> int:
     if mode == "observable" and m_max % 2 == 1:
         m_max -= 1
     x_sum = x_lo + x_hi
-    m = m_max
-    while m >= 2 * m_cur:
+
+    def fits(m: int) -> bool:
         j = math.floor(m * 0.5 * x_sum / math.pi)
-        if (m * x_lo >= j * math.pi - _BRANCH_TOL
-                and m * x_hi <= (j + 1) * math.pi + _BRANCH_TOL):
+        return (m * x_lo >= j * math.pi - _BRANCH_TOL
+                and m * x_hi <= (j + 1) * math.pi + _BRANCH_TOL)
+
+    m_low = 2 * m_cur
+    if m_top is not None and m_top < m_max:
+        # the smallest m above m_top that the full scan would reach
+        m = max(m_top + 2, m_low + (m_low - m_top) % 2)
+        while m <= m_max:
+            if fits(m):
+                return m
+            m += 2
+        m_max = m_top
+    m = m_max
+    while m >= m_low:
+        if fits(m):
             return m
         m -= 2
     return m_cur
 
 
 def _invert(m: int, x_lo: float, x_hi: float, c_lo: float, c_hi: float):
-    """Interval of x with cos(m x) in [c_lo, c_hi], on the pinned branch."""
+    """Interval of x with cos(m x) in [c_lo, c_hi], on the pinned branch, as Python floats."""
     j = _branch(m, x_lo, x_hi)
     if j % 2 == 0:
         v_lo, v_hi = np.arccos(c_hi), np.arccos(c_lo)
     else:
         v_lo, v_hi = np.arccos(-c_lo), np.arccos(-c_hi)
-    return (j * np.pi + v_lo) / m, (j * np.pi + v_hi) / m
+    return float((j * np.pi + v_lo) / m), float((j * np.pi + v_hi) / m)
 
 
 def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
@@ -154,7 +175,13 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         if _value_width(mode, x_lo, x_hi) <= target_eps:
             converged = True
             break
-        m = _next_multiplier(mode, x_lo, x_hi, m_cur) if m_cur else m_min
+        m_top = None
+        if max_oracle_calls is not None:
+            # the largest m the budget affords: each step of 2 in m costs one
+            # more application per shot
+            k_top = int((max_oracle_calls - oracle_calls) // shots_per_round)
+            m_top = m_min + 2 * (k_top - _applications(mode, m_min))
+        m = _next_multiplier(mode, x_lo, x_hi, m_cur, m_top) if m_cur else m_min
         k = _applications(mode, m)
         cost = shots_per_round * k
         if max_oracle_calls is not None and oracle_calls + cost > max_oracle_calls:

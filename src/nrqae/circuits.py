@@ -15,12 +15,15 @@ read-outs of every depth it passes; a sampled run follows both of its
 preparations in one two-slice stack. One provider class, TProvider,
 serves the depths (n, 2n, 3n) to the estimator; exact_provider,
 sampled_provider and perturbed_provider give it its measurement rule
-(exact, binomial or offset) and its guard.
+(exact, binomial or offset) and its guard. sampled_providers and
+perturbed_providers give one provider per trial of a command, sharing
+one table of draw keys.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, product
 
 import numpy as np
 
@@ -36,12 +39,13 @@ _IMAG_TOL = 1e-8
 EXACT_DIVISION_GUARD = 1e-9
 
 
-def _clamped_real(value: complex, context: str) -> float:
+def _clamped_real(value: complex, n: int) -> float:
+    """value as a probability in [0, 1]; n is the depth, named only in an error."""
     if abs(value.imag) > _IMAG_TOL:
-        raise NonPhysicalChannelError(f"{context}: non-real probability {value}")
+        raise NonPhysicalChannelError(f"depth {n}: non-real probability {value}")
     p = value.real
     if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
-        raise NonPhysicalChannelError(f"{context}: probability {p} outside [0, 1]")
+        raise NonPhysicalChannelError(f"depth {n}: probability {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
 
 
@@ -100,9 +104,10 @@ class CircuitSimulator:
     and, per qubit, one product of the 4 x 4 single-qubit noise
     superoperator with the (i_j, k_j) index pair of rho; the pairs are
     brought together and apart by two gathers through index arrays built
-    once. The walk runs only its own circuits, so the simulator follows two
-    fixed trajectories: rho_tilde, read against itself by exact_t, and psi
-    with the second state as one two-slice stack, each measured onto both,
+    once, and skipped at q = 1, where the pairs are in order already. The
+    walk runs only its own circuits, so the simulator follows two fixed
+    trajectories: rho_tilde, read against itself by exact_t, and psi with
+    the second state as one two-slice stack, each measured onto both,
     built on the first sampled_t or prob call. Each trajectory keeps only
     its latest stack, so a depth costs the layers beyond the deepest one
     reached and a repeated depth is free. Build one simulator per
@@ -123,7 +128,10 @@ class CircuitSimulator:
         self._g = grover(problem)
         self._g_dag = self._g.conj().T.copy()
         self._noise_t = noise_superop(noise, 1).T.copy()
-        self._pair, self._unpair = _pair_indices(problem.qubits)
+        pair, unpair = _pair_indices(problem.qubits)
+        # at q = 1 both gathers are the identity, and the layer skips them
+        identity = np.array_equal(pair, np.arange(pair.size))
+        self._pair, self._unpair = (None, None) if identity else (pair, unpair)
         self._states = tuple(np.asarray(v, dtype=complex)
                              for v in (problem.psi, problem.second_state()))
         tilde = rho_tilde(problem)
@@ -145,12 +153,16 @@ class CircuitSimulator:
         # matmul runs one product per slice of a (B, ...) stack, so every
         # slice gets the arithmetic of a lone d x d matrix.
         b, d, _ = rho.shape
-        x = (self._g @ rho @ self._g_dag).reshape(b, -1).take(self._pair, axis=1)
+        x = (self._g @ rho @ self._g_dag).reshape(b, -1)
+        if self._pair is not None:
+            x = x.take(self._pair, axis=1)
         # Each pass maps the leading (i_j, k_j) pair and rotates it to the
         # back; after q passes the pairs are back in order.
         for _ in range(self.problem.qubits):
             x = x.reshape(b, 4, -1).swapaxes(1, 2) @ self._noise_t
-        return x.reshape(b, -1).take(self._unpair, axis=1).reshape(b, d, d)
+        if self._unpair is not None:
+            x = x.reshape(b, -1).take(self._unpair, axis=1)
+        return x.reshape(b, d, d)
 
     def _which(self, v, role: str) -> int:
         """0 for psi, 1 for the second state; the callers' own arrays match by identity."""
@@ -170,7 +182,7 @@ class CircuitSimulator:
         prepare and measure.
         """
         term = _TERM_OF[self._which(prep, "preparation"), self._which(meas, "measurement")]
-        return _clamped_real(self._circuits.at(n, self._noisy_walk)[term], f"depth {n}")
+        return _clamped_real(self._circuits.at(n, self._noisy_walk)[term], n)
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
@@ -195,7 +207,7 @@ class CircuitSimulator:
         eff = shots * boost
         values = self._circuits.at(n, self._noisy_walk)
         for term, (_, _, sign) in enumerate(_TERMS):
-            p = _clamped_real(values[term], f"depth {n}")
+            p = _clamped_real(values[term], n)
             gen = (rekey(self.rng, keys[term]) if keys is not None
                    else substream(seed, trial, n, term, boost, into=self.rng))
             total += sign * gen.binomial(eff, p) / eff
@@ -221,7 +233,8 @@ class TProvider:
     the division guard of the ratio. shots is the shot count per circuit,
     0 when the values are not sampled; it prices calls_for and allows a
     failed iteration to be re-measured. A run first passes its depth schedule
-    to prepare(depths), a no-op by default, to key its draws in one pass.
+    to prepare(depths), a no-op by default; the sampled and perturbed
+    providers key their draws there (see _KeyTable).
     """
 
     def __init__(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0,
@@ -257,47 +270,87 @@ def exact_provider(sim: CircuitSimulator) -> TProvider:
     return TProvider(sim, lambda m, boost: sim.exact_t(m), EXACT_DIVISION_GUARD)
 
 
-def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 0) -> TProvider:
-    """Binomial-sampled t values.
+class _KeyTable:
+    """Philox keys of the unboosted draws of one command's trials.
+
+    The draw of trial t at depth m with tail e is that of substream(seed, t,
+    m, *e), for each tail e in the product of tails; keys[(t, m)] is the
+    tuple of their keys in that order. The first prepare(depths), from the
+    first run of the command, keys every trial at those depths in one
+    rng.philox_keys pass; later calls find the table filled. A draw without
+    a key goes through substream and gets the same value: a depth outside
+    the first schedule, or any draw when the seed, a trial or a depth is
+    2^32 or more.
+    """
+
+    def __init__(self, seed: int, trials, tails=()):
+        self.seed = seed
+        self.trials = list(trials)
+        self.tails = tails
+        self.keys: dict[tuple, tuple] = {}
+
+    def prepare(self, depths) -> None:
+        depths = list(depths)
+        if self.keys or not depths or max(self.seed, *self.trials, *depths) >= 2 ** 32:
+            return
+        rows = np.fromiter(chain.from_iterable(product(self.trials, depths, *self.tails)),
+                           np.int64)
+        flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(self.tails)))
+        # each (trial, depth) takes the next len(flat) / (trials x depths) keys
+        per = len(flat) // (len(self.trials) * len(depths))
+        self.keys.update(zip(product(self.trials, depths), zip(*[iter(flat)] * per)))
+
+    def providers(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0) -> list:
+        """One TProvider per trial, measuring with measure(trial, m, boost)."""
+        return [TProvider(sim, partial(measure, trial), eps_div, shots, prepare=self.prepare)
+                for trial in self.trials]
+
+
+def sampled_providers(sim: CircuitSimulator, shots: int, seed: int, trials) -> list:
+    """Binomial-sampled t values, one provider per trial, sharing one key table.
 
     The guard eps_div is three Hoeffding half-widths of t at the configured
     shot count (delta = 0.5 working point), so a ratio is formed only when
     the denominator clears its own statistical noise by a wide margin.
-    Trials may share one simulator: its probabilities do not depend on the
-    trial, and each draw has its own substream.
+    The trials share sim: its probabilities do not depend on the trial,
+    and each draw has its own substream.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    keys: dict[tuple, list] = {}  # (depth, boost) -> the four draws' keys
+    table = _KeyTable(seed, trials, (range(4), (1,)))  # (term, boost 1)
 
-    def prepare(depths) -> None:
-        if max(seed, trial, *depths) < 2 ** 32:  # else every draw goes through substream
-            table = philox_keys(seed, [(trial, m, term, 1) for m in depths for term in range(4)])
-            keys.update(((m, 1), table[4 * i:4 * i + 4]) for i, m in enumerate(depths))
+    def measure(trial: int, m: int, boost: int) -> float:
+        keys = table.keys.get((trial, m)) if boost == 1 else None
+        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=keys)
 
-    def measure(m: int, boost: int) -> float:
-        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=keys.get((m, boost)))
-
-    return TProvider(sim, measure, 3.0 * t_halfwidth(shots), shots=shots, prepare=prepare)
+    return table.providers(sim, measure, 3.0 * t_halfwidth(shots), shots)
 
 
-def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int = 0) -> TProvider:
+def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 0) -> TProvider:
+    """The one-trial case of sampled_providers."""
+    return sampled_providers(sim, shots, seed, [trial])[0]
+
+
+def perturbed_providers(sim: CircuitSimulator, eps: float, seed: int, trials) -> list:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
     The sign is drawn once per (trial, depth) from a seeded substream,
     re-keying sim.rng; the guard scales with the perturbation the way the
-    sampled guard scales with shot noise.
+    sampled guard scales with shot noise. One provider per trial, sharing
+    one key table.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"perturbation must be a finite number >= 0, got {eps}")
-    keys: dict[int, tuple] = {}  # depth -> its sign draw's key
+    table = _KeyTable(seed, trials)
 
-    def prepare(depths) -> None:
-        if max(seed, trial, *depths) < 2 ** 32:  # else every draw goes through substream
-            keys.update(zip(depths, philox_keys(seed, [(trial, m) for m in depths])))
-
-    def measure(m: int, boost: int) -> float:
-        gen = rekey(sim.rng, keys[m]) if m in keys else substream(seed, trial, m, into=sim.rng)
+    def measure(trial: int, m: int, boost: int) -> float:
+        keys = table.keys.get((trial, m))
+        gen = rekey(sim.rng, keys[0]) if keys else substream(seed, trial, m, into=sim.rng)
         return sim.exact_t(m) + (1.0 if gen.integers(0, 2) else -1.0) * eps
 
-    return TProvider(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD), prepare=prepare)
+    return table.providers(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD))
+
+
+def perturbed_provider(sim: CircuitSimulator, eps: float, seed: int, trial: int = 0) -> TProvider:
+    """The one-trial case of perturbed_providers."""
+    return perturbed_providers(sim, eps, seed, [trial])[0]

@@ -18,7 +18,8 @@ import numpy as np
 
 from .baseline import iqae_run
 from .channels import NoiseSpec
-from .circuits import CircuitSimulator, exact_provider, perturbed_provider, sampled_provider
+from .circuits import (CircuitSimulator, exact_provider, perturbed_providers, sampled_provider,
+                       sampled_providers)
 from .config import ExperimentConfig, build_problem
 from .errors import ConfigError
 from .estimator import fold_theta, run
@@ -138,8 +139,8 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     errors = {n: [] for n in depths}
     rows = []
     sim = CircuitSimulator(problem, cfg.noise)
-    for trial in range(cfg.trials):
-        provider = perturbed_provider(sim, cfg.perturbation, cfg.seed, trial)
+    providers = perturbed_providers(sim, cfg.perturbation, cfg.seed, range(cfg.trials))
+    for trial, provider in enumerate(providers):
         result = run(provider, k=cfg.iterations)
         for rec, theta in zip(result.iterations, result.iteration_thetas()):
             err = abs(theta - theta_true) if theta is not None else None
@@ -202,8 +203,8 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
         sim = CircuitSimulator(problem, noise)
         per_depth_nrqae = {}
         per_depth_iqae = {}
-        for trial in range(cfg.trials):
-            provider = sampled_provider(sim, cfg.shots, cfg.seed, trial)
+        providers = sampled_providers(sim, cfg.shots, cfg.seed, range(cfg.trials))
+        for trial, provider in enumerate(providers):
             result = run(provider, k=cfg.iterations, retry=cfg.retry)
             budget = 0
             thetas = result.iteration_thetas()

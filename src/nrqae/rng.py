@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +15,8 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _HASH = tuple((_INIT_B * _MULT_B ** i & _WORD_MASK, _INIT_B * _MULT_B ** (i + 1) & _WORD_MASK)
               for i in range(_POOL_WORDS))
+_HASH_XOR = np.array([x for x, _ in _HASH], dtype=np.uint32)[:, None]
+_HASH_MULT = np.array([m for _, m in _HASH], dtype=np.uint32)[:, None]
 _ZEROS = (0, 0, 0, 0)
 # SeedSequence's mix: with C_k = INIT_A MULT_A^k, hash step k maps w to (w ^ C_k) C_(k+1),
 # and a pool word x absorbs the result h as MIX_L x - MIX_R h; each xor-shifts by 16 after.
@@ -53,34 +55,54 @@ def _philox_key(pool) -> tuple:
     return a ^ a >> 16 | (b ^ b >> 16) << 32, c ^ c >> 16 | (d ^ d >> 16) << 32
 
 
+@lru_cache(maxsize=16)
+def _path_steps(width: int) -> tuple:
+    """The (xor, multiplier) constants of hash steps 16 + 4p + d, each shaped (width, 4, 1).
+
+    Step 16 + 4p + d hashes path word p for pool word d; steps 0-15 hash the seed.
+    """
+    steps = np.multiply.accumulate(np.array([_INIT_A] + [_MULT_A] * (16 + 4 * width),
+                                            dtype=np.uint32), dtype=np.uint32)[16:, None]
+    tables = steps[:-1].reshape(width, 4, 1), steps[1:].reshape(width, 4, 1)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The 4-word pool numpy's SeedSequence(seed) mixes from a seed alone, as a column."""
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    pool.setflags(write=False)
+    return pool
+
+
 def philox_keys(seed: int, paths) -> list:
     """The Philox keys that ``substream(seed, *row, into=gen)`` writes, one per row.
 
-    The rows have one length; the seed and every element lie in [0, 2^32).
-    numpy mixes the seed into the pool (hash steps 0-15); the path words are
-    mixed in for all rows at once in uint32 arithmetic, which wraps as C does.
+    paths is a sequence of rows of one length or a 2-D integer array; the
+    seed and every element lie in [0, 2^32). numpy mixes the seed into the
+    pool (hash steps 0-15, kept per seed); the path words are mixed in for
+    all rows at once in uint32 arithmetic, which wraps as C does.
     """
-    paths = list(paths)
     try:
-        flat = np.fromiter(chain([seed], *paths), dtype=np.int64)
-    except OverflowError:  # beyond int64, so beyond 32 bits too
-        flat = None
-    if flat is None or (flat >> 32).any() or len(set(map(len, paths))) > 1:
+        rows = np.asarray(paths)
+    except OverflowError:  # beyond every integer dtype, so beyond 32 bits too
+        rows = None
+    if (rows is None or rows.ndim != 2 or rows.dtype.kind not in "iu"
+            or not 0 <= seed <= _WORD_MASK or (rows >> 32).any()):  # negatives shift to -1
         raise ValueError("paths must have one length, with seed and elements in [0, 2^32)")
-    width = len(paths[0]) if paths else 0
-    steps = np.multiply.accumulate(np.array([_INIT_A] + [_MULT_A] * (16 + 4 * width),
-                                            dtype=np.uint32), dtype=np.uint32)[16:, None]
+    xors, mults = _path_steps(rows.shape[1])
     # hashed[p, d] is path word p hashed by step 16 + 4p + d, for pool word d
-    words = flat[1:].astype(np.uint32).reshape(len(paths), width).T[:, None]
-    hashed = (words ^ steps[:-1].reshape(width, 4, 1)) * steps[1:].reshape(width, 4, 1)
+    hashed = (rows.T.astype(np.uint32)[:, None] ^ xors) * mults
     hashed ^= hashed >> 16
-    pool = np.repeat(np.random.SeedSequence(int(seed)).pool[:, None], len(paths), axis=1)
+    pool = np.repeat(_seed_pool(int(seed)), len(rows), axis=1)
     for h in hashed * _MIX_R:
         pool *= _MIX_L
         pool -= h
         pool ^= pool >> 16
-    pool ^= np.array([x for x, _ in _HASH], dtype=np.uint32)[:, None]
-    pool *= np.array([m for _, m in _HASH], dtype=np.uint32)[:, None]
+    pool ^= _HASH_XOR
+    pool *= _HASH_MULT
     key = (pool ^ pool >> 16).astype(np.uint64)
     return list(zip((key[0] | key[1] << 32).tolist(), (key[2] | key[3] << 32).tolist()))
 

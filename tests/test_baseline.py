@@ -1,8 +1,11 @@
 """Iterative baseline: interval maintenance, budgets, multiplier schedule."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from nrqae import baseline
 from nrqae.baseline import (_BRANCH_TOL, _MAX_MULTIPLIER, _branch, _next_multiplier,
                             iqae_run)
 from nrqae.channels import NoiseSpec
@@ -202,11 +205,64 @@ def test_next_multiplier_matches_the_numpy_scan():
                           (mode, hi - np.pi / (m + 1), hi, max(1, m // 2))]
                 lo, hi = np.nextafter(lo, 4.0), np.nextafter(hi, -1.0)
     assert len(cases) >= 100_000
+    # a budget per case: the largest affordable m, of the mode's parity, near
+    # the scanned range for half the cases and anywhere up to 3 m_cur for the rest
+    m_cur_all = np.array([case[3] for case in cases])
+    near = 2 * m_cur_all + rng.integers(-8, 100, len(cases))
+    anywhere = rng.integers(0, 3 * m_cur_all + 5)
+    tops = np.where(np.arange(len(cases)) % 2, anywhere, near)
     moved = 0
-    for mode, x_lo, x_hi, m_cur in cases:
+    outcomes = Counter()
+    for (mode, x_lo, x_hi, m_cur), top in zip(cases, tops.tolist()):
+        want = _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur)
         got = _next_multiplier(mode, x_lo, x_hi, m_cur)
         assert type(got) is int
-        assert got == _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur), (mode, x_lo, x_hi, m_cur)
+        assert got == want, (mode, x_lo, x_hi, m_cur)
         moved += got != m_cur
-    # the scan both advances and holds m on this set
+        # the run stops on an m above the budget's, or acts on the same m
+        m_top = max(top, 0) | 1 if mode == "amplitude" else max(top, 0) // 2 * 2 + 2
+        got = _next_multiplier(mode, x_lo, x_hi, m_cur, m_top)
+        assert type(got) is int and got % 2 == want % 2
+        stop = want > m_top
+        assert (got > m_top) == stop and (stop or got == want), (mode, x_lo, x_hi, m_cur, m_top)
+        outcomes[stop, want == m_cur] += 1
+    # the scan both advances and holds m on this set, and the budgets both stop
+    # and admit the advanced and the held m
     assert 0 < moved < len(cases)
+    assert len(outcomes) == 4 and min(outcomes.values()) > 1000, outcomes
+
+
+def _invert_numpy(m, x_lo, x_hi, c_lo, c_hi):
+    """_invert before its ends became Python floats, kept here as the reference."""
+    j = _branch(m, x_lo, x_hi)
+    if j % 2 == 0:
+        v_lo, v_hi = np.arccos(c_hi), np.arccos(c_lo)
+    else:
+        v_lo, v_hi = np.arccos(-c_lo), np.arccos(-c_hi)
+    return (j * np.pi + v_lo) / m, (j * np.pi + v_hi) / m
+
+
+def test_capped_runs_of_compare_noise_match_the_full_scan(monkeypatch):
+    """compare-noise's 60 capped runs on the README config, against the full scan."""
+    problem = amplitude_problem(np.array([1.0, 0.0]), np.array([np.sqrt(0.75), 0.5]))
+    sim = CircuitSimulator(problem, NoiseSpec(kind="pauli"))
+    shots, seed = 100_000, 7
+    # the estimator's cumulative charge after iterations 0..5: 4 circuits at n, 2n, 3n
+    budgets = np.cumsum([shots * 4 * 6 * 2 ** i for i in range(6)]).tolist()
+
+    def runs():
+        return [iqae_run(sim, target_eps=0.0, shots_per_round=shots, seed=seed,
+                         trial=(trial << 10) | index, max_oracle_calls=budget)
+                for trial in range(10) for index, budget in enumerate(budgets)]
+
+    got = runs()
+    monkeypatch.setattr(baseline, "_next_multiplier",
+                        lambda mode, x_lo, x_hi, m_cur, m_top=None:
+                        _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur))
+    monkeypatch.setattr(baseline, "_invert", _invert_numpy)
+    want = runs()
+    assert got == want  # field by field, np.float64 against float by value
+    assert all(type(r.x_lo) is float for res in got for r in res.rounds)
+    # the budget, not the round cap, ends every run, after rounds at m = 1 and beyond
+    assert all(not res.converged and len(res.rounds) < 64 for res in got)
+    assert len({r.m for res in got for r in res.rounds}) > 2

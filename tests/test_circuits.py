@@ -1,6 +1,7 @@
 """Depth series simulation: exact propagation, sampling, the provider."""
 
 import gc
+import inspect
 import tracemalloc
 import weakref
 
@@ -15,11 +16,15 @@ from nrqae.circuits import (
     CircuitSimulator,
     exact_provider,
     perturbed_provider,
+    perturbed_providers,
     sampled_provider,
+    sampled_providers,
     t_halfwidth,
 )
+from nrqae.config import ExperimentConfig
 from nrqae.errors import NonPhysicalChannelError
 from nrqae.estimator import run
+from nrqae.experiments import run_compare_noise, run_sweep_depth
 from nrqae.model import (amplitude_problem, conjugation_superop, grover, observable_problem,
                          rho_tilde, vectorize)
 from nrqae.rng import substream
@@ -522,3 +527,69 @@ def test_planned_run_draws_only_retries_through_substream(monkeypatch):
             assert len(res.series) == 13
             want = retries if seed < 2 ** 32 else every + retries
             assert sorted(calls) == sorted(want), (seed, kind)
+
+
+def _written_key(seed, *path):
+    """The Philox key substream writes for (seed, path): the reference for a table's keys."""
+    gen = substream(seed, *path, into=np.random.Generator(np.random.Philox(0)))
+    return tuple(gen.bit_generator.state["state"]["key"].tolist())
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 40 + 3])
+@pytest.mark.parametrize("kind", ["sampled", "perturbed"])
+def test_shared_key_table_matches_per_trial_providers(kind, seed):
+    """One table for five trials gives each trial the keys and draws of its own provider."""
+    sim = CircuitSimulator(plane_problem(0.6), _MILD)
+    trials = [0, 1, 2, 5, 9]
+    if kind == "sampled":
+        shared = sampled_providers(sim, 1000, seed, trials)
+        alone = [sampled_provider(sim, 1000, seed, trial) for trial in trials]
+    else:
+        shared = perturbed_providers(sim, 0.1, seed, trials)
+        alone = [perturbed_provider(sim, 0.1, seed, trial) for trial in trials]
+    table = shared[0].prepare.__self__
+    assert all(p.prepare.__self__ is table for p in shared)
+    retry = kind == "sampled"
+    for trial, got_provider, want_provider in zip(trials, shared, alone, strict=True):
+        got = run(got_provider, k=5, retry=retry)
+        want = run(want_provider, k=5, retry=retry)
+        assert got.series == want.series
+        assert [(r.triplet, r.selected, r.ok, r.retried) for r in got.iterations] == \
+            [(r.triplet, r.selected, r.ok, r.retried) for r in want.iterations]
+        if retry:
+            assert any(r.retried for r in got.iterations)
+    if seed >= 2 ** 32:
+        assert table.keys == {}  # every draw went through substream
+        return
+    # the first run keyed every trial at every scheduled depth, once
+    depths = sorted(got.series)
+    assert sorted(table.keys) == sorted((t, m) for t in trials for m in depths)
+    tails = [(term, 1) for term in range(4)] if kind == "sampled" else [()]
+    for (trial, m), keys in table.keys.items():
+        assert keys == tuple(_written_key(seed, trial, m, *tail) for tail in tails)
+
+
+def test_a_command_keys_its_draws_in_one_pass_per_kind(monkeypatch):
+    calls = []
+    real = circuits.philox_keys
+
+    def counting(seed, paths):
+        calls.append(len(paths))
+        return real(seed, paths)
+
+    monkeypatch.setattr(circuits, "philox_keys", counting)
+    cfg = ExperimentConfig(amplitude=0.75, noise=NoiseSpec(kind="pauli"), shots=100_000,
+                           iterations=5, trials=10, seed=7,
+                           compare_kinds=["pauli", "depolarizing"])
+    run_compare_noise(cfg)
+    assert calls == [10 * 13 * 4, 10 * 13 * 4]  # trials x depths x terms, per kind
+    calls.clear()
+    cfg.perturbation = 1e-3
+    run_sweep_depth(cfg)
+    assert calls == [10 * 13]
+
+
+def test_sampled_t_keeps_its_positional_order():
+    # the benchmark's tracer reads n, shots and boost from positions 1, 2 and 5
+    params = list(inspect.signature(CircuitSimulator.sampled_t).parameters)
+    assert params[:6] == ["self", "n", "shots", "seed", "trial", "boost"]
