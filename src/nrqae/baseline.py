@@ -158,10 +158,7 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    problem = sim.problem
-    psi = problem.psi
-    sec = problem.second_state()
-    mode = problem.mode
+    mode = sim.problem.mode
     # the confidence interval on the phase, the current multiplier and the round log
     x_lo, x_hi = 0.0, np.pi if mode == "amplitude" else np.pi / 2.0
     m_cur = shots_used = oracle_calls = 0
@@ -186,7 +183,7 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         cost = shots_per_round * k
         if max_oracle_calls is not None and oracle_calls + cost > max_oracle_calls:
             break
-        p_true = sim.prob(psi, sec, k)
+        p_true = sim.prob(k)
         gen = substream(seed, trial, idx, into=sim.rng)
         p_hat = gen.binomial(shots_per_round, p_true) / shots_per_round
         c_lo = float(min(max(2.0 * (p_hat - eps_p) - 1.0, -1.0), 1.0))

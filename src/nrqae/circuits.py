@@ -94,7 +94,6 @@ class _Trajectory:
 # The four circuits of t_n in the order sampled_t draws them, as
 # (preparation, measurement, sign) with 0 = psi and 1 = the second state.
 _TERMS = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
-_TERM_OF = {(prep, meas): term for term, (prep, meas, _) in enumerate(_TERMS)}
 
 
 class CircuitSimulator:
@@ -164,25 +163,12 @@ class CircuitSimulator:
             x = x.reshape(b, -1).take(self._unpair, axis=1)
         return x.reshape(b, d, d)
 
-    def _which(self, v, role: str) -> int:
-        """0 for psi, 1 for the second state; the callers' own arrays match by identity."""
-        for index, state in enumerate(self._states):
-            if v is state:
-                return index
-        for index, state in enumerate(self._states):
-            if np.array_equal(v, state):
-                return index
-        raise ValueError(f"{role} must be problem.psi or problem.second_state()")
+    def prob(self, n: int) -> float:
+        """Probability of measuring the second state after n layers from psi.
 
-    def prob(self, prep, meas, n: int) -> float:
-        """Probability of projecting onto meas after n layers from prep.
-
-        prep and meas are each problem.psi or problem.second_state(),
-        matched by value: those are the only states the walk's circuits
-        prepare and measure.
+        That is the IQAE baseline's one circuit, term 1 of sampled_t.
         """
-        term = _TERM_OF[self._which(prep, "preparation"), self._which(meas, "measurement")]
-        return _clamped_real(self._circuits.at(n, self._noisy_walk)[term], n)
+        return _clamped_real(self._circuits.at(n, self._noisy_walk)[1], n)
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
@@ -199,7 +185,8 @@ class CircuitSimulator:
         by (trial, depth, term, boost), so any value is reproducible in
         isolation and a retry with boosted shots is a fresh measurement.
         The draws re-key the simulator's rng, to the four terms' given keys
-        (from rng.philox_keys) or through substream; the values are the same.
+        (the providers' key table) or else through substream; the values are
+        the same.
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -271,34 +258,42 @@ def exact_provider(sim: CircuitSimulator) -> TProvider:
 
 
 class _KeyTable:
-    """Philox keys of the unboosted draws of one command's trials.
+    """Philox keys of the draws of one command's trials, per (trial, depth, boost) cell.
 
-    The draw of trial t at depth m with tail e is that of substream(seed, t,
-    m, *e), for each tail e in the product of tails; keys[(t, m)] is the
-    tuple of their keys in that order. The first prepare(depths), from the
-    first run of the command, keys every trial at those depths in one
-    rng.philox_keys pass; later calls find the table filled. A draw without
-    a key goes through substream and gets the same value: a depth outside
-    the first schedule, or any draw when the seed, a trial or a depth is
-    2^32 or more.
+    With terms, the draws of cell (t, m, b) are those of substream(seed, t,
+    m, term, b) for each term; without, the cell's one draw is that of
+    substream(seed, t, m), whatever the boost. keys[(t, m, b)] is the tuple
+    of their keys in that order. The first prepare(depths), from the first
+    run of the command, keys every trial's unboosted cells at those depths
+    in one rng.philox_keys pass; later calls find the table filled. get
+    derives a missing cell, a boosted retry or a depth outside the first
+    schedule, with one philox_keys call of its own.
     """
 
-    def __init__(self, seed: int, trials, tails=()):
+    def __init__(self, seed: int, trials, terms: int = 0):
         self.seed = seed
         self.trials = list(trials)
-        self.tails = tails
+        if seed < 0 or not all(0 <= t < 2 ** 32 for t in self.trials):
+            raise ValueError(f"seed must be >= 0 and trials in [0, 2^32), got {seed}, {trials}")
+        self.terms = terms
         self.keys: dict[tuple, tuple] = {}
 
-    def prepare(self, depths) -> None:
-        depths = list(depths)
-        if self.keys or not depths or max(self.seed, *self.trials, *depths) >= 2 ** 32:
-            return
-        rows = np.fromiter(chain.from_iterable(product(self.trials, depths, *self.tails)),
-                           np.int64)
-        flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(self.tails)))
+    def _fill(self, trials, depths, boost: int) -> None:
+        tails = (range(self.terms), (boost,)) if self.terms else ()
+        rows = np.fromiter(chain.from_iterable(product(trials, depths, *tails)), np.int64)
+        flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(tails)))
         # each (trial, depth) takes the next len(flat) / (trials x depths) keys
-        per = len(flat) // (len(self.trials) * len(depths))
-        self.keys.update(zip(product(self.trials, depths), zip(*[iter(flat)] * per)))
+        per = len(flat) // (len(trials) * len(depths))
+        self.keys.update(zip(product(trials, depths, (boost,)), zip(*[iter(flat)] * per)))
+
+    def prepare(self, depths) -> None:
+        if not self.keys:
+            self._fill(self.trials, list(depths), 1)
+
+    def get(self, trial: int, m: int, boost: int) -> tuple:
+        if (trial, m, boost) not in self.keys:
+            self._fill((trial,), (m,), boost)
+        return self.keys[trial, m, boost]
 
     def providers(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0) -> list:
         """One TProvider per trial, measuring with measure(trial, m, boost)."""
@@ -313,15 +308,14 @@ def sampled_providers(sim: CircuitSimulator, shots: int, seed: int, trials) -> l
     shot count (delta = 0.5 working point), so a ratio is formed only when
     the denominator clears its own statistical noise by a wide margin.
     The trials share sim: its probabilities do not depend on the trial,
-    and each draw has its own substream.
+    and each draw has its own substream's key.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    table = _KeyTable(seed, trials, (range(4), (1,)))  # (term, boost 1)
+    table = _KeyTable(seed, trials, len(_TERMS))
 
     def measure(trial: int, m: int, boost: int) -> float:
-        keys = table.keys.get((trial, m)) if boost == 1 else None
-        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=keys)
+        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=table.get(trial, m, boost))
 
     return table.providers(sim, measure, 3.0 * t_halfwidth(shots), shots)
 
@@ -334,18 +328,17 @@ def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 
 def perturbed_providers(sim: CircuitSimulator, eps: float, seed: int, trials) -> list:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
-    The sign is drawn once per (trial, depth) from a seeded substream,
-    re-keying sim.rng; the guard scales with the perturbation the way the
-    sampled guard scales with shot noise. One provider per trial, sharing
-    one key table.
+    The sign is drawn once per (trial, depth) with a seeded substream's
+    key, re-keying sim.rng; the guard scales with the perturbation the way
+    the sampled guard scales with shot noise. One provider per trial,
+    sharing one key table.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"perturbation must be a finite number >= 0, got {eps}")
     table = _KeyTable(seed, trials)
 
     def measure(trial: int, m: int, boost: int) -> float:
-        keys = table.keys.get((trial, m))
-        gen = rekey(sim.rng, keys[0]) if keys else substream(seed, trial, m, into=sim.rng)
+        gen = rekey(sim.rng, table.get(trial, m, boost)[0])
         return sim.exact_t(m) + (1.0 if gen.integers(0, 2) else -1.0) * eps
 
     return table.providers(sim, measure, max(3.0 * eps, EXACT_DIVISION_GUARD))

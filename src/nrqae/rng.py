@@ -23,27 +23,6 @@ _ZEROS = (0, 0, 0, 0)
 _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
 
 
-def _long_words(seed: int, path) -> list:
-    """Entropy words as numpy assembles them, for values of any size.
-
-    Each value gives its little-endian 32-bit words (one word for 0); the
-    seed's words are zero-padded to the pool size when a path follows.
-    """
-    words: list = []
-    for i, value in enumerate((seed, *path)):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"expected non-negative integer, got {value}")
-        if i == 1:
-            words.extend([0] * (_POOL_WORDS - len(words)))
-        words.append(value & _WORD_MASK)
-        value >>= 32
-        while value:
-            words.append(value & _WORD_MASK)
-            value >>= 32
-    return words
-
-
 def _philox_key(pool) -> tuple:
     """The Philox key that generate_state(2, np.uint64) derives from a 4-word pool."""
     a, b, c, d = pool.tolist()
@@ -56,13 +35,14 @@ def _philox_key(pool) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _path_steps(width: int) -> tuple:
-    """The (xor, multiplier) constants of hash steps 16 + 4p + d, each shaped (width, 4, 1).
+def _path_steps(offset: int, width: int) -> tuple:
+    """The (xor, multiplier) constants of hash steps offset + 4p + d, each shaped (width, 4, 1).
 
-    Step 16 + 4p + d hashes path word p for pool word d; steps 0-15 hash the seed.
+    Step offset + 4p + d hashes path word p for pool word d; the steps before
+    offset hash the seed.
     """
-    steps = np.multiply.accumulate(np.array([_INIT_A] + [_MULT_A] * (16 + 4 * width),
-                                            dtype=np.uint32), dtype=np.uint32)[16:, None]
+    steps = np.multiply.accumulate(np.array([_INIT_A] + [_MULT_A] * (offset + 4 * width),
+                                            dtype=np.uint32), dtype=np.uint32)[offset:, None]
     tables = steps[:-1].reshape(width, 4, 1), steps[1:].reshape(width, 4, 1)
     for table in tables:
         table.setflags(write=False)
@@ -70,19 +50,23 @@ def _path_steps(width: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> np.ndarray:
-    """The 4-word pool numpy's SeedSequence(seed) mixes from a seed alone, as a column."""
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence(seed)'s 4-word pool as a column, and the hash step of a path's first word.
+
+    The pool's own 4 words take hash steps 0-15 and each further 32-bit word
+    of the seed 4 more, so a path starts at step 16 + 4 (words - 4).
+    """
     pool = np.random.SeedSequence(seed).pool[:, None]
     pool.setflags(write=False)
-    return pool
+    return pool, 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - _POOL_WORDS)
 
 
 def philox_keys(seed: int, paths) -> list:
     """The Philox keys that ``substream(seed, *row, into=gen)`` writes, one per row.
 
-    paths is a sequence of rows of one length or a 2-D integer array; the
-    seed and every element lie in [0, 2^32). numpy mixes the seed into the
-    pool (hash steps 0-15, kept per seed); the path words are mixed in for
+    paths is a sequence of rows of one length or a 2-D integer array with
+    every element in [0, 2^32); the seed is any integer >= 0. numpy mixes
+    the seed into the pool (kept per seed); the path words are mixed in for
     all rows at once in uint32 arithmetic, which wraps as C does.
     """
     try:
@@ -90,13 +74,14 @@ def philox_keys(seed: int, paths) -> list:
     except OverflowError:  # beyond every integer dtype, so beyond 32 bits too
         rows = None
     if (rows is None or rows.ndim != 2 or rows.dtype.kind not in "iu"
-            or not 0 <= seed <= _WORD_MASK or (rows >> 32).any()):  # negatives shift to -1
-        raise ValueError("paths must have one length, with seed and elements in [0, 2^32)")
-    xors, mults = _path_steps(rows.shape[1])
-    # hashed[p, d] is path word p hashed by step 16 + 4p + d, for pool word d
+            or seed < 0 or (rows >> 32).any()):  # negatives shift to -1
+        raise ValueError("paths must have one length, with elements in [0, 2^32) and seed >= 0")
+    pool, offset = _seed_pool(int(seed))
+    xors, mults = _path_steps(offset, rows.shape[1])
+    # hashed[p, d] is path word p hashed by step offset + 4p + d, for pool word d
     hashed = (rows.T.astype(np.uint32)[:, None] ^ xors) * mults
     hashed ^= hashed >> 16
-    pool = np.repeat(_seed_pool(int(seed)), len(rows), axis=1)
+    pool = np.repeat(pool, len(rows), axis=1)
     for h in hashed * _MIX_R:
         pool *= _MIX_L
         pool -= h
@@ -129,24 +114,25 @@ def substream(seed: int, *path: int,
     as (trial, depth, term) to keep every drawn quantity reproducible in
     isolation.
 
-    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``.
-    Its entropy words are assembled here as SeedSequence would: the seed's
-    words, zero-padded to the pool size when a path follows, then each path
-    element's words. Passing them as plain entropy skips numpy's slower
-    conversion of Python ints and gives the same pool, key and draws.
+    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``,
+    which builds it when a value is 2^32 or more (or negative, which numpy
+    rejects). When every value lies in [0, 2^32), the entropy words are
+    assembled here as SeedSequence would: the seed, zero-padded to the pool
+    size when a path follows, then the path. Passing them as plain entropy
+    skips numpy's slower conversion of Python ints and gives the same pool,
+    key and draws.
 
     Without ``into`` a new Philox generator is built. With ``into``, a
     Generator over Philox, that generator is given the key numpy derives
-    from the SeedSequence's pool through rekey, and returned. Seeds and
-    path elements in [0, 2^32) skip the word assembly.
+    from the SeedSequence's pool through rekey, and returned.
     """
     for value in (seed, *path):
         if not 0 <= value <= _WORD_MASK:
-            words = _long_words(seed, path)
+            ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
             break
     else:
         words = [seed, 0, 0, 0, *path] if path else [seed]
-    ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     if into is None:
         return np.random.Generator(np.random.Philox(ss))
     return rekey(into, _philox_key(ss.pool))

@@ -126,11 +126,11 @@ def test_propagation_matches_dense_matrix_power(qubits):
                 t_want = np.vdot(rho_vec, power @ rho_vec).real
                 p_want = np.vdot(meas, power @ prep).real
                 assert abs(sim.exact_t(n) - t_want) < 1e-12, (p.mode, noise.kind, n)
-                assert abs(sim.prob(p.psi, sec, n) - p_want) < 1e-12, (p.mode, noise.kind, n)
+                assert abs(sim.prob(n) - p_want) < 1e-12, (p.mode, noise.kind, n)
             with pytest.raises(ValueError):
                 sim.exact_t(-1)
             with pytest.raises(ValueError):
-                sim.prob(p.psi, sec, -1)
+                sim.prob(-1)
 
 
 def _reference_walk(sim, rho):
@@ -143,6 +143,15 @@ def _reference_walk(sim, rho):
     for _ in range(q):
         x = x.reshape(4, -1).T @ sim._noise_t
     return x.reshape((2,) * (2 * q)).transpose(tuple(np.argsort(pairs))).reshape(d, d)
+
+
+def _circuit_prob(sim, prep, meas, n):
+    """Probability of circuit (prep, meas) after n layers, 0 being psi and 1 the second state.
+
+    prob(n) serves only (0, 1); this reads any of the four from the stack's read-outs.
+    """
+    term = [t[:2] for t in circuits._TERMS].index((prep, meas))
+    return circuits._clamped_real(sim._circuits.at(n, sim._noisy_walk)[term], n)
 
 
 def _reference_probs(sim, prep, meas, depths):
@@ -193,21 +202,22 @@ def test_preparations_share_one_stack():
     p = random_problem(rng, 3)
     noise = NoiseSpec(kind="amplitude-damping")
     sim = CircuitSimulator(p, noise)
-    psi, sec = p.psi, p.second_state()
-    states = {"psi": psi, "sec": sec}
+    states = (p.psi, p.second_state())
     want = {(a, b): _reference_probs(sim, states[a], states[b], range(13))
-            for a in states for b in states}
-    # interleaved preparations and measurements, up and down in depth
-    calls = [("sec", "sec", 3), ("psi", "sec", 3), ("sec", "psi", 3), ("psi", "psi", 7),
-             ("psi", "sec", 1), ("sec", "sec", 12), ("psi", "psi", 5), ("sec", "psi", 12)]
+            for a in (0, 1) for b in (0, 1)}
+    # interleaved preparations and measurements (0 = psi, 1 = the second
+    # state), up and down in depth
+    calls = [(1, 1, 3), (0, 1, 3), (1, 0, 3), (0, 0, 7), (0, 1, 1), (1, 1, 12), (0, 0, 5),
+             (1, 0, 12)]
     for a, b, n in calls:
-        assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
+        assert _circuit_prob(sim, a, b, n) == want[(a, b)][n], (a, b, n)
     traj = sim._circuits
     assert traj._rho.shape == (2, 8, 8)
     assert len(traj.readouts) == 13  # depths 0..12
     # every value read before stays served from the read-outs
     for a, b, n in calls:
-        assert sim.prob(states[a], states[b], n) == want[(a, b)][n], (a, b, n)
+        assert _circuit_prob(sim, a, b, n) == want[(a, b)][n], (a, b, n)
+    assert sim.prob(12) == want[(0, 1)][12]
     assert sim._circuits is traj and len(traj.readouts) == 13
 
 
@@ -220,33 +230,12 @@ def test_exact_run_builds_no_preparation_stack():
     assert "rng" not in vars(sim)  # nor a generator
 
 
-def test_prob_accepts_only_the_walks_states():
-    """prob serves psi and the second state, matched by value, and nothing else."""
-    p = random_problem(np.random.default_rng(277), 2)
-    sim = CircuitSimulator(p)
-    third = np.ones(4) / 2.0
-    with pytest.raises(ValueError, match=r"preparation must be problem.psi"):
-        sim.prob(third, p.psi, 1)
-    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
-        sim.prob(p.psi, third, 1)
-    with pytest.raises(ValueError, match=r"preparation must be problem.psi"):
-        sim.prob(np.ones(3) / np.sqrt(3), p.psi, 1)
-    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
-        sim.prob(p.psi, np.ones(8) / np.sqrt(8), 1)
-    with pytest.raises(ValueError, match=r"measurement must be problem.psi"):
-        sim.prob(p.psi, np.eye(4), 1)
-    assert "_circuits" not in vars(sim)  # rejected before the stack is built
-    sec = p.second_state()
-    assert sim.prob(list(p.psi), sec.copy(), 2) == sim.prob(p.psi, sec, 2)
-
-
 def test_shared_simulator_matches_fresh_one():
     """Values do not depend on what a simulator served before."""
     rng = np.random.default_rng(233)
     p = random_problem(rng, 2)
     noise = NoiseSpec(kind="amplitude-damping")
     shared = CircuitSimulator(p, noise)
-    sec = p.second_state()
     for trial in range(3):
         for n in (1, 2, 3, 24, 40):
             shared.sampled_t(n, 1000, seed=3, trial=trial)
@@ -254,8 +243,8 @@ def test_shared_simulator_matches_fresh_one():
     for n in (0, 1, 5, 17, 40):
         fresh = CircuitSimulator(p, noise)
         assert shared.exact_t(n) == fresh.exact_t(n)
-        assert shared.prob(sec, p.psi, n) == fresh.prob(sec, p.psi, n)
-        assert shared.prob(p.psi, sec, n) == fresh.prob(p.psi, sec, n)
+        assert _circuit_prob(shared, 1, 0, n) == _circuit_prob(fresh, 1, 0, n)
+        assert shared.prob(n) == fresh.prob(n)
         assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
             fresh.sampled_t(n, 1000, seed=3, trial=7)
     own = sampled_provider(CircuitSimulator(p, noise), shots=1000, seed=3, trial=1)
@@ -298,7 +287,7 @@ def test_simulator_is_freed_without_the_cyclic_collector():
     try:
         sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
         sim.exact_t(5)
-        sim.prob(p.psi, p.second_state(), 3)
+        sim.prob(3)
         sim.sampled_t(4, 1000, seed=3)
         run(exact_provider(sim), k=2)
         ref = weakref.ref(sim)
@@ -349,7 +338,6 @@ def test_draws_on_one_simulator_match_fresh_streams():
     """Interleaved draws through the simulator's one generator are each a fresh stream's."""
     p = random_problem(np.random.default_rng(281), 1)
     sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
-    psi, sec = p.psi, p.second_state()
     seed, shots, eps = 11, 3000, 1e-3
     draws = [("sampled", n, trial, boost) for n in (1, 2, 3, 6, 12) for trial in (0, 5)
              for boost in (1, 4)]
@@ -363,10 +351,10 @@ def test_draws_on_one_simulator_match_fresh_streams():
             n, trial, boost = args
             eff = shots * boost
             want = 0.0
-            terms = ((sec, sec, 1.0), (psi, sec, -1.0), (sec, psi, -1.0), (psi, psi, 1.0))
+            terms = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
             for term, (prep, meas, sign) in enumerate(terms):
                 gen = _fresh_stream(seed, trial, n, term, boost)
-                want += sign * gen.binomial(eff, sim.prob(prep, meas, n)) / eff
+                want += sign * gen.binomial(eff, _circuit_prob(sim, prep, meas, n)) / eff
             assert sim.sampled_t(n, shots, seed, trial, boost=boost) == want, draws[i]
         elif kind == "sign":
             m, trial = args
@@ -380,7 +368,7 @@ def test_draws_on_one_simulator_match_fresh_streams():
             assert len(res.rounds) == rounds
             for r in res.rounds:
                 count = _fresh_stream(seed, trial, r.index).binomial(
-                    shots, sim.prob(psi, sec, r.applications))
+                    shots, sim.prob(r.applications))
                 assert r.p_hat == count / shots, (draws[i], r.index)
         owned.add(id(vars(sim)["rng"]))
     assert len(owned) == 1  # every draw re-keyed the one generator
@@ -467,7 +455,7 @@ def test_unphysical_noise_matrix_is_rejected():
     sim = CircuitSimulator(p)
     sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
-        sim.prob(p.psi, p.psi, 1)
+        sim.prob(1)
 
 
 _MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
@@ -484,7 +472,7 @@ def _provider(kind, sim, seed):
 @pytest.mark.parametrize("kind, retry", [("sampled", False), ("sampled", True),
                                          ("perturbed", False)])
 def test_planned_run_matches_per_draw_run(kind, retry, seed):
-    """Keys derived for the whole schedule give the values of per-draw substreams."""
+    """Keys derived for the whole schedule give the values of keys derived draw by draw."""
     sim = CircuitSimulator(plane_problem(0.6), _MILD)
     planned = run(_provider(kind, sim, seed), k=5, retry=retry)
     per_draw = _provider(kind, sim, seed)
@@ -501,32 +489,58 @@ def test_planned_run_matches_per_draw_run(kind, retry, seed):
     assert any(rec.retried for rec in planned.iterations) == retry
 
 
-def test_planned_run_draws_only_retries_through_substream(monkeypatch):
-    calls = []
-    real = circuits.substream
+@pytest.mark.parametrize("seed", [7, 2 ** 40 + 3, 2 ** 130 + 1])
+def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
+    """Unboosted, boosted and off-schedule draws, for any seed, are keyed by the table alone."""
+    substreams, batches = [], []
+    real_substream, real_keys = circuits.substream, circuits.philox_keys
 
-    def counting(seed, *path, **kwargs):
-        calls.append((seed, *path))
-        return real(seed, *path, **kwargs)
+    def counting_substream(*args, **kwargs):
+        substreams.append(args)
+        return real_substream(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "substream", counting)
+    def counting_keys(seed, paths):
+        batches.append(len(paths))
+        return real_keys(seed, paths)
+
+    monkeypatch.setattr(circuits, "substream", counting_substream)
+    monkeypatch.setattr(circuits, "philox_keys", counting_keys)
     sim = CircuitSimulator(plane_problem(0.6), _MILD)
-    for seed in (7, 2 ** 40 + 3):
-        for kind in ("sampled", "perturbed"):
-            calls.clear()
-            res = run(_provider(kind, sim, seed), k=5, retry=True)
-            if kind == "perturbed":
-                every = [(seed, 3, m) for m in res.series]
-                retries = []
-            else:
-                every = [(seed, 3, m, term, 1) for m in res.series for term in range(4)]
-                boosted = {m for rec in res.iterations if rec.retried
-                           for m in (rec.n, 2 * rec.n, 3 * rec.n)}
-                retries = [(seed, 3, m, term, 4) for m in boosted for term in range(4)]
-                assert retries
-            assert len(res.series) == 13
-            want = retries if seed < 2 ** 32 else every + retries
-            assert sorted(calls) == sorted(want), (seed, kind)
+    trials, shots, eps = [0, 3], 1000, 0.1
+    sampled = sampled_providers(sim, shots, seed, trials)
+    perturbed = perturbed_providers(sim, eps, seed, trials)
+    for provider in sampled + perturbed:
+        run(provider, k=5, retry=True)
+    # depth 5 is off the schedule: each provider derives its cell once
+    batches.clear()
+    off = [[provider.measure(5, 1) for _ in range(2)] for provider in sampled + perturbed]
+    assert batches == [4, 4, 1, 1]
+    assert substreams == []
+    monkeypatch.undo()
+    boosted = 0
+    for trial, provider, at_5 in zip(trials, sampled, off):
+        assert at_5 == [sim.sampled_t(5, shots, seed, trial)] * 2
+        for (m, boost), value in provider._cache.items():
+            assert value == sim.sampled_t(m, shots, seed, trial, boost), (trial, m, boost)
+            boosted += boost > 1
+    assert boosted  # the runs took boosted retries
+
+    def signed(trial, m):
+        return sim.exact_t(m) + (1.0 if substream(seed, trial, m).integers(0, 2) else -1.0) * eps
+
+    for trial, provider, at_5 in zip(trials, perturbed, off[len(sampled):]):
+        assert at_5 == [signed(trial, 5)] * 2
+        for m, value in provider.series.items():
+            assert value == signed(trial, m), (trial, m)
+
+
+@pytest.mark.parametrize("trial", [2 ** 32, -1])
+def test_providers_reject_a_trial_outside_32_bits(trial):
+    sim = CircuitSimulator(plane_problem(0.6), _MILD)
+    with pytest.raises(ValueError, match="trials"):
+        sampled_providers(sim, 1000, 7, [trial])
+    with pytest.raises(ValueError, match="trials"):
+        perturbed_providers(sim, 0.1, 7, [0, trial])
 
 
 def _written_key(seed, *path):
@@ -558,14 +572,14 @@ def test_shared_key_table_matches_per_trial_providers(kind, seed):
             [(r.triplet, r.selected, r.ok, r.retried) for r in want.iterations]
         if retry:
             assert any(r.retried for r in got.iterations)
-    if seed >= 2 ** 32:
-        assert table.keys == {}  # every draw went through substream
-        return
-    # the first run keyed every trial at every scheduled depth, once
+    # the first run keyed every trial's unboosted draws at every scheduled
+    # depth, once; each boosted retry added its own cell
     depths = sorted(got.series)
-    assert sorted(table.keys) == sorted((t, m) for t in trials for m in depths)
-    tails = [(term, 1) for term in range(4)] if kind == "sampled" else [()]
-    for (trial, m), keys in table.keys.items():
+    assert sorted(cell for cell in table.keys if cell[2] == 1) == \
+        sorted((t, m, 1) for t in trials for m in depths)
+    assert any(cell[2] == 4 for cell in table.keys) == retry
+    for (trial, m, boost), keys in table.keys.items():
+        tails = [(term, boost) for term in range(4)] if kind == "sampled" else [()]
         assert keys == tuple(_written_key(seed, trial, m, *tail) for tail in tails)
 
 

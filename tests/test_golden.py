@@ -77,8 +77,8 @@ VERIFY_Q3_GOLDEN = {
 }
 
 
-# A seed of 2^40 + 3 takes two entropy words, so every substream of the run is
-# assembled from a multi-word seed; hashed before substream assembled its words.
+# A seed of 2^40 + 3 takes two entropy words, so the providers' draws take the
+# wide-seed philox_keys path and the IQAE rounds substream's SeedSequence one.
 BIG_SEED = 2 ** 40 + 3
 BIG_SEED_GOLDEN = {
     "estimate": {

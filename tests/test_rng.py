@@ -112,10 +112,16 @@ def test_philox_keys_match_generate_state():
     def word():
         return int(rng.choice([0, 1, 2 ** 32 - 1, int(rng.integers(0, 2 ** 32))]))
 
+    def wide_seed():
+        # 2-16 words: from 5 words on, the seed shifts the path's hash steps
+        words = int(rng.integers(2, 17))
+        top = int(rng.integers(1, 2 ** 32))  # nonzero, so the seed has that many words
+        return sum(word() << 32 * i for i in range(words - 1)) + (top << 32 * (words - 1))
+
     checked, seeds, widths, edges = 0, set(), set(), set()
     gen = np.random.Generator(np.random.Philox(0))
     while checked < 3000:
-        seed = (0, 2 ** 32 - 1, word())[checked % 3]
+        seed = (0, 2 ** 32 - 1, word(), 2 ** 32, wide_seed(), wide_seed())[checked % 6]
         width = int(rng.integers(1, 5))
         paths = [tuple(word() for _ in range(width)) for _ in range(int(rng.integers(1, 9)))]
         for path, key in zip(paths, philox_keys(seed, paths), strict=True):
@@ -128,14 +134,17 @@ def test_philox_keys_match_generate_state():
         assert rekey(gen, key).standard_normal(3).tolist() == \
             _reference(seed, *path).standard_normal(3).tolist()
         checked += len(paths)
-    assert {0, 2 ** 32 - 1} <= seeds and widths == {1, 2, 3, 4} and edges == {0, 2 ** 32 - 1}
+    assert {0, 2 ** 32 - 1, 2 ** 32} <= seeds and widths == {1, 2, 3, 4}
+    assert edges == {0, 2 ** 32 - 1}
+    # every seed width from one to sixteen words occurs
+    assert {(seed.bit_length() + 31) // 32 for seed in seeds} >= set(range(1, 17))
 
 
 @pytest.mark.parametrize("seed, paths", [
     (7, [(1, 2), (3,)]),                  # ragged
     (7, [(1,), (2, 3), (4,)]),
-    (2 ** 32, [(1,)]),                    # values beyond 32 bits
-    (7, [(1, 2 ** 32)]),
+    (-(2 ** 40), [(1,)]),                 # a negative seed of two words
+    (7, [(1, 2 ** 32)]),                  # path elements beyond 32 bits
     (7, [(2 ** 64,)]),
     (7, [(1, 2 ** 70)]),
     (7, [(np.uint64(2 ** 40),)]),
