@@ -143,13 +143,14 @@ def test_philox_keys_match_generate_state():
 @pytest.mark.parametrize("seed, paths", [
     (7, [(1, 2), (3,)]),                  # ragged
     (7, [(1,), (2, 3), (4,)]),
-    (-(2 ** 40), [(1,)]),                 # a negative seed of two words
+    (2 ** 32, [(1, 2 ** 32)]),            # a wide path element under a two-word seed
     (7, [(1, 2 ** 32)]),                  # path elements beyond 32 bits
     (7, [(2 ** 64,)]),
     (7, [(1, 2 ** 70)]),
     (7, [(np.uint64(2 ** 40),)]),
     (-1, [(1,)]),
     (7, [(0, -1)]),
+    (-(2 ** 40), [(1,)]),                 # a negative seed of two words
 ])
 def test_philox_keys_rejects_ragged_or_wide_values(seed, paths):
     with pytest.raises(ValueError):
