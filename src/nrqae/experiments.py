@@ -132,11 +132,17 @@ class SweepReport:
 
 
 def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
-    """Median phase error against max depth under fixed-size t perturbations."""
+    """Median phase error against max depth under fixed-size t perturbations.
+
+    The log-log slope fits only the depths where at least two trials refined
+    their estimate, since elsewhere the medians mostly repeat carried
+    estimates; with fewer than two such depths it is None.
+    """
     problem = build_problem(cfg)
     theta_true = fold_theta(subspace_basis(problem).theta_g)
     depths = [2 ** i for i in range(cfg.iterations + 1)]
     errors = {n: [] for n in depths}
+    refined = dict.fromkeys(depths, 0)
     rows = []
     sim = CircuitSimulator(problem, cfg.noise)
     providers = perturbed_providers(sim, cfg.perturbation, cfg.seed, range(cfg.trials))
@@ -145,6 +151,7 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
         for rec, theta in zip(result.iterations, result.iteration_thetas()):
             err = abs(theta - theta_true) if theta is not None else None
             rows.append((rec.n, trial, theta, err))
+            refined[rec.n] += rec.ok
             if err is not None:
                 errors[rec.n].append(err)
     summary_rows = []
@@ -153,7 +160,7 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
         med = _median(errors[n]) if errors[n] else None
         medians[n] = med
         summary_rows.append((n, med, len(errors[n])))
-    fit_pts = [(n, m) for n, m in medians.items() if m is not None and m > 0]
+    fit_pts = [(n, m) for n, m in medians.items() if refined[n] >= 2 and m is not None and m > 0]
     slope = (fit_loglog_slope([p[0] for p in fit_pts], [p[1] for p in fit_pts])
              if len(fit_pts) >= 2 else None)
     svg = line_plot({"median error": ([n for n, m in medians.items() if m],
