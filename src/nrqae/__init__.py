@@ -14,8 +14,8 @@ from .circuits import (CircuitSimulator, TProvider, exact_provider, perturbed_pr
 from .config import ExperimentConfig, build_problem, config_from_dict, config_to_dict
 from .errors import (ConfigError, DegenerateProblemError, DepthGuardError,
                      EstimationFailure, NonPhysicalChannelError, NrqaeError)
-from .estimator import (EstimationResult, candidate_angles, fit_decay, ratio_y,
-                        roots_cos, run, seed_theta, select_candidate)
+from .estimator import (EstimationResult, IterationRecord, candidate_angles, fit_decay,
+                        ratio_y, roots_cos, run, seed_theta, select_candidate, step)
 from .experiments import hoeffding_shots
 from .model import (EstimationProblem, amplitude_problem, grover, observable_problem,
                     reflection_about, rho_tilde, theta_to_value)
@@ -27,12 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CircuitSimulator", "ConfigError", "DegenerateProblemError", "DepthGuardError",
     "EstimationFailure", "EstimationProblem", "EstimationResult", "ExperimentConfig",
-    "IqaeResult", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError", "TProvider",
-    "amplitude_problem", "avg_gate_fidelity", "build_problem",
+    "IqaeResult", "IterationRecord", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError",
+    "TProvider", "amplitude_problem", "avg_gate_fidelity", "build_problem",
     "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
     "fit_decay", "grover", "hoeffding_shots", "iqae_run", "lemma1_check", "lemma2_check",
     "noise_superop", "observable_problem", "perturbed_provider", "perturbed_providers",
     "perturbed_steps", "ratio_y", "reflection_about", "rho_tilde", "roots_cos", "run",
     "sampled_provider", "sampled_providers", "seed_theta", "select_candidate",
-    "subspace_basis", "theorem1_check", "theta_to_value",
+    "step", "subspace_basis", "theorem1_check", "theta_to_value",
 ]

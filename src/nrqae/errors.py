@@ -14,7 +14,7 @@ class NonPhysicalChannelError(NrqaeError):
 
 
 class DepthGuardError(NrqaeError):
-    """A depth iteration was rejected (division guard or empty candidates)."""
+    """ratio_y's denominator |t_2n| is within the division guard."""
 
 
 class DegenerateProblemError(NrqaeError):

@@ -1,28 +1,29 @@
-"""Depth-ratio phase estimation.
+"""Depth-ratio phase estimation: a pure step per iteration, and run, its schedule.
 
-sampled or exact values of t at depths (n, 2n, 3n) feed the scale-free
-ratio y = t_n t_3n / t_2n^2. Any per-layer envelope p^n multiplying the
-series cancels in y, which is what buys noise resilience. y determines
-x = cos(2 n theta) through the quadratic 2(y - 1) x^2 - x + 1 = 0; the 2n
-angles consistent with an x value are enumerated and the one nearest the
-running estimate is kept. Iteration i uses n = 2^i, so the candidate
-spacing halves each round while earlier rounds pin the branch.
+step reads the values of t at depths (n, 2n, 3n) and measures nothing. The
+scale-free ratio y = t_n t_3n / t_2n^2 cancels any per-layer envelope p^n,
+which is what buys noise resilience. y gives x = cos(2 n theta) through the
+quadratic 2(y - 1) x^2 - x + 1 = 0; of the 2n angles with that x, the one
+nearest the running estimate is kept. The outcome is refined, quiet (depth 1,
+no estimate yet, every |t| within the guard: theta = 0), guard (|t_2n| within
+the guard) or no_candidates (no root in [-1, 1]). run is the schedule: it
+measures at n = 2^i, i = 0..k, calls step, charges each attempt, and on
+request re-measures a failed sampled iteration at 4x shots.
 
-The working angle is the series phase in [0, pi], the frequency of
-cos(m theta) in the depth series; it is twice the folded state-space
-phase. Since cos(2 n theta) is symmetric about pi/2, pi - theta shows up
-as a candidate at every depth. At the first success seed_theta breaks
-that tie through the sign of the fitted scale, with the depth-1 triplet
-when the success comes at a deeper depth, and later rounds inherit the
-branch through the nearest-candidate rule. What remains is the genuinely
-indistinguishable mirror reading reported by theta_to_value.
+The working angle, the series phase in [0, pi], is the frequency of
+cos(m theta) in the depth series and twice the folded state-space phase.
+As cos(2 n theta) is symmetric about pi/2, pi - theta is a candidate at
+every depth. seed_theta breaks that tie at the first success through the
+sign of the fitted scale, with the depth-1 triplet when the success comes
+deeper. Later rounds, each at half the candidate spacing, inherit the
+branch by the nearest candidate; what remains is theta_to_value's mirror.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -162,19 +163,59 @@ def fit_decay(theta_ch: float, series: dict) -> float:
     return float(min(np.exp(slope), 1.0))
 
 
-@dataclass
+Outcome = Literal["refined", "quiet", "guard", "no_candidates"]
+
+
+@dataclass(frozen=True)
 class IterationRecord:
-    index: int
+    """What step read from the last triplet at depth n; retried and oracle_calls are run's."""
+
     n: int
-    triplet: Optional[tuple] = None
+    triplet: tuple
+    outcome: Outcome
     y: Optional[float] = None
-    roots: list = field(default_factory=list)
-    candidates: list = field(default_factory=list)
+    roots: tuple = ()
+    candidates: tuple = ()
     selected: Optional[float] = None
-    ok: bool = False
     reason: Optional[str] = None
     retried: bool = False
     oracle_calls: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.outcome in ("refined", "quiet")
+
+    @property
+    def index(self) -> int:
+        return self.n.bit_length() - 1
+
+
+def step(triplet, n: int, ref: Optional[float], guard: float, base, *,
+         retried: bool = False, oracle_calls: int = 0) -> IterationRecord:
+    """The record of the triplet t at depths (n, 2n, 3n); measures nothing.
+
+    ref is the running estimate, None before the first success; base, the
+    unboosted depth-1 triplet, breaks a tie left by a first success at n > 1.
+    """
+    meta = {"retried": retried, "oracle_calls": oracle_calls}
+    if ref is None and n == 1 and max(abs(t) for t in triplet) <= guard:
+        # the preparations coincide to measurement resolution; deeper, decay can hide a signal
+        return IterationRecord(n, triplet, "quiet", candidates=(0.0,), selected=0.0, **meta)
+    try:
+        y = ratio_y(*triplet, guard)
+    except DepthGuardError as exc:
+        return IterationRecord(n, triplet, "guard", reason=str(exc), **meta)
+    roots = tuple(roots_cos(y))
+    candidates = tuple(merge_angles([a for x in roots for a in candidate_angles(x, n)]))
+    if not candidates:
+        return IterationRecord(n, triplet, "no_candidates", y, roots,
+                               reason=f"no candidate angles at depth {n} (y = {y:.6g})", **meta)
+    if ref is not None:
+        selected = select_candidate(candidates, ref)
+    else:
+        best = seed_theta(candidates, triplet, n)
+        selected = (seed_theta(best, base, 1) if len(best) > 1 and n > 1 else best)[0]
+    return IterationRecord(n, triplet, "refined", y, roots, candidates, selected, **meta)
 
 
 @dataclass
@@ -206,11 +247,9 @@ class EstimationResult:
 
     def iteration_thetas(self) -> list:
         """Running state-phase estimate after each iteration (None before the first success)."""
-        out = []
-        current = None
+        out, current = [], None
         for rec in self.iterations:
-            if rec.ok:
-                current = rec.selected / 2.0
+            current = rec.selected / 2.0 if rec.ok else current
             out.append(current)
         return out
 
@@ -218,73 +257,34 @@ class EstimationResult:
 def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
     """Full estimation run over iterations i = 0..k, depth n = 2^i.
 
-    provider (a circuits.TProvider) serves the depth series; its simulator's
-    problem sets the mode. A guard-tripped or candidate-free iteration is
-    recorded as failed and the estimate carries; with retry=True a failed
-    sampled iteration is re-measured once at 4x shots. If every iteration
-    fails, EstimationFailure carries the records.
+    provider (a circuits.TProvider) serves the depth series and, through its
+    simulator's problem, the mode. retry=True re-measures a failed sampled
+    iteration once at 4x shots. EstimationFailure means every iteration failed.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    theta = None
-    records = []
-
-    def attempt(rec: IterationRecord, n: int, ref: Optional[float], boost: int) -> float:
-        rec.triplet = provider.triplet(n, boost=boost)
-        t1, t2, t3 = rec.triplet
-        if ref is None and n == 1 and max(abs(t1), abs(t2), abs(t3)) <= provider.eps_div:
-            # quiet at base depth before any estimate exists: the two
-            # preparations coincide to measurement resolution, theta = 0.
-            # Deeper depths are excluded since decay can silence a real
-            # signal there.
-            rec.candidates = [0.0]
-            return 0.0
-        rec.y = ratio_y(t1, t2, t3, provider.eps_div)
-        rec.roots = roots_cos(rec.y)
-        cands = []
-        for x in rec.roots:
-            cands.extend(candidate_angles(x, n))
-        rec.candidates = merge_angles(cands)
-        if not rec.candidates:
-            raise DepthGuardError(f"no candidate angles at depth {n} (y = {rec.y:.6g})")
-        if ref is None:
-            best = seed_theta(rec.candidates, rec.triplet, n)
-            if len(best) > 1 and n > 1:
-                # the depth-1 triplet, cached by iteration 0, tells apart the
-                # branches that fold to the same n * theta
-                best = seed_theta(best, provider.triplet(1), 1)
-            return best[0]
-        return select_candidate(rec.candidates, ref)
-
     provider.prepare(sorted({j * 2 ** i for i in range(k + 1) for j in (1, 2, 3)}))
+    base = provider.triplet(1)
     boosts = (1, 4) if retry and provider.shots else (1,)
+    theta_ch, records = None, []
     for i in range(k + 1):
-        n = 2 ** i
-        rec = IterationRecord(index=i, n=n)
-        reasons = []
+        n, calls = 2 ** i, 0
         for boost in boosts:
-            rec.retried = boost > 1
-            rec.oracle_calls += provider.calls_for(n, boost=boost)
-            try:
-                theta = rec.selected = attempt(rec, n, theta, boost=boost)
-            except DepthGuardError as exc:
-                reasons.append(str(exc))
-                continue
-            rec.ok = True
-            break
-        else:
-            rec.reason = "; retry: ".join(reasons)
+            calls += provider.calls_for(n, boost=boost)
+            rec = step(provider.triplet(n, boost=boost), n, theta_ch, provider.eps_div, base,
+                       retried=boost > 1, oracle_calls=calls)
+            if rec.ok:
+                theta_ch = rec.selected
+                break
         records.append(rec)
 
-    if theta is None:
+    if theta_ch is None:
         reasons = "; ".join(f"i={r.index}: {r.reason}" for r in records)
         raise EstimationFailure(f"every iteration failed ({reasons})")
 
-    theta_ch = float(theta)
     mode = provider.sim.problem.mode
     pair = theta_to_value(theta_ch, mode)
     return EstimationResult(mode=mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
                             value=pair.value, mirror=pair.mirror,
                             oracle_calls=sum(r.oracle_calls for r in records),
-                            iterations=records,
-                            series=provider.series)
+                            iterations=records, series=provider.series)

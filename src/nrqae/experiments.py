@@ -110,11 +110,8 @@ def run_estimate(cfg: ExperimentConfig) -> EstimateReport:
     else:
         provider = sampled_provider(sim, cfg.shots, cfg.seed)
     result = run(provider, k=cfg.iterations, retry=cfg.retry)
-    rows = []
-    for rec in result.iterations:
-        t1, t2, t3 = rec.triplet if rec.triplet else (None, None, None)
-        rows.append((rec.index, rec.n, t1, t2, t3, rec.y, len(rec.candidates),
-                     rec.selected, rec.ok, rec.reason or ""))
+    rows = [(rec.index, rec.n, *rec.triplet, rec.y, len(rec.candidates), rec.selected, rec.ok,
+             rec.reason or "") for rec in result.iterations]
     return EstimateReport(result=result, rows=rows, true_value=_true_value(problem))
 
 

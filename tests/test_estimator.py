@@ -1,4 +1,7 @@
-"""Ratio estimator: root algebra, candidate selection, the full iteration."""
+"""Ratio estimator: root algebra, candidate selection, the step, the full iteration."""
+
+import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, e
                             perturbed_provider, sampled_provider)
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
+    Outcome,
     candidate_angles,
     fit_decay,
     fold_theta,
@@ -18,6 +22,7 @@ from nrqae.estimator import (
     run,
     seed_theta,
     select_candidate,
+    step,
 )
 from nrqae.model import amplitude_problem, observable_problem
 
@@ -232,6 +237,47 @@ def test_fit_decay_needs_two_usable_depths():
         fit_decay(theta, series)
 
 
+# t at depths (2, 4, 6) for series phase 3 pi / 4, where 4 theta = 3 pi: y = 0, so the
+# roots are -1 and 0.5, and seed_theta ties pi / 4 and 3 pi / 4, which fold onto one 2 theta
+TIED = (0.0, -0.5, 0.0)
+TIED_CANDIDATES = tuple(np.pi / 12 * j for j in (1, 3, 5, 7, 9, 11))
+
+# (id, (triplet, n, ref, guard, base), outcome, y, candidates, selected, reason)
+STEP_CASES = [
+    ("quiet", ((1e-4, -2e-4, 5e-5), 1, None, 1e-3, (1e-4, -2e-4, 5e-5)),
+     "quiet", None, (0.0,), 0.0, None),
+    ("guard", ((0.5, 1e-4, 0.5), 2, 1.0, 1e-3, (0.5, 0.2, -0.1)),
+     "guard", None, (), None, "|t_2n| = 0.0001 below division guard 0.001"),
+    # the root 1 / q = 1.0000082 lies just above 1 and is dropped (ROADMAP item 1)
+    ("boundary-root", ((1.0000041, 1.0, 1.0), 1, None, 1e-3, (1.0000041, 1.0, 1.0)),
+     "no_candidates", 1.0000041, (), None, "no candidate angles at depth 1 (y = 1)"),
+    ("tie-broken-by-base", (TIED, 2, None, 1e-3, (-0.35, 0.0, 0.35)),
+     "refined", 0.0, TIED_CANDIDATES, 3 * np.pi / 4, None),
+    ("zero-base-keeps-tie", (TIED, 2, None, 1e-3, (0.0, 0.0, 0.0)),
+     "refined", 0.0, TIED_CANDIDATES, np.pi / 4, None),
+    ("nearest-to-ref", (TIED, 2, 1.9, 1e-3, (-0.35, 0.0, 0.35)),
+     "refined", 0.0, TIED_CANDIDATES, 7 * np.pi / 12, None),
+]
+
+
+@pytest.mark.parametrize("args, outcome, y, candidates, selected, reason",
+                         [case[1:] for case in STEP_CASES], ids=[case[0] for case in STEP_CASES])
+def test_step_on_synthetic_triplets(args, outcome, y, candidates, selected, reason):
+    rec = step(*args, retried=True, oracle_calls=7)
+    assert (rec.triplet, rec.n, rec.outcome, rec.y, rec.reason) == (args[0], args[1], outcome, y,
+                                                                    reason)
+    assert rec.ok == (selected is not None)
+    assert rec.selected == pytest.approx(selected, abs=1e-12)
+    assert rec.candidates == pytest.approx(candidates, abs=1e-12)
+    assert (rec.retried, rec.oracle_calls, rec.index) == (True, 7, args[1].bit_length() - 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.selected = 1.0
+
+
+def test_step_cases_cover_every_outcome():
+    assert {case[2] for case in STEP_CASES} == set(typing.get_args(Outcome))
+
+
 def test_run_worked_instance():
     res = run(exact(plane_problem(np.pi / 6)), k=3)
     assert abs(res.theta_ch - 2 * np.pi / 3) < 1e-9
@@ -379,6 +425,25 @@ def test_run_retry_accounting():
     assert sum(rec.oracle_calls for rec in res.iterations) == res.oracle_calls
     with pytest.raises(EstimationFailure):
         run(sampled_provider(CircuitSimulator(p, noise), shots=2000, seed=6), k=2, retry=False)
+
+
+def test_run_records_a_retried_iteration_from_its_last_attempt():
+    # depth 1 reads y = 4, which has no real root, unboosted, and trips the guard at
+    # 4x shots; the record shows the boosted triplet with nothing of the first attempt
+    depth1 = {1: (1.0, 0.5, 1.0), 4: (0.3, 0.0, 0.3)}
+
+    def measure(m, boost):
+        return depth1[boost][m - 1] if m <= 3 else 0.5 * np.cos(0.5 * m)
+
+    provider = TProvider(CircuitSimulator(plane_problem(np.pi / 6)), measure, 0.01, shots=100)
+    res = run(provider, k=1, retry=True)
+    rec = res.iterations[0]
+    assert (rec.triplet, rec.outcome, rec.y, rec.roots, rec.candidates) == \
+        ((0.3, 0.0, 0.3), "guard", None, (), ())
+    assert rec.reason == "|t_2n| = 0 below division guard 0.01"
+    assert rec.retried and rec.selected is None
+    assert rec.oracle_calls == provider.calls_for(1) + provider.calls_for(1, boost=4)
+    assert res.iterations[1].ok and not res.iterations[1].retried
 
 
 def test_run_monotone_refinement():
