@@ -14,8 +14,9 @@ estimator). Each round:
    branch the current interval pins down;
 3. intersect with the current interval.
 
-Rounds stop when the value-space width reaches target_eps, or when the
-round, shot, or walk-call budget runs out. Noise biases p away from the
+Rounds stop when the value-space width reaches target_eps, after
+MAX_ROUNDS rounds, or when the walk-call budget runs out. The rounds split
+the failure probability 1 - CONFIDENCE evenly. Noise biases p away from the
 noiseless model; a round whose inverted interval misses the current one is
 kept as a no-op and flagged, so the interval never teleports on a
 contradiction.
@@ -34,6 +35,8 @@ from .rng import substream
 
 _BRANCH_TOL = 1e-9
 _MAX_MULTIPLIER = 2 ** 24
+CONFIDENCE = 0.95
+MAX_ROUNDS = 64
 
 
 @dataclass
@@ -143,7 +146,6 @@ def _invert(m: int, x_lo: float, x_hi: float, c_lo: float, c_hi: float):
 
 def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
              shots_per_round: int = 10_000, seed: int = 0, trial: int = 0,
-             confidence: float = 0.95, max_rounds: int = 64,
              max_oracle_calls: Optional[int] = None) -> IqaeResult:
     """Run the iterative baseline on the circuits of sim's (problem, noise).
 
@@ -154,21 +156,17 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         raise ValueError(f"target_eps must be >= 0, got {target_eps}")
     if shots_per_round < 1:
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     mode = sim.problem.mode
     # the confidence interval on the phase, the current multiplier and the round log
     x_lo, x_hi = 0.0, np.pi if mode == "amplitude" else np.pi / 2.0
     m_cur = shots_used = oracle_calls = 0
     rounds = []
     m_min = 1 if mode == "amplitude" else 2
-    delta_round = (1.0 - confidence) / max_rounds
+    delta_round = (1.0 - CONFIDENCE) / MAX_ROUNDS
     eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
     converged = False
 
-    for idx in range(max_rounds):
+    for idx in range(MAX_ROUNDS):
         if _value_width(mode, x_lo, x_hi) <= target_eps:
             converged = True
             break

@@ -18,7 +18,10 @@ Built-in kinds and their default parameters:
 
 where Cp is conjugation by the Pauli p, and K00 / K01 are conjugations by
 |0><0| and |0><1|. Weight vectors are validated to preserve trace (first
-PTM row (1, 0, 0, 0)); the statistical draw additionally enforces
+PTM row (1, 0, 0, 0)) and to have no negative weight: for these
+trace-preserving mixtures, every weight >= 0 is exactly complete
+positivity (each weight has a direction of the Choi matrix that no other
+weight reaches). The statistical draw additionally enforces
 ||t||_2 + ||A||_2 <= 1 on the non-unital column t and unital block A, which
 maps the Bloch ball into itself and keeps every single-qubit probability
 in [0, 1]. The draw takes its candidates in blocks from one seeded stream,
@@ -154,14 +157,6 @@ class NoiseSpec:
         merged.update(self.params)
         return merged
 
-    def tag(self) -> str:
-        parts = [self.kind]
-        for key in sorted(self.resolved()):
-            parts.append(f"{key}={self.resolved()[key]:.12g}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return ",".join(parts)
-
 
 def _check_trace_preserving(ptm: np.ndarray, kind: str) -> np.ndarray:
     if np.max(np.abs(ptm[0] - np.array([1.0, 0.0, 0.0, 0.0]))) > 1e-12:
@@ -209,6 +204,11 @@ def single_qubit_ptm(spec: NoiseSpec) -> np.ndarray:
     p = spec.resolved()
     if spec.kind == "none":
         return np.eye(4)
+    negative = {name: w for name, w in sorted(p.items()) if w < 0}
+    if negative and spec.kind in ("depolarizing", "pauli", "amplitude-damping"):
+        # for these trace-preserving mixtures, completely positive means no weight < 0
+        raise NonPhysicalChannelError(
+            f"{spec.kind} weights must be >= 0 to be completely positive, got {negative}")
     if spec.kind == "depolarizing":
         r = p["identity_weight"] * np.eye(4)
         for name in ("X", "Y", "Z"):

@@ -31,7 +31,7 @@ from .channels import NoiseSpec, noise_superop
 from .errors import NonPhysicalChannelError
 # conjugation_superop is unused here; the benchmark's traced pass looks it up.
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
-from .rng import philox_keys, rekey, substream
+from .rng import philox_keys, rekey, stream_key, substream
 
 _CLAMP_TOL = 1e-6
 _IMAG_TOL = 1e-8
@@ -266,8 +266,9 @@ class _KeyTable:
     of their keys in that order. The first prepare(depths), from the first
     run of the command, keys every trial's unboosted cells at those depths
     in one rng.philox_keys pass; later calls find the table filled. get
-    derives a missing cell, a boosted retry or a depth outside the first
-    schedule, with one philox_keys call of its own.
+    keys a missing cell, a boosted retry or a depth outside the first
+    schedule, on the scalar path, rng.stream_key, which is cheaper for a
+    few keys than a batch of one cell.
     """
 
     def __init__(self, seed: int, trials, terms: int = 0):
@@ -278,22 +279,23 @@ class _KeyTable:
         self.terms = terms
         self.keys: dict[tuple, tuple] = {}
 
-    def _fill(self, trials, depths, boost: int) -> None:
-        tails = (range(self.terms), (boost,)) if self.terms else ()
-        rows = np.fromiter(chain.from_iterable(product(trials, depths, *tails)), np.int64)
-        flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(tails)))
-        # each (trial, depth) takes the next len(flat) / (trials x depths) keys
-        per = len(flat) // (len(trials) * len(depths))
-        self.keys.update(zip(product(trials, depths, (boost,)), zip(*[iter(flat)] * per)))
-
     def prepare(self, depths) -> None:
-        if not self.keys:
-            self._fill(self.trials, list(depths), 1)
+        if self.keys:
+            return
+        depths = list(depths)
+        tails = (range(self.terms), (1,)) if self.terms else ()
+        rows = np.fromiter(chain.from_iterable(product(self.trials, depths, *tails)), np.int64)
+        flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(tails)))
+        cells = product(self.trials, depths, (1,))
+        self.keys.update(zip(cells, zip(*[iter(flat)] * (self.terms or 1))))
 
     def get(self, trial: int, m: int, boost: int) -> tuple:
-        if (trial, m, boost) not in self.keys:
-            self._fill((trial,), (m,), boost)
-        return self.keys[trial, m, boost]
+        cell = (trial, m, boost)
+        if cell not in self.keys:
+            tails = (range(self.terms), (boost,)) if self.terms else ()
+            self.keys[cell] = tuple(stream_key(self.seed, trial, m, *tail)
+                                    for tail in product(*tails))
+        return self.keys[cell]
 
     def providers(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0) -> list:
         """One TProvider per trial, measuring with measure(trial, m, boost)."""

@@ -214,12 +214,6 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def save_config(cfg: ExperimentConfig, path: str):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _state_spec_count(cfg: ExperimentConfig) -> int:
     return sum(v is not None for v in
                (cfg.amplitude, cfg.expectation, cfg.theta_g, cfg.theta_ch, cfg.psi))

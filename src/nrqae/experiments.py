@@ -163,7 +163,7 @@ def run_sweep_depth(cfg: ExperimentConfig) -> SweepReport:
     svg = line_plot({"median error": ([n for n, m in medians.items() if m],
                                       [m for m in medians.values() if m])},
                     title="phase error vs depth", xlabel="max depth n",
-                    ylabel="median |theta_est - theta_true|", logx=True, logy=True)
+                    ylabel="median |theta_est - theta_true|")
     return SweepReport(rows=rows, summary_rows=summary_rows, slope=slope,
                        theta_true=theta_true, svg=svg)
 
@@ -231,8 +231,7 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
         median_series[f"{kind} nrqae"] = (depths, [_median(per_depth_nrqae[n]) for n in depths])
         median_series[f"{kind} iqae"] = (depths, [_median(per_depth_iqae[n]) for n in depths])
     svg = line_plot(median_series, title="estimation error vs depth",
-                    xlabel="max depth n", ylabel="median |estimate - true|",
-                    logx=True, logy=True)
+                    xlabel="max depth n", ylabel="median |estimate - true|")
     return CompareReport(rows=rows, true_value=true_value, svg=svg, kinds=kinds)
 
 
@@ -326,6 +325,6 @@ def run_verify_perturbation(cfg: ExperimentConfig) -> VerifyReport:
         series[f"{kind} theorem1"] = (s_grid, [max_err[s] for s in s_grid])
     all_ok = flagged == 0 and all(row[5] for row in summary)
     svg = line_plot(series, title="perturbation residuals vs strength",
-                    xlabel="interpolation s", ylabel="residual", logx=True, logy=True)
+                    xlabel="interpolation s", ylabel="residual")
     return VerifyReport(rows=rows, summary_rows=summary, flagged=flagged,
                         all_ok=all_ok, svg=svg)

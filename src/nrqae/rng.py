@@ -105,6 +105,27 @@ def rekey(gen: np.random.Generator, key) -> np.random.Generator:
     return gen
 
 
+def stream_key(seed: int, *path: int) -> tuple:
+    """The Philox key numpy derives from SeedSequence(entropy=seed, spawn_key=path).
+
+    That is the key substream(seed, *path, into=gen) writes. numpy builds
+    the SeedSequence itself when a value is 2^32 or more (or negative, which
+    numpy rejects). When every value lies in [0, 2^32), the entropy words
+    are assembled here as SeedSequence would: the seed, zero-padded to the
+    pool size when a path follows, then the path. Passing them as plain
+    entropy skips numpy's slower conversion of Python ints and gives the
+    same pool and key.
+    """
+    for value in (seed, *path):
+        if not 0 <= value <= _WORD_MASK:
+            ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+            break
+    else:
+        words = [seed, 0, 0, 0, *path] if path else [seed]
+        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return _philox_key(ss.pool)
+
+
 def substream(seed: int, *path: int,
               into: np.random.Generator | None = None) -> np.random.Generator:
     """Independent generator for a (seed, path) pair.
@@ -114,25 +135,12 @@ def substream(seed: int, *path: int,
     as (trial, depth, term) to keep every drawn quantity reproducible in
     isolation.
 
-    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``,
-    which builds it when a value is 2^32 or more (or negative, which numpy
-    rejects). When every value lies in [0, 2^32), the entropy words are
-    assembled here as SeedSequence would: the seed, zero-padded to the pool
-    size when a path follows, then the path. Passing them as plain entropy
-    skips numpy's slower conversion of Python ints and gives the same pool,
-    key and draws.
-
-    Without ``into`` a new Philox generator is built. With ``into``, a
-    Generator over Philox, that generator is given the key numpy derives
-    from the SeedSequence's pool through rekey, and returned.
+    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``.
+    Without ``into`` a new Philox generator is built from it. With ``into``,
+    a Generator over Philox, that generator is given the SeedSequence's key,
+    stream_key(seed, *path), through rekey, and returned.
     """
-    for value in (seed, *path):
-        if not 0 <= value <= _WORD_MASK:
-            ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-            break
-    else:
-        words = [seed, 0, 0, 0, *path] if path else [seed]
-        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    if into is None:
-        return np.random.Generator(np.random.Philox(ss))
-    return rekey(into, _philox_key(ss.pool))
+    if into is not None:
+        return rekey(into, stream_key(seed, *path))
+    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return np.random.Generator(np.random.Philox(ss))

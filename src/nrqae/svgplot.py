@@ -1,6 +1,6 @@
 """Minimal deterministic SVG line plots, no plotting dependency.
 
-Output is a plain SVG 1.1 string: fixed canvas, linear or log axes, one
+Output is a plain SVG 1.1 string: fixed canvas, log-log axes, one
 polyline per series, legend in the top-right corner. Numbers are formatted
 with fixed precision so identical inputs give byte-identical files.
 """
@@ -15,28 +15,23 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 36, 48
 PALETTE = ["#1b6ca8", "#c0392b", "#2e8b57", "#8e44ad", "#d35400", "#2c3e50"]
 
 
-def _transform(value: float, lo: float, hi: float, log: bool) -> float:
-    if log:
-        value, lo, hi = np.log10(value), np.log10(lo), np.log10(hi)
+def _transform(value: float, lo: float, hi: float) -> float:
+    value, lo, hi = np.log10(value), np.log10(lo), np.log10(hi)
     if hi <= lo:
         return 0.5
     return (value - lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, log: bool, count: int = 5):
-    if log:
-        lo_e, hi_e = np.log10(lo), np.log10(hi)
-        return [10.0 ** e for e in np.linspace(lo_e, hi_e, count)]
-    return list(np.linspace(lo, hi, count))
+def _ticks(lo: float, hi: float, count: int = 5):
+    lo_e, hi_e = np.log10(lo), np.log10(hi)
+    return [10.0 ** e for e in np.linspace(lo_e, hi_e, count)]
 
 
-def line_plot(series: dict, title: str, xlabel: str, ylabel: str,
-              logx: bool = False, logy: bool = False) -> str:
-    """SVG for {label: (xs, ys)} series. Non-positive points are dropped on log axes."""
+def line_plot(series: dict, title: str, xlabel: str, ylabel: str) -> str:
+    """Log-log SVG for {label: (xs, ys)} series. Non-positive points are dropped."""
     cleaned = {}
     for label, (xs, ys) in series.items():
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if (not logx or x > 0) and (not logy or y > 0)]
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
         if pts:
             cleaned[label] = pts
     if not cleaned:
@@ -54,10 +49,10 @@ def line_plot(series: dict, title: str, xlabel: str, ylabel: str,
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x: float) -> float:
-        return MARGIN_L + plot_w * _transform(x, x_lo, x_hi, logx)
+        return MARGIN_L + plot_w * _transform(x, x_lo, x_hi)
 
     def py(y: float) -> float:
-        return MARGIN_T + plot_h * (1.0 - _transform(y, y_lo, y_hi, logy))
+        return MARGIN_T + plot_h * (1.0 - _transform(y, y_lo, y_hi))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
              f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -69,13 +64,13 @@ def line_plot(series: dict, title: str, xlabel: str, ylabel: str,
             f'<line x1="{MARGIN_L}" y1="{HEIGHT - MARGIN_B}" x2="{WIDTH - MARGIN_R}" '
             f'y2="{HEIGHT - MARGIN_B}" stroke="#333333"/>')
     parts.append(axis)
-    for tx in _ticks(x_lo, x_hi, logx):
+    for tx in _ticks(x_lo, x_hi):
         x = px(tx)
         parts.append(f'<line x1="{x:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{x:.2f}" '
                      f'y2="{HEIGHT - MARGIN_B + 5}" stroke="#333333"/>')
         parts.append(f'<text x="{x:.2f}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{tx:.3g}</text>')
-    for ty in _ticks(y_lo, y_hi, logy):
+    for ty in _ticks(y_lo, y_hi):
         y = py(ty)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" '
                      f'y2="{y:.2f}" stroke="#333333"/>')

@@ -113,10 +113,6 @@ def test_determinism_and_validation():
         iqae_run(CircuitSimulator(p), target_eps=-1.0)
     with pytest.raises(ValueError):
         iqae_run(CircuitSimulator(p), shots_per_round=0)
-    with pytest.raises(ValueError):
-        iqae_run(CircuitSimulator(p), confidence=1.5)
-    with pytest.raises(ValueError):
-        iqae_run(CircuitSimulator(p), max_rounds=0)
 
 
 def test_branch_index_matches_the_numpy_floor():

@@ -226,19 +226,21 @@ def test_spec_validation():
     assert merged["identity_weight"] == DEFAULT_PARAMS["depolarizing"]["identity_weight"]
 
 
-def test_spec_tag_is_stable():
-    a = NoiseSpec(kind="pauli").tag()
-    b = NoiseSpec(kind="pauli").tag()
-    assert a == b
-    assert a != NoiseSpec(kind="pauli", params={"weight_x": 0.2, "weight_i": 0.5}).tag()
-    assert "seed=4" in NoiseSpec(kind="statistical", seed=4).tag()
-
-
 def test_unphysical_weights_rejected():
     with pytest.raises(NonPhysicalChannelError):
         single_qubit_ptm(NoiseSpec(kind="depolarizing", params={"identity_weight": 0.5}))
     with pytest.raises(NonPhysicalChannelError):
         single_qubit_ptm(NoiseSpec(kind="statistical", params={"target_fidelity": 1.5}, seed=1))
+    # one negative weight per mixture: each mix preserves trace, so its sign
+    # alone rejects it; the first has PTM diag(1, -0.6, -0.6, -0.6)
+    for kind, params, negative in (
+            ("depolarizing", {"identity_weight": -0.2, "pauli_weight": 0.4}, "identity_weight"),
+            ("pauli", {"weight_i": 0.7, "weight_x": -0.1, "weight_y": 0.1, "weight_z": 0.3},
+             "weight_x"),
+            ("amplitude-damping", {"identity_weight": 1.1, "damping_weight": -0.1},
+             "damping_weight")):
+        with pytest.raises(NonPhysicalChannelError, match=f"completely positive.*'{negative}'"):
+            noise_superop(NoiseSpec(kind=kind, params=params), 2)
 
 
 def test_noise_superop_none_is_identity():

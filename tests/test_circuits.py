@@ -342,7 +342,8 @@ def test_draws_on_one_simulator_match_fresh_streams():
     draws = [("sampled", n, trial, boost) for n in (1, 2, 3, 6, 12) for trial in (0, 5)
              for boost in (1, 4)]
     draws += [("sign", m, trial) for m in (1, 2, 4, 9) for trial in (0, 3)]
-    draws += [("iqae", trial, rounds) for trial in (0, 1025) for rounds in (1, 4)]
+    # uncapped runs, which stop at the target after 2 and 4 rounds
+    draws += [("iqae", trial, target) for trial in (0, 1025) for target in (1e-2, 1e-4)]
     order = np.random.default_rng(283).permutation(len(draws))
     owned = set()
     for i in order:
@@ -362,10 +363,9 @@ def test_draws_on_one_simulator_match_fresh_streams():
             prov = perturbed_provider(sim, eps, seed, trial)
             assert prov.measure(m, 1) == sim.exact_t(m) + sign * eps, draws[i]
         else:
-            trial, rounds = args
-            res = iqae_run(sim, target_eps=0.0, shots_per_round=shots, seed=seed,
-                           trial=trial, max_rounds=rounds)
-            assert len(res.rounds) == rounds
+            trial, target = args
+            res = iqae_run(sim, target_eps=target, shots_per_round=shots, seed=seed, trial=trial)
+            assert res.converged and len(res.rounds) >= 2, draws[i]
             for r in res.rounds:
                 count = _fresh_stream(seed, trial, r.index).binomial(
                     shots, sim.prob(r.applications))
@@ -491,9 +491,14 @@ def test_planned_run_matches_per_draw_run(kind, retry, seed):
 
 @pytest.mark.parametrize("seed", [7, 2 ** 40 + 3, 2 ** 130 + 1])
 def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
-    """Unboosted, boosted and off-schedule draws, for any seed, are keyed by the table alone."""
-    substreams, batches = [], []
-    real_substream, real_keys = circuits.substream, circuits.philox_keys
+    """Unboosted, boosted and off-schedule draws, for any seed, are keyed by the table alone.
+
+    The scheduled unboosted cells take one batch per table; a boosted retry
+    and a depth off the schedule are keyed on the scalar path, one key per draw.
+    """
+    substreams, batches, scalar = [], [], []
+    real_substream, real_keys, real_key = circuits.substream, circuits.philox_keys, \
+        circuits.stream_key
 
     def counting_substream(*args, **kwargs):
         substreams.append(args)
@@ -503,33 +508,45 @@ def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
         batches.append(len(paths))
         return real_keys(seed, paths)
 
+    def counting_key(seed, *path):
+        scalar.append(path)
+        return real_key(seed, *path)
+
     monkeypatch.setattr(circuits, "substream", counting_substream)
     monkeypatch.setattr(circuits, "philox_keys", counting_keys)
+    monkeypatch.setattr(circuits, "stream_key", counting_key)
     sim = CircuitSimulator(plane_problem(0.6), _MILD)
     trials, shots, eps = [0, 3], 1000, 0.1
     sampled = sampled_providers(sim, shots, seed, trials)
     perturbed = perturbed_providers(sim, eps, seed, trials)
     for provider in sampled + perturbed:
         run(provider, k=5, retry=True)
-    # depth 5 is off the schedule: each provider derives its cell once
-    batches.clear()
-    off = [[provider.measure(5, 1) for _ in range(2)] for provider in sampled + perturbed]
-    assert batches == [4, 4, 1, 1]
+    assert batches == [2 * 13 * 4, 2 * 13]  # trials x scheduled depths (x terms), per table
+    retries = [(trial, m, term, boost) for trial, provider in zip(trials, sampled)
+               for m, boost in provider._cache if boost > 1 for term in range(4)]
+    assert retries and scalar == retries  # only the sampled runs retry
+    # depth 5 is off the schedule: each provider keys its cell once, and a
+    # boosted cell of its own
+    scalar.clear()
+    off = [[provider.measure(5, 1) for _ in range(2)] + [provider.measure(5, 4)]
+           for provider in sampled + perturbed]
+    assert scalar == ([(trial, 5, term, boost) for trial in trials for boost in (1, 4)
+                       for term in range(4)]
+                      + [(trial, 5) for trial in trials for _ in (1, 4)])
+    assert batches == [2 * 13 * 4, 2 * 13]
     assert substreams == []
     monkeypatch.undo()
-    boosted = 0
     for trial, provider, at_5 in zip(trials, sampled, off):
-        assert at_5 == [sim.sampled_t(5, shots, seed, trial)] * 2
+        assert at_5 == [sim.sampled_t(5, shots, seed, trial)] * 2 + \
+            [sim.sampled_t(5, shots, seed, trial, 4)]
         for (m, boost), value in provider._cache.items():
             assert value == sim.sampled_t(m, shots, seed, trial, boost), (trial, m, boost)
-            boosted += boost > 1
-    assert boosted  # the runs took boosted retries
 
     def signed(trial, m):
         return sim.exact_t(m) + (1.0 if substream(seed, trial, m).integers(0, 2) else -1.0) * eps
 
     for trial, provider, at_5 in zip(trials, perturbed, off[len(sampled):]):
-        assert at_5 == [signed(trial, 5)] * 2
+        assert at_5 == [signed(trial, 5)] * 3  # the sign ignores the boost
         for m, value in provider.series.items():
             assert value == signed(trial, m), (trial, m)
 

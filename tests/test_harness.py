@@ -14,7 +14,7 @@ from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
 from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
-                          config_to_dict, load_config, save_config)
+                          config_to_dict, load_config)
 from nrqae.errors import ConfigError, DegenerateProblemError
 from nrqae.estimator import run
 from nrqae.experiments import (VerifyReport, _median, hoeffding_shots, run_compare_noise,
@@ -81,10 +81,7 @@ def test_config_dict_rejects_junk():
 def test_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(amplitude=0.8, shots=321, noise=NoiseSpec(kind="pauli"))
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert json.loads(text)["shots"] == 321
+    path.write_text(json.dumps(config_to_dict(cfg)))
     assert config_to_dict(load_config(str(path))) == config_to_dict(cfg)
 
 
@@ -326,12 +323,11 @@ def test_line_plot_deterministic():
 
 def test_line_plot_log_axes_drop_nonpositive():
     svg = line_plot({"a": ([1.0, 2.0, 3.0], [0.5, 0.0, 2.0])},
-                    title="t", xlabel="x", ylabel="y", logy=True)
+                    title="t", xlabel="x", ylabel="y")
     start = svg.index('<polyline points="') + len('<polyline points="')
     coords = svg[start:svg.index('"', start)]
     assert len(coords.split()) == 2  # the zero is gone
-    empty = line_plot({"a": ([1.0], [-1.0])}, title="t", xlabel="x",
-                      ylabel="y", logy=True)
+    empty = line_plot({"a": ([1.0], [-1.0])}, title="t", xlabel="x", ylabel="y")
     assert "(no data)" in empty
 
 
@@ -553,6 +549,17 @@ def test_qubit_limit_is_checked_when_the_config_is_read(tmp_path, capsys):
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "qubits must be in [1, 8], got 9" in err and "Traceback" not in err
+
+
+def test_cli_rejects_a_negative_mixture_weight(tmp_path, capsys):
+    # trace-preserving, but its PTM diag(1, -0.6, -0.6, -0.6) is not completely positive
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "exact": True, "noise": {
+        "kind": "depolarizing", "params": {"identity_weight": -0.2, "pauli_weight": 0.4}}}))
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: depolarizing weights must be >= 0") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("extra, flags, message", [

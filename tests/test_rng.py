@@ -1,9 +1,9 @@
-"""substream and philox_keys: the same streams as numpy's SeedSequence spawn-key construction."""
+"""substream, stream_key and philox_keys: the streams and keys of numpy's SeedSequence."""
 
 import numpy as np
 import pytest
 
-from nrqae.rng import philox_keys, rekey, substream
+from nrqae.rng import philox_keys, rekey, stream_key, substream
 
 
 def _reference(seed, *path):
@@ -106,7 +106,7 @@ def test_negative_values_are_rejected(seed, path):
 
 
 def test_philox_keys_match_generate_state():
-    """Batched keys are the ones SeedSequence derives, row by row."""
+    """Batched keys, and the scalar stream_key, are the ones SeedSequence derives, row by row."""
     rng = np.random.default_rng(2026)
 
     def word():
@@ -126,7 +126,7 @@ def test_philox_keys_match_generate_state():
         paths = [tuple(word() for _ in range(width)) for _ in range(int(rng.integers(1, 9)))]
         for path, key in zip(paths, philox_keys(seed, paths), strict=True):
             want = np.random.SeedSequence(entropy=seed, spawn_key=path).generate_state(2, np.uint64)
-            assert key == tuple(want.tolist()), (seed, path)
+            assert key == tuple(want.tolist()) == stream_key(seed, *path), (seed, path)
             edges.update(set(path) & {0, 2 ** 32 - 1})
         seeds.add(seed)
         widths.add(width)
