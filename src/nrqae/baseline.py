@@ -14,19 +14,20 @@ estimator). Each round:
    branch the current interval pins down;
 3. intersect with the current interval.
 
-Rounds stop when the value-space width reaches target_eps, after
-MAX_ROUNDS rounds, or when the walk-call budget runs out. The rounds split
-the failure probability 1 - CONFIDENCE evenly. Noise biases p away from the
-noiseless model; a round whose inverted interval misses the current one is
-kept as a no-op and flagged, so the interval never teleports on a
-contradiction.
+Every run takes a walk-call budget, max_oracle_calls, and ends in one of
+three ways: its next round does not fit the budget, it has run MAX_ROUNDS
+rounds, or its interval has collapsed to one value. The budget bounds the
+depth of every circuit by max_oracle_calls // shots_per_round. The rounds
+split the failure probability 1 - CONFIDENCE evenly. Noise biases p away
+from the noiseless model; a round whose inverted interval misses the
+current one is kept as a no-op and flagged, so the interval never
+teleports on a contradiction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class IqaeResult:
     x_interval: tuple
     oracle_calls: int
     shots_used: int
-    converged: bool
     rounds: list
 
 
@@ -85,16 +85,15 @@ def _branch(m: int, x_lo: float, x_hi: float) -> int:
     return math.floor(m * 0.5 * (x_lo + x_hi) / math.pi)
 
 
-def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int,
-                     m_top: Optional[int] = None) -> int:
+def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int, m_top: int) -> int:
     """Largest m >= 2 m_cur of the mode's parity with m [x_lo, x_hi] in one half-period.
 
     Without such an m it returns m_cur. m_top, of the mode's parity, is the
-    largest m the budget affords, or None for no budget. Any fitting m above
-    m_top ends the run, so the scan looks upward from m_top + 2 and returns
-    the first m that fits; if none does, it scans down from m_top. The
-    caller's budget test then decides as after a full scan down from
-    pi / width, at a few tests instead of dozens.
+    largest m the budget affords. Any fitting m above m_top ends the run, so
+    the scan looks upward from m_top + 2 and returns the first m that fits;
+    if none does, it scans down from m_top. The caller's budget test then
+    decides as after a full scan down from pi / width, at a few tests
+    instead of dozens; m_top >= _MAX_MULTIPLIER is that full scan.
 
     The scan runs over Python floats, which are several times cheaper than
     numpy scalars. Its branch index repeats _branch's expression term for
@@ -118,7 +117,7 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int,
                 and m * x_hi <= (j + 1) * math.pi + _BRANCH_TOL)
 
     m_low = 2 * m_cur
-    if m_top is not None and m_top < m_max:
+    if m_top < m_max:
         # the smallest m above m_top that the full scan would reach
         m = max(m_top + 2, m_low + (m_low - m_top) % 2)
         while m <= m_max:
@@ -144,16 +143,14 @@ def _invert(m: int, x_lo: float, x_hi: float, c_lo: float, c_hi: float):
     return float((j * np.pi + v_lo) / m), float((j * np.pi + v_hi) / m)
 
 
-def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
-             shots_per_round: int = 10_000, seed: int = 0, trial: int = 0,
-             max_oracle_calls: Optional[int] = None) -> IqaeResult:
+def iqae_run(sim: CircuitSimulator, max_oracle_calls: int, shots_per_round: int = 10_000,
+             seed: int = 0, trial: int = 0) -> IqaeResult:
     """Run the iterative baseline on the circuits of sim's (problem, noise).
 
+    The rounds spend at most max_oracle_calls walk applications in all.
     Round idx draws its count from substream(seed, trial, idx), re-keying
     sim.rng rather than building a generator per round.
     """
-    if target_eps < 0:
-        raise ValueError(f"target_eps must be >= 0, got {target_eps}")
     if shots_per_round < 1:
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
     mode = sim.problem.mode
@@ -164,22 +161,18 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
     m_min = 1 if mode == "amplitude" else 2
     delta_round = (1.0 - CONFIDENCE) / MAX_ROUNDS
     eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
-    converged = False
 
     for idx in range(MAX_ROUNDS):
-        if _value_width(mode, x_lo, x_hi) <= target_eps:
-            converged = True
+        if _value_width(mode, x_lo, x_hi) <= 0.0:
             break
-        m_top = None
-        if max_oracle_calls is not None:
-            # the largest m the budget affords: each step of 2 in m costs one
-            # more application per shot
-            k_top = int((max_oracle_calls - oracle_calls) // shots_per_round)
-            m_top = m_min + 2 * (k_top - _applications(mode, m_min))
+        # the largest m the budget affords: each step of 2 in m costs one
+        # more application per shot
+        k_top = int((max_oracle_calls - oracle_calls) // shots_per_round)
+        m_top = m_min + 2 * (k_top - _applications(mode, m_min))
         m = _next_multiplier(mode, x_lo, x_hi, m_cur, m_top) if m_cur else m_min
         k = _applications(mode, m)
         cost = shots_per_round * k
-        if max_oracle_calls is not None and oracle_calls + cost > max_oracle_calls:
+        if oracle_calls + cost > max_oracle_calls:
             break
         p_true = sim.prob(k)
         gen = substream(seed, trial, idx, into=sim.rng)
@@ -198,11 +191,9 @@ def iqae_run(sim: CircuitSimulator, target_eps: float = 1e-3,
         rounds.append(IqaeRound(index=idx, m=m, applications=k, shots=shots_per_round,
                                 p_hat=p_hat, eps_p=eps_p, x_lo=x_lo, x_hi=x_hi,
                                 contradiction=contradiction))
-    else:
-        converged = _value_width(mode, x_lo, x_hi) <= target_eps
 
     x_mid = 0.5 * (x_lo + x_hi)
     vals = sorted((_value(mode, x_lo), _value(mode, x_hi)))
     return IqaeResult(mode=mode, estimate=_value(mode, x_mid), interval=(vals[0], vals[1]),
                       x_interval=(x_lo, x_hi), oracle_calls=oracle_calls,
-                      shots_used=shots_used, converged=converged, rounds=rounds)
+                      shots_used=shots_used, rounds=rounds)

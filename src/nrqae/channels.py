@@ -66,6 +66,15 @@ DEFAULT_PARAMS = {
     "statistical": {"target_fidelity": 0.89},
 }
 
+# The weighted mixtures as (identity weight, terms): each term (weight, op, ...)
+# adds the weight times the sum of the ops' conjugation PTMs, in this order.
+_MIXTURES = {
+    "depolarizing": ("identity_weight", (("pauli_weight", "X"), ("pauli_weight", "Y"),
+                                         ("pauli_weight", "Z"))),
+    "pauli": ("weight_i", (("weight_x", "X"), ("weight_y", "Y"), ("weight_z", "Z"))),
+    "amplitude-damping": ("identity_weight", (("damping_weight", "K00", "K01"),)),
+}
+
 _STAT_STREAM_TAG = 7001
 _STAT_MAX_ATTEMPTS = 500_000
 _STAT_BLOCK = 1024
@@ -204,24 +213,17 @@ def single_qubit_ptm(spec: NoiseSpec) -> np.ndarray:
     p = spec.resolved()
     if spec.kind == "none":
         return np.eye(4)
-    negative = {name: w for name, w in sorted(p.items()) if w < 0}
-    if negative and spec.kind in ("depolarizing", "pauli", "amplitude-damping"):
-        # for these trace-preserving mixtures, completely positive means no weight < 0
-        raise NonPhysicalChannelError(
-            f"{spec.kind} weights must be >= 0 to be completely positive, got {negative}")
-    if spec.kind == "depolarizing":
-        r = p["identity_weight"] * np.eye(4)
-        for name in ("X", "Y", "Z"):
-            r = r + p["pauli_weight"] * fixed_conjugation_ptm(name)
-        return _check_trace_preserving(r, spec.kind)
-    if spec.kind == "pauli":
-        r = p["weight_i"] * np.eye(4)
-        for w, name in ((p["weight_x"], "X"), (p["weight_y"], "Y"), (p["weight_z"], "Z")):
-            r = r + w * fixed_conjugation_ptm(name)
-        return _check_trace_preserving(r, spec.kind)
-    if spec.kind == "amplitude-damping":
-        r = p["identity_weight"] * np.eye(4)
-        r = r + p["damping_weight"] * (fixed_conjugation_ptm("K00") + fixed_conjugation_ptm("K01"))
+    if spec.kind in _MIXTURES:
+        identity, terms = _MIXTURES[spec.kind]
+        weights = sorted({identity, *(name for name, *_ in terms)})
+        negative = {name: p[name] for name in weights if p[name] < 0}
+        if negative:
+            # for these trace-preserving mixtures, completely positive means no weight < 0
+            raise NonPhysicalChannelError(
+                f"{spec.kind} weights must be >= 0 to be completely positive, got {negative}")
+        r = p[identity] * np.eye(4)
+        for name, first, *rest in terms:
+            r = r + p[name] * sum(map(fixed_conjugation_ptm, rest), fixed_conjugation_ptm(first))
         return _check_trace_preserving(r, spec.kind)
     if spec.kind == "coherent":
         dt = p["delta_t"]

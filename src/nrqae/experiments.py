@@ -219,7 +219,7 @@ def run_compare_noise(cfg: ExperimentConfig) -> CompareReport:
                     continue
                 value = theta_to_value(2.0 * theta, problem.mode).value
                 nrqae_err = abs(value - true_value)
-                base = iqae_run(sim, target_eps=0.0, shots_per_round=cfg.shots,
+                base = iqae_run(sim, shots_per_round=cfg.shots,
                                 seed=cfg.seed, trial=(trial << 10) | rec.index,
                                 max_oracle_calls=budget)
                 iqae_err = abs(base.estimate - true_value)

@@ -135,12 +135,10 @@ def substream(seed: int, *path: int,
     as (trial, depth, term) to keep every drawn quantity reproducible in
     isolation.
 
-    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``.
-    Without ``into`` a new Philox generator is built from it. With ``into``,
-    a Generator over Philox, that generator is given the SeedSequence's key,
-    stream_key(seed, *path), through rekey, and returned.
+    The stream is that of ``SeedSequence(entropy=seed, spawn_key=path)``:
+    its key, stream_key(seed, *path), is written through rekey into
+    ``into``, a Generator over Philox, or without ``into`` into a new one.
     """
-    if into is not None:
-        return rekey(into, stream_key(seed, *path))
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    if into is None:
+        into = np.random.Generator(np.random.Philox(0))
+    return rekey(into, stream_key(seed, *path))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nrqae import baseline
-from nrqae.baseline import (_BRANCH_TOL, _MAX_MULTIPLIER, _branch, _next_multiplier,
-                            iqae_run)
+from nrqae.baseline import (_BRANCH_TOL, _MAX_MULTIPLIER, MAX_ROUNDS, _branch,
+                            _next_multiplier, iqae_run)
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator
 from nrqae.model import amplitude_problem, observable_problem
@@ -19,19 +19,27 @@ def plane_problem(delta):
     return amplitude_problem(psi, phi)
 
 
+def budget_ended(res, budget):
+    """The run stopped on its budget: within it, before MAX_ROUNDS, interval not collapsed."""
+    return (res.oracle_calls <= budget and len(res.rounds) < MAX_ROUNDS
+            and res.interval[0] < res.interval[1])
+
+
 def test_converges_on_noiseless_instance():
-    res = iqae_run(CircuitSimulator(plane_problem(np.pi / 6)), target_eps=1e-3,
+    res = iqae_run(CircuitSimulator(plane_problem(np.pi / 6)), 10**7,
                    shots_per_round=20000, seed=2)
-    assert res.converged
+    assert budget_ended(res, 10**7)
+    assert res.interval[1] - res.interval[0] <= 1e-3
     assert abs(res.estimate - 0.75) < 2e-3
     assert res.interval[0] <= res.interval[1]
     assert res.mode == "amplitude"
 
 
 def test_interval_never_widens():
-    res = iqae_run(CircuitSimulator(plane_problem(0.4)), target_eps=1e-4,
+    res = iqae_run(CircuitSimulator(plane_problem(0.4)), 10**7,
                    shots_per_round=5000, seed=3)
     widths = [r.x_hi - r.x_lo for r in res.rounds]
+    assert len(widths) >= 3
     assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
     lo, hi = res.x_interval
     assert 0.0 <= lo <= hi <= np.pi
@@ -39,40 +47,39 @@ def test_interval_never_widens():
 
 def test_identical_states_edge():
     psi = np.array([1.0, 0.0])
-    res = iqae_run(CircuitSimulator(amplitude_problem(psi, psi)), target_eps=1e-3,
+    res = iqae_run(CircuitSimulator(amplitude_problem(psi, psi)), 10**6,
                    shots_per_round=10000, seed=5)
     assert abs(res.estimate - 1.0) < 5e-3
 
 
 def test_shots_scale_inversely_with_precision():
-    """Total oracle calls grow roughly like 1/eps on a log-log fit."""
+    """The value-interval width shrinks roughly like 1/budget on a log-log fit."""
     p = plane_problem(np.pi / 5)
-    epss = [0.1, 0.03, 0.01, 0.003, 0.001]
-    calls = []
-    for eps in epss:
-        res = iqae_run(CircuitSimulator(p), target_eps=eps, shots_per_round=4000, seed=11)
-        assert res.converged
-        calls.append(res.oracle_calls)
-    slope = np.polyfit(np.log(epss), np.log(calls), 1)[0]
+    budgets = [10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7]
+    widths = []
+    for budget in budgets:
+        res = iqae_run(CircuitSimulator(p), budget, shots_per_round=4000, seed=11)
+        assert budget_ended(res, budget)
+        widths.append(res.interval[1] - res.interval[0])
+    slope = np.polyfit(np.log(budgets), np.log(widths), 1)[0]
     assert -2.0 < slope < -0.5
-    assert calls[0] < calls[-1]
+    assert widths[0] > widths[-1]
 
 
 def test_budget_cap_respected():
     budget = 60000
-    res = iqae_run(CircuitSimulator(plane_problem(np.pi / 5)), target_eps=0.0,
-                   shots_per_round=3000, seed=7, max_oracle_calls=budget)
-    assert res.oracle_calls <= budget
-    assert not res.converged
+    res = iqae_run(CircuitSimulator(plane_problem(np.pi / 5)), budget,
+                   shots_per_round=3000, seed=7)
+    assert budget_ended(res, budget)
     spent = sum(r.shots * r.applications for r in res.rounds)
     assert spent == res.oracle_calls
 
 
 def test_multiplier_schedule_amplitude():
-    res = iqae_run(CircuitSimulator(plane_problem(0.7)), target_eps=1e-4,
+    res = iqae_run(CircuitSimulator(plane_problem(0.7)), 10**7,
                    shots_per_round=8000, seed=13)
     ms = [r.m for r in res.rounds]
-    assert ms[0] == 1
+    assert len(ms) >= 3 and ms[0] == 1
     assert all(m % 2 == 1 for m in ms)  # odd multipliers only
     assert all(b >= a for a, b in zip(ms, ms[1:]))
     assert all(r.applications == (r.m + 1) // 2 for r in res.rounds)
@@ -81,7 +88,7 @@ def test_multiplier_schedule_amplitude():
 def test_multiplier_schedule_observable():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     obs = np.array([[0.6, 0.8], [0.8, -0.6]])
-    res = iqae_run(CircuitSimulator(observable_problem(plus, obs)), target_eps=1e-3,
+    res = iqae_run(CircuitSimulator(observable_problem(plus, obs)), 10**7,
                    shots_per_round=20000, seed=17)
     ms = [r.m for r in res.rounds]
     assert ms[0] == 2
@@ -96,23 +103,49 @@ def test_noise_biases_the_estimate():
     # locks onto a biased phase; the error floor does not shrink with budget
     p = plane_problem(np.deg2rad(18.5))  # amplitude 0.9
     truth = 0.9
-    res = iqae_run(CircuitSimulator(p, NoiseSpec(kind="pauli")), target_eps=0.0,
-                   shots_per_round=100000, seed=19, max_oracle_calls=10**8)
+    res = iqae_run(CircuitSimulator(p, NoiseSpec(kind="pauli")), 10**8,
+                   shots_per_round=100000, seed=19)
     assert abs(res.estimate - truth) > 0.05
 
 
 def test_determinism_and_validation():
     p = plane_problem(0.5)
-    a = iqae_run(CircuitSimulator(p), target_eps=1e-3, shots_per_round=2000, seed=23, trial=1)
-    b = iqae_run(CircuitSimulator(p), target_eps=1e-3, shots_per_round=2000, seed=23, trial=1)
+    a = iqae_run(CircuitSimulator(p), 10**6, shots_per_round=2000, seed=23, trial=1)
+    b = iqae_run(CircuitSimulator(p), 10**6, shots_per_round=2000, seed=23, trial=1)
     assert a.estimate == b.estimate
     assert [r.p_hat for r in a.rounds] == [r.p_hat for r in b.rounds]
-    c = iqae_run(CircuitSimulator(p), target_eps=1e-3, shots_per_round=2000, seed=23, trial=2)
+    c = iqae_run(CircuitSimulator(p), 10**6, shots_per_round=2000, seed=23, trial=2)
     assert a.estimate != c.estimate
     with pytest.raises(ValueError):
-        iqae_run(CircuitSimulator(p), target_eps=-1.0)
-    with pytest.raises(ValueError):
-        iqae_run(CircuitSimulator(p), shots_per_round=0)
+        iqae_run(CircuitSimulator(p), 10**6, shots_per_round=0)
+
+
+def test_every_run_is_bounded_by_its_budget():
+    """A run at 3,000 shots and 10^8 walk calls asks for no circuit deeper than 10^8 // 3,000.
+
+    Left unbounded, this config's depths keep growing (1, 6, 119, 1890, 38177,
+    ... up to 2^23), so the budget alone must stop it.
+    """
+    rng = np.random.default_rng(281)
+    psi, phi = (v / np.linalg.norm(v) for v in
+                [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)])
+    sim = CircuitSimulator(amplitude_problem(psi, phi), NoiseSpec(kind="pauli"))
+    deepest = 0
+    prob = sim.prob
+
+    def recording_prob(n):
+        nonlocal deepest
+        deepest = max(deepest, n)
+        return prob(n)
+
+    sim.prob = recording_prob
+    budget, shots = 10**8, 3000
+    res = iqae_run(sim, budget, shots_per_round=shots, seed=11)
+    assert budget_ended(res, budget)
+    assert [r.applications for r in res.rounds] == [1, 6, 119, 1890]
+    assert 0 < deepest <= budget // shots
+    with pytest.raises(TypeError):
+        iqae_run(sim, shots_per_round=shots, seed=11)
 
 
 def test_branch_index_matches_the_numpy_floor():
@@ -211,7 +244,7 @@ def test_next_multiplier_matches_the_numpy_scan():
     outcomes = Counter()
     for (mode, x_lo, x_hi, m_cur), top in zip(cases, tops.tolist()):
         want = _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur)
-        got = _next_multiplier(mode, x_lo, x_hi, m_cur)
+        got = _next_multiplier(mode, x_lo, x_hi, m_cur, _MAX_MULTIPLIER)
         assert type(got) is int
         assert got == want, (mode, x_lo, x_hi, m_cur)
         moved += got != m_cur
@@ -247,18 +280,18 @@ def test_capped_runs_of_compare_noise_match_the_full_scan(monkeypatch):
     budgets = np.cumsum([shots * 4 * 6 * 2 ** i for i in range(6)]).tolist()
 
     def runs():
-        return [iqae_run(sim, target_eps=0.0, shots_per_round=shots, seed=seed,
-                         trial=(trial << 10) | index, max_oracle_calls=budget)
+        return [iqae_run(sim, budget, shots_per_round=shots, seed=seed,
+                         trial=(trial << 10) | index)
                 for trial in range(10) for index, budget in enumerate(budgets)]
 
     got = runs()
     monkeypatch.setattr(baseline, "_next_multiplier",
-                        lambda mode, x_lo, x_hi, m_cur, m_top=None:
+                        lambda mode, x_lo, x_hi, m_cur, m_top:
                         _next_multiplier_rebuilt(mode, x_lo, x_hi, m_cur))
     monkeypatch.setattr(baseline, "_invert", _invert_numpy)
     want = runs()
     assert got == want  # field by field, np.float64 against float by value
     assert all(type(r.x_lo) is float for res in got for r in res.rounds)
     # the budget, not the round cap, ends every run, after rounds at m = 1 and beyond
-    assert all(not res.converged and len(res.rounds) < 64 for res in got)
+    assert all(budget_ended(res, budget) for res, budget in zip(got, budgets * 10))
     assert len({r.m for res in got for r in res.rounds}) > 2

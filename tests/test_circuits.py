@@ -342,8 +342,8 @@ def test_draws_on_one_simulator_match_fresh_streams():
     draws = [("sampled", n, trial, boost) for n in (1, 2, 3, 6, 12) for trial in (0, 5)
              for boost in (1, 4)]
     draws += [("sign", m, trial) for m in (1, 2, 4, 9) for trial in (0, 3)]
-    # uncapped runs, which stop at the target after 2 and 4 rounds
-    draws += [("iqae", trial, target) for trial in (0, 1025) for target in (1e-2, 1e-4)]
+    # runs of two or more rounds, at a small budget and a large one
+    draws += [("iqae", trial, budget) for trial in (0, 1025) for budget in (10**5, 10**7)]
     order = np.random.default_rng(283).permutation(len(draws))
     owned = set()
     for i in order:
@@ -363,9 +363,9 @@ def test_draws_on_one_simulator_match_fresh_streams():
             prov = perturbed_provider(sim, eps, seed, trial)
             assert prov.measure(m, 1) == sim.exact_t(m) + sign * eps, draws[i]
         else:
-            trial, target = args
-            res = iqae_run(sim, target_eps=target, shots_per_round=shots, seed=seed, trial=trial)
-            assert res.converged and len(res.rounds) >= 2, draws[i]
+            trial, budget = args
+            res = iqae_run(sim, budget, shots_per_round=shots, seed=seed, trial=trial)
+            assert len(res.rounds) >= 2, draws[i]
             for r in res.rounds:
                 count = _fresh_stream(seed, trial, r.index).binomial(
                     shots, sim.prob(r.applications))
