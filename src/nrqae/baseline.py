@@ -27,7 +27,7 @@ teleports on a contradiction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ CONFIDENCE = 0.95
 MAX_ROUNDS = 64
 
 
-@dataclass
-class IqaeRound:
+class IqaeRound(NamedTuple):
     index: int
     m: int
     applications: int
@@ -53,8 +52,7 @@ class IqaeRound:
     contradiction: bool = False
 
 
-@dataclass
-class IqaeResult:
+class IqaeResult(NamedTuple):
     mode: str
     estimate: float
     interval: tuple

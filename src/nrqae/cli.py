@@ -89,7 +89,7 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["exact"] = True
     if getattr(args, "retry", None):
         overrides["retry"] = True
-    if getattr(args, "kinds", None):
+    if getattr(args, "kinds", None) is not None:
         overrides["compare_kinds"] = [k.strip() for k in args.kinds.split(",") if k.strip()]
     # replace() reruns the config's checks on the overridden values
     return dataclasses.replace(cfg, **overrides)

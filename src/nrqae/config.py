@@ -87,6 +87,12 @@ class ExperimentConfig:
         _check_type("compare_kinds", self.compare_kinds, _optional(
             lambda v: isinstance(v, list) and all(kind in NOISE_KINDS for kind in v)),
             "a list of noise kinds")
+        # an empty list would fall back to the noise kind, and a repeated kind
+        # would write its rows twice under one plot series
+        if self.compare_kinds == []:
+            raise ConfigError("compare_kinds must name at least one noise kind, got []")
+        if self.compare_kinds and len(set(self.compare_kinds)) < len(self.compare_kinds):
+            raise ConfigError(f"compare_kinds must not repeat a kind, got {self.compare_kinds}")
         if not 1 <= self.qubits <= MAX_QUBITS:
             raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {self.qubits}")
         label = self.observable or ""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -166,8 +166,7 @@ def fit_decay(theta_ch: float, series: dict) -> float:
 Outcome = Literal["refined", "quiet", "guard", "no_candidates"]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """What step read from the last triplet at depth n; retried and oracle_calls are run's."""
 
     n: int
@@ -187,6 +186,7 @@ class IterationRecord:
 
     @property
     def index(self) -> int:
+        """Iteration i of depth n = 2^i; it shadows tuple.index, which records never need."""
         return self.n.bit_length() - 1
 
 

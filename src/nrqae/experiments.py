@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -95,8 +94,7 @@ ESTIMATE_HEADER = ["iteration", "depth", "t1", "t2", "t3", "y", "candidates",
                    "selected_theta", "ok", "reason"]
 
 
-@dataclass
-class EstimateReport:
+class EstimateReport(NamedTuple):
     result: object
     rows: list
     true_value: float
@@ -119,8 +117,7 @@ SWEEP_HEADER = ["depth", "trial", "theta_est", "abs_error"]
 SWEEP_SUMMARY_HEADER = ["depth", "median_error", "trials_ok"]
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: list
     summary_rows: list
     slope: Optional[float]
@@ -172,8 +169,7 @@ COMPARE_HEADER = ["kind", "trial", "depth", "oracle_calls", "nrqae_value", "nrqa
                   "iqae_value", "iqae_error", "iqae_rounds"]
 
 
-@dataclass
-class CompareReport:
+class CompareReport(NamedTuple):
     rows: list
     true_value: float
     svg: str
@@ -239,8 +235,7 @@ VERIFY_HEADER = ["kind", "check", "s", "depth", "value"]
 VERIFY_SUMMARY_HEADER = ["kind", "check", "value", "band_lo", "band_hi", "ok"]
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     rows: list
     summary_rows: list
     flagged: int

@@ -20,7 +20,7 @@ the state-space phase theta_g, with cos(theta_g) = 2a - 1 in amplitude mode
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -124,8 +124,7 @@ def grover(problem: EstimationProblem) -> np.ndarray:
     return reflection_about(problem.psi) @ problem.observable
 
 
-@dataclass(frozen=True)
-class ValuePair:
+class ValuePair(NamedTuple):
     """Principal estimate and its mirror (the inherent branch ambiguity)."""
 
     value: float

@@ -29,7 +29,7 @@ perturbation is too strong for first-order tracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ OVERLAP_FLAG_THRESHOLD = 0.5
 _IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """Rotating-plane data of the noiseless walk operator.
 
     vectors holds the four vectorized dyads (phi_+ phi_+^dag,
@@ -87,8 +86,7 @@ def interpolated_noise(noise_matrix: np.ndarray, s: float) -> np.ndarray:
     return (1.0 - s) * np.eye(n.shape[0]) + s * n
 
 
-@dataclass(frozen=True)
-class PerturbedStep:
+class PerturbedStep(NamedTuple):
     """S(s) = N(s) M_G at one strength and its eigenpairs continuing the +-theta_ch dyads.
 
     lam1 and lam2 are the eigenvalues matched to the +theta_ch and -theta_ch
@@ -107,8 +105,7 @@ class PerturbedStep:
     overlap: float
 
 
-@dataclass(frozen=True)
-class PerturbedSteps:
+class PerturbedSteps(NamedTuple):
     """What the three checks read: the noiseless plane and step M_G, vec(rho_tilde), S(s)."""
 
     basis: SubspaceBasis
@@ -149,8 +146,7 @@ def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> P
     return PerturbedSteps(basis=sub, mg=mg, rho_vec=rho_vec, steps=tuple(steps))
 
 
-@dataclass
-class Lemma1Row:
+class Lemma1Row(NamedTuple):
     s: float
     eigenvalue: complex
     prediction: complex
@@ -174,8 +170,7 @@ def lemma1_check(steps: PerturbedSteps) -> list:
     return rows
 
 
-@dataclass
-class Lemma2Row:
+class Lemma2Row(NamedTuple):
     s: float
     c1_error: float
     c2_error: float
@@ -197,8 +192,7 @@ def lemma2_check(steps: PerturbedSteps) -> list:
     return rows
 
 
-@dataclass
-class Theorem1Row:
+class Theorem1Row(NamedTuple):
     s: float
     n: int
     t_exact: float

@@ -1,6 +1,5 @@
 """Ratio estimator: root algebra, candidate selection, the step, the full iteration."""
 
-import dataclasses
 import typing
 
 import numpy as np
@@ -270,7 +269,7 @@ def test_step_on_synthetic_triplets(args, outcome, y, candidates, selected, reas
     assert rec.selected == pytest.approx(selected, abs=1e-12)
     assert rec.candidates == pytest.approx(candidates, abs=1e-12)
     assert (rec.retried, rec.oracle_calls, rec.index) == (True, 7, args[1].bit_length() - 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rec.selected = 1.0
 
 

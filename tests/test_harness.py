@@ -673,6 +673,20 @@ def _bad_observable(qubits: int, got: str) -> str:
           (PARALLEL_STATES, "the two states are parallel; no rotation plane"),
           (ORTHOGONAL_STATES, f"degenerate rotation phase {np.pi}"),
           (EIGENSTATE_OF_Z, "the two states are parallel; no rotation plane"))],
+    # an empty list used to fall back to the noise kind, a repeated kind to
+    # write its rows twice under one plot series
+    ("compare-noise", {"compare_kinds": []}, [],
+     "compare_kinds must name at least one noise kind, got []"),
+    ("compare-noise", {}, ["--kinds", ","],
+     "compare_kinds must name at least one noise kind, got []"),
+    ("compare-noise", {}, ["--kinds", ""],
+     "compare_kinds must name at least one noise kind, got []"),
+    ("verify-perturbation", {"compare_kinds": []}, [],
+     "compare_kinds must name at least one noise kind, got []"),
+    ("compare-noise", {"compare_kinds": ["pauli", "pauli"]}, [],
+     "compare_kinds must not repeat a kind, got ['pauli', 'pauli']"),
+    ("compare-noise", {}, ["--kinds", "pauli,depolarizing,pauli"],
+     "compare_kinds must not repeat a kind, got ['pauli', 'depolarizing', 'pauli']"),
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):

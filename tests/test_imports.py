@@ -1,4 +1,4 @@
-"""Every name a module of nrqae imports is used there.
+"""Every name a module of nrqae imports is used there, and its records are tuples.
 
 An imported name counts as used when the module reads it, lists it in
 __all__, or is the place bench/tracing.py wraps it (its TARGETS name a
@@ -8,6 +8,8 @@ module is run from its source, as tests/test_bench_targets.py runs it.
 """
 
 import ast
+import dataclasses
+import importlib
 import os
 import types
 
@@ -74,3 +76,44 @@ def test_the_check_sees_an_unused_import():
     assert _unused(source) == {"chain": 1}
     # a traced name counts as used in the module the tracer wraps it in
     assert _unused(source, "circuits", {("circuits", "chain")}) == {}
+
+
+# Value records are NamedTuples: creating one at import costs a third or
+# less of what a dataclass does. A class stays a dataclass only for what a
+# tuple cannot do: checks in __post_init__, dataclasses.replace or a
+# cached_property.
+DATACLASSES = {"channels.NoiseSpec", "config.ExperimentConfig", "estimator.EstimationResult",
+               "model.EstimationProblem"}
+RECORDS = {"baseline.IqaeRound", "baseline.IqaeResult", "estimator.IterationRecord",
+           "experiments.EstimateReport", "experiments.SweepReport",
+           "experiments.CompareReport", "experiments.VerifyReport", "model.ValuePair",
+           "perturbation.SubspaceBasis", "perturbation.PerturbedStep",
+           "perturbation.PerturbedSteps", "perturbation.Lemma1Row", "perturbation.Lemma2Row",
+           "perturbation.Theorem1Row"}
+
+
+@pytest.fixture(scope="module")
+def classes() -> dict:
+    """Every class a module of nrqae defines, by "module.Class"."""
+    found = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"nrqae.{module}")
+        for name, value in vars(mod).items():
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                found[f"{module}.{name}"] = value
+    return found
+
+
+def test_only_the_validating_or_caching_classes_are_dataclasses(classes):
+    assert {name for name, cls in classes.items() if dataclasses.is_dataclass(cls)} == DATACLASSES
+    assert RECORDS <= set(classes)
+    assert all(issubclass(classes[name], tuple) for name in RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(classes, name):
+    cls = classes[name]
+    record = cls._make([None] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
