@@ -15,13 +15,15 @@ estimator). Each round:
 3. intersect with the current interval.
 
 Every run takes a walk-call budget, max_oracle_calls, and ends in one of
-three ways: its next round does not fit the budget, it has run MAX_ROUNDS
+four ways: its next round does not fit the budget, its next round would
+repeat the multiplier of a contradicted round, it has run MAX_ROUNDS
 rounds, or its interval has collapsed to one value. The budget bounds the
 depth of every circuit by max_oracle_calls // shots_per_round. The rounds
 split the failure probability 1 - CONFIDENCE evenly. Noise biases p away
 from the noiseless model; a round whose inverted interval misses the
 current one is kept as a no-op and flagged, so the interval never
-teleports on a contradiction.
+teleports on a contradiction; a round at that multiplier would ask the
+same circuit about the same interval again, so the run ends instead.
 """
 
 from __future__ import annotations
@@ -152,10 +154,11 @@ def iqae_run(sim: CircuitSimulator, max_oracle_calls: int, shots_per_round: int 
     if shots_per_round < 1:
         raise ValueError(f"shots_per_round must be >= 1, got {shots_per_round}")
     mode = sim.problem.mode
-    # the confidence interval on the phase, the current multiplier and the round log
+    # the confidence interval on the phase, the current multiplier, the round log
+    # and the multipliers of contradicted rounds
     x_lo, x_hi = 0.0, np.pi if mode == "amplitude" else np.pi / 2.0
     m_cur = shots_used = oracle_calls = 0
-    rounds = []
+    rounds, contradicted = [], set()
     m_min = 1 if mode == "amplitude" else 2
     delta_round = (1.0 - CONFIDENCE) / MAX_ROUNDS
     eps_p = float(np.sqrt(np.log(2.0 / delta_round) / (2.0 * shots_per_round)))
@@ -170,7 +173,7 @@ def iqae_run(sim: CircuitSimulator, max_oracle_calls: int, shots_per_round: int 
         m = _next_multiplier(mode, x_lo, x_hi, m_cur, m_top) if m_cur else m_min
         k = _applications(mode, m)
         cost = shots_per_round * k
-        if oracle_calls + cost > max_oracle_calls:
+        if oracle_calls + cost > max_oracle_calls or m in contradicted:
             break
         p_true = sim.prob(k)
         gen = substream(seed, trial, idx, into=sim.rng)
@@ -181,7 +184,9 @@ def iqae_run(sim: CircuitSimulator, max_oracle_calls: int, shots_per_round: int 
         new_lo = max(x_lo, u_lo)
         new_hi = min(x_hi, u_hi)
         contradiction = new_lo > new_hi
-        if not contradiction:
+        if contradiction:
+            contradicted.add(m)
+        else:
             x_lo, x_hi = new_lo, new_hi
         m_cur = m
         shots_used += shots_per_round

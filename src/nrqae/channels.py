@@ -254,8 +254,9 @@ def avg_gate_fidelity(noisy, ideal) -> float:
     F_pro = Tr(ideal^dag noisy).real / d^2 is the process fidelity; both
     arguments are superoperators in the same orthonormal operator basis
     (row-stacking or PTM give the same value). This is the standard
-    twirled-overlap formula; the package uses it for every kind, with the
-    statistical kind rescaled at draw time to hit its configured target.
+    twirled-overlap formula. No command calls it: the tests check each
+    kind's F_avg above against it, and the statistical draw reaches its
+    target through the same formula solved for the PTM's trace.
     """
     noisy = np.asarray(noisy, dtype=complex)
     ideal = np.asarray(ideal, dtype=complex)

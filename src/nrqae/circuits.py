@@ -12,18 +12,20 @@ signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 S is never formed as a matrix: the simulator pushes a stack of d x d
 density matrices through one layer at a time and keeps the scalar
 read-outs of every depth it passes; a sampled run follows both of its
-preparations in one two-slice stack. One provider class, TProvider,
-serves the depths (n, 2n, 3n) to the estimator; exact_provider,
-sampled_provider and perturbed_provider give it its measurement rule
-(exact, binomial or offset) and its guard. sampled_providers and
-perturbed_providers give one provider per trial of a command, sharing
-one table of draw keys.
+preparations in one two-slice stack. A TProvider is an immutable
+description of how the estimator measures t at a depth; estimator.run
+keeps the values it measured. exact_provider, sampled_provider and
+perturbed_provider give it its measurement rule (exact, binomial or
+offset) and its guard. sampled_providers and perturbed_providers give
+one provider per trial of a command, sharing one table of draw keys.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cached_property, partial
 from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,45 +213,30 @@ def t_halfwidth(shots: int, delta: float = 0.5) -> float:
     return 4.0 * np.sqrt(np.log(2.0 / delta) / (2.0 * shots))
 
 
-class TProvider:
-    """Serves t at depths (n, 2n, 3n), each depth measured once per boost.
+def _no_plan(depths) -> None:
+    """TProvider's default prepare: nothing is keyed ahead of a run."""
 
-    measure(m, boost) returns t at depth m; a value is cached per
-    (depth, boost), so a boosted retry is a fresh measurement, and only
-    unboosted values enter series, the dict the envelope fit reads. eps_div is
-    the division guard of the ratio. shots is the shot count per circuit,
-    0 when the values are not sampled; it prices calls_for and allows a
-    failed iteration to be re-measured. A run first passes its depth schedule
-    to prepare(depths), a no-op by default; the sampled and perturbed
-    providers key their draws there (see _KeyTable).
+
+class TProvider(NamedTuple):
+    """How to measure t; it holds no values, so every run measures its own.
+
+    measure(m, boost) returns t at depth m with boost times the shots.
+    eps_div is the division guard of the ratio. shots is the shot count per
+    circuit, 0 when the values are not sampled; it prices calls and allows
+    a failed iteration to be re-measured. A run first passes its depth
+    schedule to prepare(depths), a no-op by default; the sampled and
+    perturbed providers key their draws there (see _KeyTable).
     """
 
-    def __init__(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0,
-                 prepare=None):
-        self.sim = sim
-        self.measure = measure
-        self.eps_div = eps_div
-        self.shots = shots
-        self.prepare = prepare or (lambda depths: None)
-        self._cache: dict[tuple, float] = {}
+    sim: CircuitSimulator
+    measure: Callable
+    eps_div: float
+    shots: int = 0
+    prepare: Callable = _no_plan
 
-    @property
-    def series(self) -> dict:
-        """The unboosted values measured so far, keyed by depth."""
-        return {m: v for (m, boost), v in self._cache.items() if boost == 1}
-
-    def triplet(self, n: int, boost: int = 1):
-        out = []
-        for m in (n, 2 * n, 3 * n):
-            key = (m, boost)
-            if key not in self._cache:
-                self._cache[key] = self.measure(m, boost)
-            out.append(self._cache[key])
-        return tuple(out)
-
-    def calls_for(self, n: int, boost: int = 1) -> int:
-        # Four circuits at each of the depths n, 2n, 3n.
-        return self.shots * boost * 4 * (n + 2 * n + 3 * n)
+    def calls(self, m: int, boost: int = 1) -> int:
+        """Walk calls of one measurement at depth m: four m-layer circuits, shots * boost each."""
+        return len(_TERMS) * self.shots * boost * m
 
 
 def exact_provider(sim: CircuitSimulator) -> TProvider:

@@ -7,8 +7,9 @@ quadratic 2(y - 1) x^2 - x + 1 = 0; of the 2n angles with that x, the one
 nearest the running estimate is kept. The outcome is refined, quiet (depth 1,
 no estimate yet, every |t| within the guard: theta = 0), guard (|t_2n| within
 the guard) or no_candidates (no root in [-1, 1]). run is the schedule: it
-measures at n = 2^i, i = 0..k, calls step, charges each attempt, and on
-request re-measures a failed sampled iteration at 4x shots.
+measures at n = 2^i, i = 0..k, keeping each (depth, boost) it measured,
+calls step, charges each attempt, and on request re-measures a failed
+sampled iteration at 4x shots.
 
 The working angle, the series phase in [0, pi], is the frequency of
 cos(m theta) in the depth series and twice the folded state-space phase.
@@ -257,21 +258,31 @@ class EstimationResult:
 def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
     """Full estimation run over iterations i = 0..k, depth n = 2^i.
 
-    provider (a circuits.TProvider) serves the depth series and, through its
-    simulator's problem, the mode. retry=True re-measures a failed sampled
-    iteration once at 4x shots. EstimationFailure means every iteration failed.
+    provider (a circuits.TProvider) says how to measure t and, through its
+    simulator's problem, gives the mode. The run measures each (depth, boost)
+    once and keeps it; series holds its unboosted values. retry=True
+    re-measures a failed sampled iteration once at 4x shots, afresh.
+    EstimationFailure means every iteration failed.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     provider.prepare(sorted({j * 2 ** i for i in range(k + 1) for j in (1, 2, 3)}))
-    base = provider.triplet(1)
+    measured: dict = {}  # (depth, boost) -> t, in measurement order
+
+    def triplet(n: int, boost: int = 1) -> tuple:
+        for m in (n, 2 * n, 3 * n):
+            if (m, boost) not in measured:
+                measured[m, boost] = provider.measure(m, boost)
+        return tuple(measured[m, boost] for m in (n, 2 * n, 3 * n))
+
+    base = triplet(1)
     boosts = (1, 4) if retry and provider.shots else (1,)
     theta_ch, records = None, []
     for i in range(k + 1):
         n, calls = 2 ** i, 0
         for boost in boosts:
-            calls += provider.calls_for(n, boost=boost)
-            rec = step(provider.triplet(n, boost=boost), n, theta_ch, provider.eps_div, base,
+            calls += sum(provider.calls(m, boost) for m in (n, 2 * n, 3 * n))
+            rec = step(triplet(n, boost), n, theta_ch, provider.eps_div, base,
                        retried=boost > 1, oracle_calls=calls)
             if rec.ok:
                 theta_ch = rec.selected
@@ -286,5 +297,5 @@ def run(provider, k: int = 5, retry: bool = False) -> EstimationResult:
     pair = theta_to_value(theta_ch, mode)
     return EstimationResult(mode=mode, theta=theta_ch / 2.0, theta_ch=theta_ch,
                             value=pair.value, mirror=pair.mirror,
-                            oracle_calls=sum(r.oracle_calls for r in records),
-                            iterations=records, series=provider.series)
+                            oracle_calls=sum(r.oracle_calls for r in records), iterations=records,
+                            series={m: t for (m, boost), t in measured.items() if boost == 1})

@@ -20,9 +20,10 @@ def plane_problem(delta):
 
 
 def budget_ended(res, budget):
-    """The run stopped on its budget: within it, before MAX_ROUNDS, interval not collapsed."""
+    """The budget ended the run: within it, before MAX_ROUNDS, no contradiction, not collapsed."""
     return (res.oracle_calls <= budget and len(res.rounds) < MAX_ROUNDS
-            and res.interval[0] < res.interval[1])
+            and res.interval[0] < res.interval[1]
+            and not any(r.contradiction for r in res.rounds))
 
 
 def test_converges_on_noiseless_instance():
@@ -146,6 +147,21 @@ def test_every_run_is_bounded_by_its_budget():
     assert 0 < deepest <= budget // shots
     with pytest.raises(TypeError):
         iqae_run(sim, shots_per_round=shots, seed=11)
+
+
+def test_a_run_ends_before_repeating_a_contradicted_multiplier():
+    """Under default pauli a contradicted round's interval is kept, and m = 7 stays.
+
+    The README problem at 3,000 shots used to repeat that round 62 more times
+    with the same outcome, to the round cap and 759,000 walk calls.
+    """
+    problem = amplitude_problem(np.array([1.0, 0.0]), np.array([np.sqrt(0.75), 0.5]))
+    res = iqae_run(CircuitSimulator(problem, NoiseSpec(kind="pauli")), 10**8,
+                   shots_per_round=3000, seed=11)
+    assert [(r.m, r.contradiction) for r in res.rounds] == [(1, False), (7, True)]
+    assert res.oracle_calls == 3000 * (1 + 4) == 15_000
+    assert res.estimate == 0.56183114268295
+    assert res.x_interval == (res.rounds[0].x_lo, res.rounds[0].x_hi)
 
 
 def test_branch_index_matches_the_numpy_floor():

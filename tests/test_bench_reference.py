@@ -8,21 +8,13 @@ bench run. It covers the whole 16-case wide-q5 cycle, an eighth of the readme-q1
 pool (32 ops, each running about 21 seed picks), and two verify-q3 ops,
 one of which (s41) exits 3 in the reference.
 
-bench/workloads.py is run from its source, so no bytecode is written under
-bench/, and its work directory is moved to a temporary one.
+bench/workloads.py is run from its source, as tests/bench_pool.py runs it
+for every op of every pool, so no bytecode is written under bench/, and
+its work directory is moved to a temporary one.
 """
 
-import os
-import sys
-import time
-import types
-
 import pytest
-
-from nrqae.cli import main
-
-WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "bench", "workloads.py")
+from bench_pool import bench_workloads, failed_ops
 
 CASES = ([("wide-q5", f"j{j}") for j in range(16)]
          + [("readme-q1", f"s{j}") for j in range(32)]
@@ -30,29 +22,12 @@ CASES = ([("wide-q5", f"j{j}") for j in range(16)]
 
 
 @pytest.fixture(scope="module")
-def workloads():
-    name = "bench_workloads"
-    module = types.ModuleType(name)
-    module.__file__ = WORKLOADS
-    # its dataclasses look their module up in sys.modules while being built
-    sys.modules[name] = module
-    try:
-        with open(WORKLOADS) as fh:
-            exec(compile(fh.read(), WORKLOADS, "exec"), module.__dict__)
+def workloads(tmp_path_factory):
+    with bench_workloads(str(tmp_path_factory.mktemp("bench") / "work")) as module:
         yield module
-    finally:
-        del sys.modules[name]
 
 
 @pytest.mark.parametrize("workload_name", sorted({w for w, _ in CASES}))
-def test_ops_match_the_bench_reference(workloads, workload_name, tmp_path, monkeypatch):
-    monkeypatch.setattr(workloads, "WORK_DIR", str(tmp_path / "work"))
-    workload = workloads.WORKLOADS[workload_name]
-    reference = workloads.load_reference(workload)
-    config_paths = workloads.write_configs(workload, str(tmp_path / "configs"))
-    ops = {op.key: op for op in workload.pool}
-    for name, key in CASES:
-        if name != workload_name:
-            continue
-        result = workloads.run_op(ops[key], config_paths, main, time.perf_counter)
-        assert workloads.op_failed(result, reference) is None, (workload_name, key)
+def test_ops_match_the_bench_reference(workloads, workload_name, tmp_path):
+    keys = [key for name, key in CASES if name == workload_name]
+    assert failed_ops(workloads, workload_name, keys, str(tmp_path)) == []

@@ -250,8 +250,8 @@ def test_shared_simulator_matches_fresh_one():
     own = sampled_provider(CircuitSimulator(p, noise), shots=1000, seed=3, trial=1)
     lent = sampled_provider(shared, shots=1000, seed=3, trial=1)
     assert lent.sim is shared
-    for n in (1, 2, 4, 8):
-        assert own.triplet(n) == lent.triplet(n)
+    for m in (1, 2, 3, 4, 6, 8, 12, 16, 24):
+        assert own.measure(m, 1) == lent.measure(m, 1)
 
 
 def test_prob_builds_each_measurement_vector_once(monkeypatch):
@@ -395,32 +395,38 @@ def test_t_halfwidth_values():
 def test_exact_provider():
     p = plane_problem(np.pi / 6)
     prov = exact_provider(CircuitSimulator(p))
-    trip = prov.triplet(1)
+    trip = tuple(prov.measure(m, 1) for m in (1, 2, 3))
     assert np.allclose(trip, (-0.25, -0.25, 0.5), atol=1e-12)
     assert prov.shots == 0  # not sampled: run() never retries it
-    assert prov.calls_for(64) == 0
+    assert prov.calls(64) == prov.calls(64, boost=4) == 0
     assert prov.eps_div == EXACT_DIVISION_GUARD
-    assert sorted(prov.series) == [1, 2, 3]
-    assert exact_provider(CircuitSimulator(p)).triplet(1) == trip
+    # the provider keeps no values: a run's series holds what that run measured
+    assert run(prov, k=0).series == dict(zip((1, 2, 3), trip))
+    assert tuple(exact_provider(CircuitSimulator(p)).measure(m, 1) for m in (1, 2, 3)) == trip
 
 
 def test_sampled_provider_cache_and_accounting():
     p = plane_problem(0.9)
-    prov = sampled_provider(CircuitSimulator(p, NoiseSpec(kind="pauli")), shots=200, seed=11,
+    prov = sampled_provider(CircuitSimulator(p, NoiseSpec(kind="pauli")), shots=20000, seed=11,
                             trial=0)
-    assert prov.shots == 200
-    t1 = prov.triplet(1)
-    t2 = prov.triplet(2)
+    assert prov.shots == 20000
+    assert sum(prov.calls(m) for m in (2, 4, 6)) == 20000 * 4 * 12
+    assert sum(prov.calls(m, boost=3) for m in (2, 4, 6)) == 20000 * 3 * 4 * 12
+    assert abs(prov.eps_div - 3.0 * t_halfwidth(20000)) < 1e-15
+    measured = []
+
+    def counting(m, boost):
+        measured.append((m, boost))
+        return prov.measure(m, boost)
+
+    res = run(prov._replace(measure=counting), k=1)
+    t1, t2 = (rec.triplet for rec in res.iterations)
     assert t1[1] == t2[0]  # depth 2 measured once, reused
-    assert sorted(prov.series) == [1, 2, 3, 4, 6]
-    assert prov.calls_for(2) == 200 * 4 * 12
-    assert prov.calls_for(2, boost=3) == 200 * 3 * 4 * 12
-    assert abs(prov.eps_div - 3.0 * t_halfwidth(200)) < 1e-15
-    # boosted values are fresh draws, not rescaled cache hits, and stay
-    # out of the series
-    assert prov.triplet(1, boost=5) != t1
-    prov.triplet(8, boost=5)
-    assert sorted(prov.series) == [1, 2, 3, 4, 6]
+    assert measured == [(m, 1) for m in (1, 2, 3, 4, 6)]
+    assert res.series == dict(zip((1, 2, 3, 4, 6), t1 + t2[1:]))
+    assert res.oracle_calls == 20000 * 4 * (6 + 12)
+    # boosted values are fresh draws, not rescaled stored values
+    assert tuple(prov.measure(m, 5) for m in (1, 2, 3)) != t1
 
 
 def test_perturbed_provider():
@@ -428,7 +434,7 @@ def test_perturbed_provider():
     eps = 1e-3
     prov = perturbed_provider(CircuitSimulator(p), eps=eps, seed=21, trial=4)
     sim = CircuitSimulator(p)
-    trip = prov.triplet(2)
+    trip = [prov.measure(m, 1) for m in (2, 4, 6)]
     for m, v in zip((2, 4, 6), trip):
         assert abs(abs(v - sim.exact_t(m)) - eps) < 1e-15
         sign = 1.0 if substream(21, 4, m).integers(0, 2) else -1.0
@@ -436,7 +442,7 @@ def test_perturbed_provider():
     assert prov.eps_div == 3.0 * eps
     assert perturbed_provider(sim, eps=0.0, seed=1).eps_div == EXACT_DIVISION_GUARD
     assert prov.shots == 0
-    assert prov.calls_for(2) == 0
+    assert prov.calls(2) == 0
     with pytest.raises(ValueError):
         perturbed_provider(sim, eps=-1e-3, seed=1)
     for eps in (np.nan, np.inf, -np.inf):
@@ -475,8 +481,7 @@ def test_planned_run_matches_per_draw_run(kind, retry, seed):
     """Keys derived for the whole schedule give the values of keys derived draw by draw."""
     sim = CircuitSimulator(plane_problem(0.6), _MILD)
     planned = run(_provider(kind, sim, seed), k=5, retry=retry)
-    per_draw = _provider(kind, sim, seed)
-    per_draw.prepare = lambda depths: None
+    per_draw = _provider(kind, sim, seed)._replace(prepare=lambda depths: None)
     unplanned = run(per_draw, k=5, retry=retry)
     assert planned.series == unplanned.series
     for got, want in zip(planned.iterations, unplanned.iterations, strict=True):
@@ -519,11 +524,22 @@ def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
     trials, shots, eps = [0, 3], 1000, 0.1
     sampled = sampled_providers(sim, shots, seed, trials)
     perturbed = perturbed_providers(sim, eps, seed, trials)
+    draws = []  # per provider, its run's (depth, boost, value) in measurement order
+
+    def recording(provider):
+        def measure(m, boost):
+            value = provider.measure(m, boost)
+            draws[-1].append((m, boost, value))
+            return value
+        return provider._replace(measure=measure)
+
+    series = []
     for provider in sampled + perturbed:
-        run(provider, k=5, retry=True)
+        draws.append([])
+        series.append(run(recording(provider), k=5, retry=True).series)
     assert batches == [2 * 13 * 4, 2 * 13]  # trials x scheduled depths (x terms), per table
-    retries = [(trial, m, term, boost) for trial, provider in zip(trials, sampled)
-               for m, boost in provider._cache if boost > 1 for term in range(4)]
+    retries = [(trial, m, term, boost) for trial, cells in zip(trials, draws)
+               for m, boost, _ in cells if boost > 1 for term in range(4)]
     assert retries and scalar == retries  # only the sampled runs retry
     # depth 5 is off the schedule: each provider keys its cell once, and a
     # boosted cell of its own
@@ -536,18 +552,18 @@ def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
     assert batches == [2 * 13 * 4, 2 * 13]
     assert substreams == []
     monkeypatch.undo()
-    for trial, provider, at_5 in zip(trials, sampled, off):
+    for trial, cells, at_5 in zip(trials, draws, off):
         assert at_5 == [sim.sampled_t(5, shots, seed, trial)] * 2 + \
             [sim.sampled_t(5, shots, seed, trial, 4)]
-        for (m, boost), value in provider._cache.items():
+        for m, boost, value in cells:
             assert value == sim.sampled_t(m, shots, seed, trial, boost), (trial, m, boost)
 
     def signed(trial, m):
         return sim.exact_t(m) + (1.0 if substream(seed, trial, m).integers(0, 2) else -1.0) * eps
 
-    for trial, provider, at_5 in zip(trials, perturbed, off[len(sampled):]):
+    for trial, values, at_5 in zip(trials, series[len(sampled):], off[len(sampled):]):
         assert at_5 == [signed(trial, 5)] * 3  # the sign ignores the boost
-        for m, value in provider.series.items():
+        for m, value in values.items():
             assert value == signed(trial, m), (trial, m)
 
 

@@ -3,9 +3,11 @@
 The draws cover the mode, the scalar settings, the config version, the
 observable and one state geometry: amplitude, theta_g or explicit psi/phi
 vectors in amplitude mode; expectation, theta_g or an explicit psi in
-observable mode. One test drives `estimate --iterations 0`; the other
+observable mode. One test drives `estimate --iterations 0`; another
 drives every command, with a noise kind, compare kinds and command flags
-drawn too, and reads every CSV it writes.
+drawn too, and reads every CSV it writes. The third draws only valid
+observable-mode `estimate` runs at 4-8 qubits, where the fault-mixing draws
+stop at 3 to stay short.
 """
 
 import contextlib
@@ -179,6 +181,67 @@ def test_estimate_exits_cleanly_on_any_scalar_settings(drawn):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def _noise(kind: str) -> dict:
+    return {"kind": kind, "seed": 3} if kind == "statistical" else {"kind": kind}
+
+
+@st.composite
+def wide_observable_runs(draw):
+    """(argv without --config and --out, config) for a valid observable-mode estimate at q = 4-8.
+
+    Observable mode keeps the dense layer at every width, so these are the
+    widest circuits the simulator follows; one or two iterations keep each
+    example short.
+    """
+    qubits = draw(st.integers(4, 8))
+    state, _ = draw(observable_geometry(2 ** qubits, faults=False))
+    label = draw(st.text("IXYZ", min_size=qubits, max_size=qubits).filter(
+        lambda label: set(label) != {"I"}))
+    config = {**state, "mode": "observable", "observable": label, "qubits": qubits,
+              "noise": _noise(draw(st.sampled_from(NOISE_KINDS))),
+              "shots": draw(st.integers(1, MAX_SHOTS)), "seed": draw(st.integers(0, 2 ** 70))}
+    argv = ["estimate", "--iterations", str(draw(st.integers(0, 1)))]
+    return argv + draw(st.sampled_from([[], ["--exact"]])), config
+
+
+def _run_cli(argv, config):
+    """(exit code, stderr, {csv name: text}) of main on config written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = [*argv, "--config", path]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        written = {}
+        for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+            if name.endswith(".csv"):
+                with open(os.path.join(out, name)) as fh:
+                    written[name] = fh.read()
+    return code, err.getvalue(), written
+
+
+def _assert_finite(written, *context):
+    for name, text in written.items():
+        fields = {f.lower() for line in text.splitlines() for f in line.split(",")}
+        assert not fields & {"nan", "inf", "-inf"}, (*context, name)
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_observable_runs())
+def test_wide_observable_estimates_exit_cleanly_and_write_finite_csvs(drawn):
+    argv, config = drawn
+    code, err, written = _run_cli(argv, config)
+    assert code in (0, 2), (argv, config, err)
+    # an estimation failure is one line; a success writes nothing to stderr
+    assert len(err.splitlines()) == (code == 2), (argv, config, err)
+    assert code == 2 or "estimate.csv" in written
+    _assert_finite(written, argv, config)
+
+
 CONFIG_COMMANDS = ("estimate", "sweep-depth", "compare-noise", "verify-perturbation")
 PROBABILITIES = st.floats(0.0, 1.0) | NUMBERS
 KIND_LISTS = st.lists(st.sampled_from(NOISE_KINDS), min_size=1, max_size=2, unique=True)
@@ -199,8 +262,7 @@ def command_lines(draw):
         return ["plan-shots", f"--eps={eps}", f"--delta={delta}"], None, True
     # half the examples keep every setting valid, so that the command itself runs
     config, all_valid = draw(configs(faults=draw(st.booleans())))
-    kind = draw(st.sampled_from(NOISE_KINDS))
-    config["noise"] = {"kind": kind, "seed": 3} if kind == "statistical" else {"kind": kind}
+    config["noise"] = _noise(draw(st.sampled_from(NOISE_KINDS)))
     if draw(st.booleans()):
         config["compare_kinds"] = draw(KIND_LISTS)
     # few trials and shallow runs keep each example short; the config file's own
@@ -220,27 +282,10 @@ def command_lines(draw):
 @given(command_lines())
 def test_every_command_exits_cleanly_and_writes_finite_csvs(drawn):
     argv, config, all_valid = drawn
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        if config is not None:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w") as fh:
-                json.dump(config, fh)
-            argv = [*argv, "--config", path]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", out])
-        written = {}
-        for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
-            if name.endswith(".csv"):
-                with open(os.path.join(out, name)) as fh:
-                    written[name] = fh.read()
-    err = err.getvalue()
+    code, err, written = _run_cli(argv, config)
     assert code in (0, 1, 2, 3), (argv, config, err)
     # every command reads the config first, so a bad setting always exits 1
     assert all_valid or code == 1, (argv, config, err)
     if code == 1:
         assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, config, err)
-    for name, text in written.items():
-        fields = {f.lower() for line in text.splitlines() for f in line.split(",")}
-        assert not fields & {"nan", "inf", "-inf"}, (argv, config, name)
+    _assert_finite(written, argv, config)

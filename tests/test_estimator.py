@@ -422,6 +422,9 @@ def test_run_retry_accounting():
         assert rec.retried
         assert rec.oracle_calls == 2000 * 24 * rec.n * 5
     assert sum(rec.oracle_calls for rec in res.iterations) == res.oracle_calls
+    # the boosted retries stay out of the series, which holds the unboosted draws
+    fresh = sampled_provider(CircuitSimulator(p, noise), shots=2000, seed=6)
+    assert res.series == {m: fresh.measure(m, 1) for m in (1, 2, 3, 4, 6, 8, 12)}
     with pytest.raises(EstimationFailure):
         run(sampled_provider(CircuitSimulator(p, noise), shots=2000, seed=6), k=2, retry=False)
 
@@ -441,8 +444,26 @@ def test_run_records_a_retried_iteration_from_its_last_attempt():
         ((0.3, 0.0, 0.3), "guard", None, (), ())
     assert rec.reason == "|t_2n| = 0 below division guard 0.01"
     assert rec.retried and rec.selected is None
-    assert rec.oracle_calls == provider.calls_for(1) + provider.calls_for(1, boost=4)
+    assert rec.oracle_calls == 100 * 4 * (1 + 2 + 3) * (1 + 4)
     assert res.iterations[1].ok and not res.iterations[1].retried
+
+
+def test_a_provider_run_twice_gives_each_run_only_its_own_depths():
+    # the provider describes how to measure and keeps nothing: a k = 1 run after
+    # a k = 4 run reads depths 1-6, as on a fresh provider, and fits p_hat to those
+    gentle = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003,
+                                             "weight_y": 0.002, "weight_z": 0.005})
+    sim = CircuitSimulator(plane_problem(np.pi / 6), gentle)
+    provider = sampled_provider(sim, shots=100_000, seed=7)
+    assert sorted(run(provider, k=4).series) == [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48]
+    again = run(provider, k=1)
+    fresh = run(sampled_provider(CircuitSimulator(plane_problem(np.pi / 6), gentle),
+                                 shots=100_000, seed=7), k=1)
+    assert sorted(again.series) == [1, 2, 3, 4, 6]
+    assert again.series == fresh.series
+    assert again.p_hat == fresh.p_hat is not None
+    assert again.iterations == fresh.iterations
+    assert (again.theta_ch, again.oracle_calls) == (fresh.theta_ch, fresh.oracle_calls)
 
 
 def test_run_monotone_refinement():

@@ -278,6 +278,36 @@ def test_run_verify_perturbation_rejects_trivial_kind():
         run_verify_perturbation(ExperimentConfig(theta_g=2.0))
 
 
+def _uniformity(depth_grid):
+    cfg = ExperimentConfig(amplitude=0.75, noise=NoiseSpec(kind="pauli"), depth_grid=depth_grid)
+    rows = run_verify_perturbation(cfg).summary_rows
+    return [(value, ok) for _, name, value, *_, ok in rows if name == "theorem1_uniformity"]
+
+
+@pytest.mark.parametrize("grid, sorted_grid", [
+    ([64, 32, 16, 8, 4, 2, 1], [1, 2, 4, 8, 16, 32, 64]),
+    (list(range(65)), list(range(1, 65))),  # depth 0 runs no layer: not a reference
+])
+def test_theorem1_uniformity_divides_by_the_smallest_positive_depth(grid, sorted_grid):
+    # on the README config the sorted grids pass with 1; the first listed
+    # depth, 64 or 0, used to give 13.33 and 3748
+    assert _uniformity(grid) == _uniformity(sorted_grid) == [(1.0, True)]
+
+
+def test_verify_rejects_a_trivial_kind_before_any_perturbed_steps(tmp_path, monkeypatch,
+                                                                  capsys):
+    steps = []
+    monkeypatch.setattr("nrqae.experiments.perturbed_steps", lambda *args: steps.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "noise": {"kind": "pauli"},
+                               "compare_kinds": ["pauli", "none"]}))
+    assert main(["verify-perturbation", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: verify-perturbation needs a non-trivial noise kind\n"
+    assert steps == []
+
+
 def test_run_verify_perturbation_builds_each_kind_once(monkeypatch):
     # per kind: the 2 x 2 eigendecomposition of subspace_basis's rotation
     # plane (model.rotation_plane), one channel, then per strength one eigendecomposition of S(s) and one match

@@ -84,7 +84,8 @@ def test_the_check_sees_an_unused_import():
 # cached_property.
 DATACLASSES = {"channels.NoiseSpec", "config.ExperimentConfig", "estimator.EstimationResult",
                "model.EstimationProblem"}
-RECORDS = {"baseline.IqaeRound", "baseline.IqaeResult", "estimator.IterationRecord",
+RECORDS = {"baseline.IqaeRound", "baseline.IqaeResult", "circuits.TProvider",
+           "estimator.IterationRecord",
            "experiments.EstimateReport", "experiments.SweepReport",
            "experiments.CompareReport", "experiments.VerifyReport", "model.ValuePair",
            "perturbation.SubspaceBasis", "perturbation.PerturbedStep",
