@@ -17,7 +17,7 @@ description of how the estimator measures t at a depth; estimator.run
 keeps the values it measured. exact_provider, sampled_provider and
 perturbed_provider give it its measurement rule (exact, binomial or
 offset) and its guard. sampled_providers and perturbed_providers give
-one provider per trial of a command, sharing one table of draw keys.
+one provider per trial of a command, which key every draw from one table.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import numpy as np
 
 from .channels import NoiseSpec, noise_superop
 from .errors import NonPhysicalChannelError
-# conjugation_superop is unused here; the benchmark's traced pass looks it up.
+# conjugation_superop and substream are unused here; the benchmark's traced pass looks them up.
 from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
-from .rng import philox_keys, rekey, stream_key, substream
+from .rng import philox_keys, rekey, substream
 
 _CLAMP_TOL = 1e-6
 _IMAG_TOL = 1e-8
@@ -117,10 +117,10 @@ class CircuitSimulator:
     baseline take.
 
     rng is the one Philox generator the simulator's sampled draws use,
-    built on the first of them: each draw re-keys it (rng.rekey), so a draw
-    is that of its own fresh substream and an exact run builds none. Like
-    the trajectories, it is mutable state: use a simulator from one thread
-    at a time.
+    built on the first of them: each draw re-keys it (rng.rekey) to its
+    stream's key, so it draws as a fresh stream, and an exact run builds
+    none. Like the trajectories, it is mutable state: use a simulator from
+    one thread at a time.
     """
 
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
@@ -179,27 +179,22 @@ class CircuitSimulator:
             raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
         return float(raw.real)
 
-    def sampled_t(self, n: int, shots: int, seed: int, trial: int = 0, boost: int = 1,
-                  keys=None) -> float:
+    def sampled_t(self, n: int, shots: int, keys, *, boost: int = 1) -> float:
         """Binomial estimate of t_n from four independently sampled circuits.
 
-        Each of the four probabilities is drawn from its own substream keyed
-        by (trial, depth, term, boost), so any value is reproducible in
-        isolation and a retry with boosted shots is a fresh measurement.
-        The draws re-key the simulator's rng, to the four terms' given keys
-        (the providers' key table) or else through substream; the values are
-        the same.
+        keys holds the Philox keys of the four terms' draws, in _TERMS order;
+        each draw re-keys the simulator's rng to its key. The providers take
+        them from their key table, one stream per (trial, depth, term, boost),
+        so any value is reproducible in isolation and a retry with boosted
+        shots is a fresh measurement.
         """
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         total = 0.0
         eff = shots * boost
         values = self._circuits.at(n, self._noisy_walk)
-        for term, (_, _, sign) in enumerate(_TERMS):
-            p = _clamped_real(values[term], n)
-            gen = (rekey(self.rng, keys[term]) if keys is not None
-                   else substream(seed, trial, n, term, boost, into=self.rng))
-            total += sign * gen.binomial(eff, p) / eff
+        for (_, _, sign), value, key in zip(_TERMS, values, keys, strict=True):
+            total += sign * rekey(self.rng, key).binomial(eff, _clamped_real(value, n)) / eff
         return total
 
 
@@ -247,15 +242,15 @@ def exact_provider(sim: CircuitSimulator) -> TProvider:
 class _KeyTable:
     """Philox keys of the draws of one command's trials, per (trial, depth, boost) cell.
 
-    With terms, the draws of cell (t, m, b) are those of substream(seed, t,
-    m, term, b) for each term; without, the cell's one draw is that of
-    substream(seed, t, m), whatever the boost. keys[(t, m, b)] is the tuple
-    of their keys in that order. The first prepare(depths), from the first
-    run of the command, keys every trial's unboosted cells at those depths
-    in one rng.philox_keys pass; later calls find the table filled. get
-    keys a missing cell, a boosted retry or a depth outside the first
-    schedule, on the scalar path, rng.stream_key, which is cheaper for a
-    few keys than a batch of one cell.
+    With terms, the draws of cell (t, m, b) are those of the streams
+    SeedSequence(entropy=seed, spawn_key=(t, m, term, b)), one per term;
+    without, the cell's one draw is that of spawn_key (t, m), whatever the
+    boost. keys[(t, m, b)] is the tuple of their keys in that order. Every
+    key comes from rng.philox_keys: the first prepare(depths), from the
+    first run of the command, keys every trial's unboosted cells at those
+    depths in one pass, and later calls find the table filled; get keys a
+    missing cell, a boosted retry or a depth outside the first schedule,
+    the same way.
     """
 
     def __init__(self, seed: int, trials, terms: int = 0):
@@ -266,22 +261,22 @@ class _KeyTable:
         self.terms = terms
         self.keys: dict[tuple, tuple] = {}
 
-    def prepare(self, depths) -> None:
-        if self.keys:
-            return
-        depths = list(depths)
-        tails = (range(self.terms), (1,)) if self.terms else ()
-        rows = np.fromiter(chain.from_iterable(product(self.trials, depths, *tails)), np.int64)
+    def _fill(self, trials, depths, boost: int) -> None:
+        """Key every cell (trial, depth, boost) of trials x depths in one philox_keys pass."""
+        tails = (range(self.terms), (boost,)) if self.terms else ()
+        rows = np.fromiter(chain.from_iterable(product(trials, depths, *tails)), np.int64)
         flat = philox_keys(self.seed, rows.reshape(-1, 2 + len(tails)))
-        cells = product(self.trials, depths, (1,))
+        cells = product(trials, depths, (boost,))
         self.keys.update(zip(cells, zip(*[iter(flat)] * (self.terms or 1))))
+
+    def prepare(self, depths) -> None:
+        if not self.keys:
+            self._fill(self.trials, list(depths), 1)
 
     def get(self, trial: int, m: int, boost: int) -> tuple:
         cell = (trial, m, boost)
         if cell not in self.keys:
-            tails = (range(self.terms), (boost,)) if self.terms else ()
-            self.keys[cell] = tuple(stream_key(self.seed, trial, m, *tail)
-                                    for tail in product(*tails))
+            self._fill((trial,), (m,), boost)
         return self.keys[cell]
 
     def providers(self, sim: CircuitSimulator, measure, eps_div: float, shots: int = 0) -> list:
@@ -297,14 +292,14 @@ def sampled_providers(sim: CircuitSimulator, shots: int, seed: int, trials) -> l
     shot count (delta = 0.5 working point), so a ratio is formed only when
     the denominator clears its own statistical noise by a wide margin.
     The trials share sim: its probabilities do not depend on the trial,
-    and each draw has its own substream's key.
+    and each draw has its own stream's key.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     table = _KeyTable(seed, trials, len(_TERMS))
 
     def measure(trial: int, m: int, boost: int) -> float:
-        return sim.sampled_t(m, shots, seed, trial, boost=boost, keys=table.get(trial, m, boost))
+        return sim.sampled_t(m, shots, table.get(trial, m, boost), boost=boost)
 
     return table.providers(sim, measure, 3.0 * t_halfwidth(shots), shots)
 
@@ -317,8 +312,8 @@ def sampled_provider(sim: CircuitSimulator, shots: int, seed: int, trial: int = 
 def perturbed_providers(sim: CircuitSimulator, eps: float, seed: int, trials) -> list:
     """Exact values plus a signed offset eps per depth (robustness sweeps).
 
-    The sign is drawn once per (trial, depth) with a seeded substream's
-    key, re-keying sim.rng; the guard scales with the perturbation the way
+    The sign is drawn once per (trial, depth) with a seeded stream's key,
+    re-keying sim.rng; the guard scales with the perturbation the way
     the sampled guard scales with shot noise. One provider per trial,
     sharing one key table.
     """

@@ -24,8 +24,10 @@ CONFIG_VERSION = 1
 # Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
 # walk operator, O(8^q) work; the cap bounds it before any array is built.
 MAX_QUBITS = 8
-# Iteration k reaches depth 3 * 2^k, so the cap bounds a run at 12,288 layers.
+# Iteration k reaches depth 3 * 2^k, so the cap bounds a run at 12,288 layers,
+# and MAX_DEPTH bounds depth_grid at the same deepest layer.
 MAX_ITERATIONS = 12
+MAX_DEPTH = 3 * 2 ** MAX_ITERATIONS
 # Shot counts are drawn as int64 binomial counts, 4x larger on a retry.
 MAX_SHOTS = 2 ** 60
 # Trials run one after another, each adding its rows to the CSVs: at the cap a
@@ -121,8 +123,8 @@ class ExperimentConfig:
         if not 0 <= self.perturbation <= sys.float_info.max:
             raise ConfigError(
                 f"perturbation must be a finite number >= 0, got {self.perturbation}")
-        _check_grid("depth_grid", self.depth_grid, lambda n: _is_int(n) and n >= 0,
-                    "a non-negative integer")
+        _check_grid("depth_grid", self.depth_grid, lambda n: _is_int(n) and 0 <= n <= MAX_DEPTH,
+                    f"a non-negative integer <= {MAX_DEPTH}")
         _check_grid("s_grid", self.s_grid, lambda s: _is_number(s) and 0.0 <= s <= 1.0,
                     "a number in [0, 1]")
 

@@ -90,10 +90,6 @@ class EstimationProblem:
                 raise ValueError("observable is not traceless")
             object.__setattr__(self, "observable", obs)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.qubits
-
     def second_state(self) -> np.ndarray:
         """phi in amplitude mode, O|psi> in observable mode."""
         if self.mode == "amplitude":

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 
+from problems import plane_problem
+
 from nrqae.channels import NoiseSpec, avg_gate_fidelity, noise_superop
 from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.config import DEFAULT_S_GRID, ExperimentConfig
@@ -32,11 +34,6 @@ PHI4 = np.array([0.1818874506617437 - 0.21268375651884527j,
 def _report(ok: bool, label: str, detail: str):
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     assert ok, f"{label}: {detail}"
-
-
-def _plane(delta: float):
-    return amplitude_problem(np.array([1.0, 0.0]),
-                             np.array([np.cos(delta), np.sin(delta)]))
 
 
 def _random_state(rng, dim: int):
@@ -96,7 +93,8 @@ def test_02_walk_trace_relations():
 
 def test_03_worked_instance():
     start = time.perf_counter()
-    res = run(exact_provider(CircuitSimulator(_plane(np.pi / 6), NoiseSpec(kind="none"))), k=2)
+    sim = CircuitSimulator(plane_problem(np.pi / 6), NoiseSpec(kind="none"))
+    res = run(exact_provider(sim), k=2)
     elapsed = time.perf_counter() - start
     t1, t2, t3 = res.iterations[0].triplet
     dev = max(abs(t1 + 0.25), abs(t2 + 0.25), abs(t3 - 0.5),
@@ -146,7 +144,7 @@ def test_05_perturbed_error_slope():
 
 
 def test_06_noisy_phase_tracking():
-    problem = _plane(np.pi / 5)
+    problem = plane_problem(np.pi / 5)
     noise = NoiseSpec(kind="depolarizing")
     res = run(exact_provider(CircuitSimulator(problem, noise)), k=6)
     step = noise_superop(noise, 1) @ conjugation_superop(grover(problem))

@@ -5,18 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from problems import plane_problem
+
 from nrqae import baseline
 from nrqae.baseline import (_BRANCH_TOL, _MAX_MULTIPLIER, MAX_ROUNDS, _branch,
                             _next_multiplier, iqae_run)
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator
 from nrqae.model import amplitude_problem, observable_problem
-
-
-def plane_problem(delta):
-    psi = np.array([1.0, 0.0])
-    phi = np.array([np.cos(delta), np.sin(delta)])
-    return amplitude_problem(psi, phi)
 
 
 def budget_ended(res, budget):

@@ -8,6 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
+from problems import plane_problem
+
 from nrqae import circuits
 from nrqae.baseline import iqae_run
 from nrqae.channels import NoiseSpec, noise_superop, pauli_string
@@ -28,13 +30,6 @@ from nrqae.experiments import run_compare_noise, run_sweep_depth
 from nrqae.model import (amplitude_problem, conjugation_superop, grover, observable_problem,
                          rho_tilde, vectorize)
 from nrqae.rng import substream
-
-
-def plane_problem(delta):
-    """Two real states separated by the angle delta."""
-    psi = np.array([1.0, 0.0])
-    phi = np.array([np.cos(delta), np.sin(delta)])
-    return amplitude_problem(psi, phi)
 
 
 def random_problem(rng, qubits):
@@ -236,17 +231,17 @@ def test_shared_simulator_matches_fresh_one():
     p = random_problem(rng, 2)
     noise = NoiseSpec(kind="amplitude-damping")
     shared = CircuitSimulator(p, noise)
-    for trial in range(3):
+    for provider in sampled_providers(shared, 1000, 3, range(3)):
         for n in (1, 2, 3, 24, 40):
-            shared.sampled_t(n, 1000, seed=3, trial=trial)
+            provider.measure(n, 1)
     shared.exact_t(40)
     for n in (0, 1, 5, 17, 40):
         fresh = CircuitSimulator(p, noise)
         assert shared.exact_t(n) == fresh.exact_t(n)
         assert _circuit_prob(shared, 1, 0, n) == _circuit_prob(fresh, 1, 0, n)
         assert shared.prob(n) == fresh.prob(n)
-        assert shared.sampled_t(n, 1000, seed=3, trial=7) == \
-            fresh.sampled_t(n, 1000, seed=3, trial=7)
+        assert sampled_provider(shared, 1000, 3, 7).measure(n, 1) == \
+            sampled_provider(fresh, 1000, 3, 7).measure(n, 1)
     own = sampled_provider(CircuitSimulator(p, noise), shots=1000, seed=3, trial=1)
     lent = sampled_provider(shared, shots=1000, seed=3, trial=1)
     assert lent.sim is shared
@@ -268,7 +263,8 @@ def test_prob_builds_each_measurement_vector_once(monkeypatch):
     monkeypatch.setattr(circuits, "vectorize", counting_vectorize)
     depths = (1, 2, 3, 4, 6, 8, 12, 5, 9)
     calls = [(depths[i % len(depths)], i % 3) for i in range(50)]
-    values = [sim.sampled_t(n, 1000, seed=5, trial=trial) for n, trial in calls]
+    providers = sampled_providers(sim, 1000, 5, range(3))
+    values = [providers[trial].measure(n, 1) for n, trial in calls]
     # the four signed pairs measure onto two states: psi and the second state
     sec = p.second_state()
     assert len(built) == 2
@@ -276,7 +272,7 @@ def test_prob_builds_each_measurement_vector_once(monkeypatch):
         projector = np.outer(meas, np.conj(meas))
         assert sum(np.array_equal(op, projector) for op in built) == 1
     for (n, trial), value in zip(calls, values):
-        assert value == CircuitSimulator(p, noise).sampled_t(n, 1000, seed=5, trial=trial)
+        assert value == sampled_provider(CircuitSimulator(p, noise), 1000, 5, trial).measure(n, 1)
 
 
 def test_simulator_is_freed_without_the_cyclic_collector():
@@ -288,7 +284,7 @@ def test_simulator_is_freed_without_the_cyclic_collector():
         sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
         sim.exact_t(5)
         sim.prob(3)
-        sim.sampled_t(4, 1000, seed=3)
+        sampled_provider(sim, 1000, 3).measure(4, 1)
         run(exact_provider(sim), k=2)
         ref = weakref.ref(sim)
         del sim
@@ -320,18 +316,36 @@ def test_sampled_t_is_reproducible():
     p = plane_problem(0.6)
     noise = NoiseSpec(kind="pauli")
     sim = CircuitSimulator(p, noise)
-    a = sim.sampled_t(2, 500, seed=9, trial=3)
-    b = CircuitSimulator(p, noise).sampled_t(2, 500, seed=9, trial=3)
+    a = sampled_provider(sim, 500, 9, 3).measure(2, 1)
+    b = sampled_provider(CircuitSimulator(p, noise), 500, 9, 3).measure(2, 1)
     assert a == b
-    assert a != sim.sampled_t(2, 500, seed=9, trial=4)
-    with pytest.raises(ValueError):
-        sim.sampled_t(1, 0, seed=1)
+    assert a != sampled_provider(sim, 500, 9, 4).measure(2, 1)
+    keys = [_written_key(9, 3, 2, term, 1) for term in range(4)]
+    assert sim.sampled_t(2, 500, keys) == a  # the keys alone decide the draws
+    with pytest.raises(ValueError, match="shots"):
+        sim.sampled_t(1, 0, keys)
+    with pytest.raises(ValueError):  # one key per term, no fewer
+        sim.sampled_t(1, 500, keys[:3])
 
 
 def _fresh_stream(seed, *path):
     """A new generator for (seed, path), built as numpy spawns one."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(ss))
+
+
+# the four circuits of t_n as (preparation, measurement, sign), 0 being psi
+_TERMS = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
+
+
+def _fresh_sampled_t(sim, seed, trial, n, shots, boost=1):
+    """t_n from four binomial draws, each on its own fresh (seed, trial, n, term, boost) stream."""
+    eff = shots * boost
+    total = 0.0
+    for term, (prep, meas, sign) in enumerate(_TERMS):
+        gen = _fresh_stream(seed, trial, n, term, boost)
+        total += sign * gen.binomial(eff, _circuit_prob(sim, prep, meas, n)) / eff
+    return total
 
 
 def test_draws_on_one_simulator_match_fresh_streams():
@@ -350,13 +364,8 @@ def test_draws_on_one_simulator_match_fresh_streams():
         kind, *args = draws[i]
         if kind == "sampled":
             n, trial, boost = args
-            eff = shots * boost
-            want = 0.0
-            terms = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
-            for term, (prep, meas, sign) in enumerate(terms):
-                gen = _fresh_stream(seed, trial, n, term, boost)
-                want += sign * gen.binomial(eff, _circuit_prob(sim, prep, meas, n)) / eff
-            assert sim.sampled_t(n, shots, seed, trial, boost=boost) == want, draws[i]
+            want = _fresh_sampled_t(sim, seed, trial, n, shots, boost)
+            assert sampled_provider(sim, shots, seed, trial).measure(n, boost) == want, draws[i]
         elif kind == "sign":
             m, trial = args
             sign = 1.0 if _fresh_stream(seed, trial, m).integers(0, 2) else -1.0
@@ -379,7 +388,7 @@ def test_sampled_t_concentrates_on_exact_value():
     noise = NoiseSpec(kind="pauli")
     sim = CircuitSimulator(p, noise)
     truth = sim.exact_t(1)
-    vals = [sim.sampled_t(1, 400, seed=5, trial=t) for t in range(300)]
+    vals = [provider.measure(1, 1) for provider in sampled_providers(sim, 400, 5, range(300))]
     band = t_halfwidth(400, 0.01)
     violations = sum(abs(v - truth) > band for v in vals)
     assert violations <= 12  # union bound allows 4%; the seeded run gives 0
@@ -462,6 +471,12 @@ def test_unphysical_noise_matrix_is_rejected():
     sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(1)
+    # float slack of 1e-6 either side of [0, 1] is clamped; 1e-4 is a broken channel
+    assert circuits._clamped_real(complex(1.0 + 1e-7), 3) == 1.0
+    assert circuits._clamped_real(complex(-1e-7), 3) == 0.0
+    for value in (1.0 + 1e-4, -1e-4):
+        with pytest.raises(NonPhysicalChannelError, match="outside"):
+            circuits._clamped_real(complex(value), 3)
 
 
 _MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
@@ -498,28 +513,18 @@ def test_planned_run_matches_per_draw_run(kind, retry, seed):
 def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
     """Unboosted, boosted and off-schedule draws, for any seed, are keyed by the table alone.
 
-    The scheduled unboosted cells take one batch per table; a boosted retry
-    and a depth off the schedule are keyed on the scalar path, one key per draw.
+    The scheduled unboosted cells take one philox_keys batch per table; a
+    boosted retry and a depth off the schedule take one batch per cell, one
+    row per draw.
     """
-    substreams, batches, scalar = [], [], []
-    real_substream, real_keys, real_key = circuits.substream, circuits.philox_keys, \
-        circuits.stream_key
-
-    def counting_substream(*args, **kwargs):
-        substreams.append(args)
-        return real_substream(*args, **kwargs)
+    batches = []  # the rows of each philox_keys call
+    real_keys = circuits.philox_keys
 
     def counting_keys(seed, paths):
-        batches.append(len(paths))
+        batches.append([tuple(row) for row in np.asarray(paths).tolist()])
         return real_keys(seed, paths)
 
-    def counting_key(seed, *path):
-        scalar.append(path)
-        return real_key(seed, *path)
-
-    monkeypatch.setattr(circuits, "substream", counting_substream)
     monkeypatch.setattr(circuits, "philox_keys", counting_keys)
-    monkeypatch.setattr(circuits, "stream_key", counting_key)
     sim = CircuitSimulator(plane_problem(0.6), _MILD)
     trials, shots, eps = [0, 3], 1000, 0.1
     sampled = sampled_providers(sim, shots, seed, trials)
@@ -537,29 +542,30 @@ def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
     for provider in sampled + perturbed:
         draws.append([])
         series.append(run(recording(provider), k=5, retry=True).series)
-    assert batches == [2 * 13 * 4, 2 * 13]  # trials x scheduled depths (x terms), per table
-    retries = [(trial, m, term, boost) for trial, cells in zip(trials, draws)
-               for m, boost, _ in cells if boost > 1 for term in range(4)]
-    assert retries and scalar == retries  # only the sampled runs retry
+    retries = [[(trial, m, term, boost) for term in range(4)]
+               for trial, cells in zip(trials, draws) for m, boost, _ in cells if boost > 1]
+    assert retries  # only the sampled runs retry
+    # trials x scheduled depths (x terms), per table; each retry between them
+    assert [len(rows) for rows in batches] == [2 * 13 * 4] + [4] * len(retries) + [2 * 13]
+    assert batches[1:-1] == retries
     # depth 5 is off the schedule: each provider keys its cell once, and a
     # boosted cell of its own
-    scalar.clear()
+    batches.clear()
     off = [[provider.measure(5, 1) for _ in range(2)] + [provider.measure(5, 4)]
            for provider in sampled + perturbed]
-    assert scalar == ([(trial, 5, term, boost) for trial in trials for boost in (1, 4)
-                       for term in range(4)]
-                      + [(trial, 5) for trial in trials for _ in (1, 4)])
-    assert batches == [2 * 13 * 4, 2 * 13]
-    assert substreams == []
+    assert batches == ([[(trial, 5, term, boost) for term in range(4)]
+                        for trial in trials for boost in (1, 4)]
+                       + [[(trial, 5)] for trial in trials for _ in (1, 4)])
     monkeypatch.undo()
     for trial, cells, at_5 in zip(trials, draws, off):
-        assert at_5 == [sim.sampled_t(5, shots, seed, trial)] * 2 + \
-            [sim.sampled_t(5, shots, seed, trial, 4)]
+        assert at_5 == [_fresh_sampled_t(sim, seed, trial, 5, shots)] * 2 + \
+            [_fresh_sampled_t(sim, seed, trial, 5, shots, 4)]
         for m, boost, value in cells:
-            assert value == sim.sampled_t(m, shots, seed, trial, boost), (trial, m, boost)
+            assert value == _fresh_sampled_t(sim, seed, trial, m, shots, boost), (trial, m, boost)
 
     def signed(trial, m):
-        return sim.exact_t(m) + (1.0 if substream(seed, trial, m).integers(0, 2) else -1.0) * eps
+        sign = 1.0 if _fresh_stream(seed, trial, m).integers(0, 2) else -1.0
+        return sim.exact_t(m) + sign * eps
 
     for trial, values, at_5 in zip(trials, series[len(sampled):], off[len(sampled):]):
         assert at_5 == [signed(trial, 5)] * 3  # the sign ignores the boost
@@ -637,6 +643,8 @@ def test_a_command_keys_its_draws_in_one_pass_per_kind(monkeypatch):
 
 
 def test_sampled_t_keeps_its_positional_order():
-    # the benchmark's tracer reads n, shots and boost from positions 1, 2 and 5
-    params = list(inspect.signature(CircuitSimulator.sampled_t).parameters)
-    assert params[:6] == ["self", "n", "shots", "seed", "trial", "boost"]
+    # the benchmark's tracer reads n and shots from positions 1 and 2, and
+    # boost from the keywords
+    params = inspect.signature(CircuitSimulator.sampled_t).parameters
+    assert list(params)[:3] == ["self", "n", "shots"]
+    assert params["boost"].kind is inspect.Parameter.KEYWORD_ONLY

@@ -5,6 +5,8 @@ import typing
 import numpy as np
 import pytest
 
+from problems import plane_problem
+
 from nrqae import estimator
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, exact_provider,
@@ -24,12 +26,6 @@ from nrqae.estimator import (
     step,
 )
 from nrqae.model import amplitude_problem, observable_problem
-
-
-def plane_problem(delta):
-    psi = np.array([1.0, 0.0])
-    phi = np.array([np.cos(delta), np.sin(delta)])
-    return amplitude_problem(psi, phi)
 
 
 def exact(problem, noise=NoiseSpec()):
@@ -75,6 +71,10 @@ def test_roots_cos_fixed_points():
     assert abs(got[0] + 0.5) < 1e-12
     assert abs(got[1] - 1.0 / 3.0) < 1e-12
     assert roots_cos(100.0) == []  # negative discriminant
+    # y = 1 + 2.5e-7 puts the companion root 1/q at 1 + 5e-7: past the 1e-9
+    # float slack, so it is no cosine, and a looser slack would clip it to 1
+    assert roots_cos(1.0 + 2.5e-7) == []
+    assert roots_cos(1.0 + 2.5e-10) == [1.0]  # 1 + 5e-10 is float slack
 
 
 def test_roots_cos_recovers_cosine():
@@ -227,6 +227,8 @@ def test_fit_decay_recovers_envelope():
     # noiseless series fits p = 1 exactly (clamped from above)
     clean = {n: 0.5 * np.cos(n * theta) for n in (1, 2, 3)}
     assert abs(fit_decay(theta, clean) - 1.0) < 1e-6
+    # |t_n| doubling per layer reads p = 2, which no channel gives
+    assert fit_decay(0.0, {1: 1.0, 2: 2.0, 3: 4.0}) == 1.0
 
 
 def test_fit_decay_needs_two_usable_depths():

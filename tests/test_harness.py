@@ -13,8 +13,8 @@ from nrqae import cli, model, perturbation
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
-from nrqae.config import (MAX_QUBITS, ExperimentConfig, build_problem, config_from_dict,
-                          config_to_dict, load_config)
+from nrqae.config import (MAX_DEPTH, MAX_QUBITS, ExperimentConfig, build_problem,
+                          config_from_dict, config_to_dict, load_config)
 from nrqae.errors import ConfigError, DegenerateProblemError
 from nrqae.estimator import run
 from nrqae.experiments import (VerifyReport, _median, hoeffding_shots, run_compare_noise,
@@ -292,6 +292,16 @@ def test_theorem1_uniformity_divides_by_the_smallest_positive_depth(grid, sorted
     # on the README config the sorted grids pass with 1; the first listed
     # depth, 64 or 0, used to give 13.33 and 3748
     assert _uniformity(grid) == _uniformity(sorted_grid) == [(1.0, True)]
+
+
+def test_depth_grid_reaches_the_deepest_layer_of_an_estimate():
+    # MAX_DEPTH, 3 * 2^12, is the last depth admitted; its theorem-1 rows stay finite
+    cfg = ExperimentConfig(amplitude=0.75, noise=NoiseSpec(kind="pauli"),
+                           depth_grid=[1, 2, 4, 8, 16, 32, 64, MAX_DEPTH])
+    report = run_verify_perturbation(cfg)
+    assert MAX_DEPTH == 12288 and report.all_ok
+    assert any(n == MAX_DEPTH for *_, n, _ in report.rows)
+    assert all(np.isfinite(value) for *_, value in report.rows)
 
 
 def test_verify_rejects_a_trivial_kind_before_any_perturbed_steps(tmp_path, monkeypatch,
@@ -609,6 +619,14 @@ def test_cli_rejects_a_negative_mixture_weight(tmp_path, capsys):
      "s_grid needs at least two positive points with distinct values"),
     ({"depth_grid": [0, 4, 4]}, [],
      "depth_grid needs at least two positive points with distinct values"),
+    # past the deepest layer of an estimate: 2**70 overflowed theorem 1's
+    # squares into nan rows, and 10**400 raised OverflowError
+    ({"depth_grid": [1, 2, 12289]}, [],
+     "depth_grid entry 12289 is not a non-negative integer <= 12288"),
+    ({"depth_grid": [1, 2, 2 ** 70]}, [],
+     f"depth_grid entry {2 ** 70} is not a non-negative integer <= 12288"),
+    ({"depth_grid": [1, 2, 10 ** 400]}, [],
+     f"depth_grid entry {10 ** 400} is not a non-negative integer <= 12288"),
 ])
 def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, extra, flags,
                                                            message):

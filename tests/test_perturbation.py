@@ -10,6 +10,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from problems import plane_problem
+
 from nrqae.channels import NoiseSpec, noise_superop
 from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.errors import DegenerateProblemError
@@ -28,12 +30,6 @@ from nrqae.perturbation import (
 
 S_GRID = [0.001, 0.002154434690032, 0.004641588833613, 0.01,
           0.02154434690032, 0.04641588833613, 0.1]
-
-
-def plane_problem(delta):
-    psi = np.array([1.0, 0.0])
-    phi = np.array([np.cos(delta), np.sin(delta)])
-    return amplitude_problem(psi, phi)
 
 
 def generic_problem():
@@ -98,6 +94,15 @@ def test_lemma1_zero_strength():
     assert rows[0].residual < 1e-12
     assert rows[0].overlap > 1.0 - 1e-10
     assert not rows[0].flagged
+
+
+def test_a_step_matched_below_half_overlap_is_flagged():
+    steps = perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
+    for overlap, flagged in ((0.4, True), (0.6, False)):
+        step = steps.steps[0]._replace(overlap1=overlap, overlap=overlap)
+        weak = steps._replace(steps=(step,))
+        for rows in (lemma1_check(weak), lemma2_check(weak), theorem1_check(weak)):
+            assert [r.flagged for r in rows] == [flagged] * len(rows), overlap
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
