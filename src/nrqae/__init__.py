@@ -11,7 +11,7 @@ from .baseline import IqaeResult, iqae_run
 from .channels import NoiseSpec, avg_gate_fidelity, noise_superop
 from .circuits import (CircuitSimulator, TProvider, exact_provider, perturbed_provider,
                        perturbed_providers, sampled_provider, sampled_providers)
-from .config import ExperimentConfig, build_problem, config_from_dict, config_to_dict
+from .config import ExperimentConfig, build_problem, config_from_dict
 from .errors import (ConfigError, DegenerateProblemError, DepthGuardError,
                      EstimationFailure, NonPhysicalChannelError, NrqaeError)
 from .estimator import (EstimationResult, IterationRecord, candidate_angles, fit_decay,
@@ -29,8 +29,8 @@ __all__ = [
     "EstimationFailure", "EstimationProblem", "EstimationResult", "ExperimentConfig",
     "IqaeResult", "IterationRecord", "NoiseSpec", "NonPhysicalChannelError", "NrqaeError",
     "TProvider", "amplitude_problem", "avg_gate_fidelity", "build_problem",
-    "candidate_angles", "config_from_dict", "config_to_dict", "exact_provider",
-    "fit_decay", "grover", "hoeffding_shots", "iqae_run", "lemma1_check", "lemma2_check",
+    "candidate_angles", "config_from_dict", "exact_provider", "fit_decay", "grover",
+    "hoeffding_shots", "iqae_run", "lemma1_check", "lemma2_check",
     "noise_superop", "observable_problem", "perturbed_provider", "perturbed_providers",
     "perturbed_steps", "ratio_y", "reflection_about", "rho_tilde", "roots_cos", "run",
     "sampled_provider", "sampled_providers", "seed_theta", "select_candidate",

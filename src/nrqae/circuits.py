@@ -32,23 +32,21 @@ import numpy as np
 from .channels import NoiseSpec, noise_superop
 from .errors import NonPhysicalChannelError
 # conjugation_superop and substream are unused here; the benchmark's traced pass looks them up.
-from .model import EstimationProblem, conjugation_superop, grover, rho_tilde, vectorize
+from .model import (EstimationProblem, conjugation_superop, grover, real_value, rho_tilde,
+                    vectorize)
 from .rng import philox_keys, rekey, substream
 
 _CLAMP_TOL = 1e-6
-_IMAG_TOL = 1e-8
 
 EXACT_DIVISION_GUARD = 1e-9
 
 
 def _clamped_real(value: complex, n: int) -> float:
     """value as a probability in [0, 1]; n is the depth, named only in an error."""
-    if abs(value.imag) > _IMAG_TOL:
-        raise NonPhysicalChannelError(f"depth {n}: non-real probability {value}")
-    p = value.real
+    p = real_value(value, n, "probability")
     if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
         raise NonPhysicalChannelError(f"depth {n}: probability {p} outside [0, 1]")
-    return float(min(max(p, 0.0), 1.0))
+    return min(max(p, 0.0), 1.0)
 
 
 def _pair_indices(qubits: int):
@@ -174,10 +172,7 @@ class CircuitSimulator:
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
-        raw = self._tilde.at(n, self._noisy_walk)[0]
-        if abs(raw.imag) > _IMAG_TOL:
-            raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
-        return float(raw.real)
+        return real_value(self._tilde.at(n, self._noisy_walk)[0], n, "t value")
 
     def sampled_t(self, n: int, shots: int, keys, *, boost: int = 1) -> float:
         """Binomial estimate of t_n from four independently sampled circuits.

@@ -161,6 +161,19 @@ def _cmd_plan_shots(args) -> int:
     return 0
 
 
+def _check_out(path: str):
+    """Reject an --out that cannot become a directory; creates nothing.
+
+    The path itself, or its nearest existing ancestor, must be a directory,
+    so a run never fails at its first write after all of its work.
+    """
+    probe = path
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise ConfigError(f"--out {path}: {probe} is not a directory")
+
+
 _COMMANDS = {
     "estimate": _cmd_estimate,
     "sweep-depth": _cmd_sweep_depth,
@@ -174,6 +187,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (ConfigError, NonPhysicalChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Experiment configuration: JSON round-trip plus problem construction.
 
 A config file is a single JSON object; unknown keys are rejected so typos
-fail loudly. Exactly one way of specifying the state geometry must be
+fail loudly. json.dump(dataclasses.asdict(cfg), fh) writes one that
+load_config reads back. Exactly one way of specifying the state geometry must be
 given: amplitude, expectation, theta_g, theta_ch, or explicit vectors.
 CLI flags override file values (flag > file > default).
 """
@@ -164,15 +165,6 @@ def _check_grid(name: str, grid, valid, wanted: str):
                           f"got {grid}")
 
 
-def _noise_to_dict(spec: NoiseSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.params:
-        out["params"] = dict(spec.params)
-    if spec.seed is not None:
-        out["seed"] = spec.seed
-    return out
-
-
 def _noise_from_dict(d) -> NoiseSpec:
     if not isinstance(d, dict):
         raise ConfigError(f"noise must be an object, got {type(d).__name__}")
@@ -182,17 +174,6 @@ def _noise_from_dict(d) -> NoiseSpec:
     params = d.get("params", {})
     _check_type("noise params", params, lambda v: isinstance(v, dict), "an object")
     return NoiseSpec(kind=d.get("kind", "none"), params=dict(params), seed=d.get("seed"))
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "noise":
-            out[f.name] = _noise_to_dict(value)
-        else:
-            out[f.name] = value
-    return out
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

@@ -24,9 +24,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateProblemError, NrqaeError
+from .errors import DegenerateProblemError, NonPhysicalChannelError, NrqaeError
 
 NORM_TOL = 1e-10
+IMAG_TOL = 1e-8
+
+
+def real_value(value: complex, n: int, what: str) -> float:
+    """The real part of a read-out at depth n; what names it in the non-real error."""
+    if abs(value.imag) > IMAG_TOL:
+        raise NonPhysicalChannelError(f"depth {n}: non-real {what} {value}")
+    return float(value.real)
 
 
 def as_state(v) -> np.ndarray:
@@ -97,20 +105,21 @@ class EstimationProblem:
         return self.observable @ self.psi
 
 
-def amplitude_problem(psi, phi) -> EstimationProblem:
+def _problem(mode: str, psi, **second) -> EstimationProblem:
+    """A problem whose register width is read off the length of psi."""
     psi = as_state(psi)
     q = int(np.log2(psi.size))
     if 2 ** q != psi.size:
         raise ValueError(f"state length {psi.size} is not a power of two")
-    return EstimationProblem(mode="amplitude", qubits=q, psi=psi, phi=phi)
+    return EstimationProblem(mode=mode, qubits=q, psi=psi, **second)
+
+
+def amplitude_problem(psi, phi) -> EstimationProblem:
+    return _problem("amplitude", psi, phi=phi)
 
 
 def observable_problem(psi, observable) -> EstimationProblem:
-    psi = as_state(psi)
-    q = int(np.log2(psi.size))
-    if 2 ** q != psi.size:
-        raise ValueError(f"state length {psi.size} is not a power of two")
-    return EstimationProblem(mode="observable", qubits=q, psi=psi, observable=observable)
+    return _problem("observable", psi, observable=observable)
 
 
 def grover(problem: EstimationProblem) -> np.ndarray:

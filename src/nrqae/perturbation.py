@@ -34,12 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import NoiseSpec, noise_superop
-from .errors import NonPhysicalChannelError
-from .model import (EstimationProblem, conjugation_superop, eig_dense, grover, rho_tilde,
-                    rotation_plane, vectorize)
+from .model import (EstimationProblem, conjugation_superop, eig_dense, grover, real_value,
+                    rho_tilde, rotation_plane, vectorize)
 
 OVERLAP_FLAG_THRESHOLD = 0.5
-_IMAG_TOL = 1e-8
 
 
 class SubspaceBasis(NamedTuple):
@@ -219,10 +217,7 @@ def theorem1_check(steps: PerturbedSteps, depths=(1, 2, 4, 8, 16, 32, 64)) -> li
         for j, square in enumerate(squares):
             if n >> j & 1:
                 power = square if power is None else square @ power
-        raw = complex(np.vdot(steps.rho_vec, power @ steps.rho_vec))
-        if abs(raw.imag) > _IMAG_TOL:
-            raise NonPhysicalChannelError(f"depth {n}: non-real t value {raw}")
-        return float(raw.real)
+        return real_value(complex(np.vdot(steps.rho_vec, power @ steps.rho_vec)), n, "t value")
 
     rows = []
     for st in steps.steps:

@@ -479,6 +479,30 @@ def test_unphysical_noise_matrix_is_rejected():
             circuits._clamped_real(complex(value), 3)
 
 
+def _turned_simulator():
+    """A simulator whose one layer turns every read-out off the real axis by the phase 1e-4."""
+    sim = CircuitSimulator(plane_problem(np.pi / 6))
+    sim._noise_t = np.exp(1e-4j) * np.eye(4)
+    return sim
+
+
+def test_a_non_real_probability_is_rejected():
+    # at depth 1 prob reads p = 0.75 and sampled_t's first term p = 0.25, each off by 1e-4 p j
+    sim = _turned_simulator()
+    with pytest.raises(NonPhysicalChannelError,
+                       match=r"^depth 1: non-real probability \(0\.7499\d*\+7\.49\d*e-05j\)$"):
+        sim.prob(1)
+    with pytest.raises(NonPhysicalChannelError,
+                       match=r"^depth 1: non-real probability \(0\.2499\d*\+2\.49\d*e-05j\)$"):
+        sampled_provider(sim, shots=100, seed=1).measure(1, 1)
+
+
+def test_a_non_real_t_value_is_rejected():
+    with pytest.raises(NonPhysicalChannelError,
+                       match=r"^depth 1: non-real t value \(-0\.2499\d*-2\.49\d*e-05j\)$"):
+        _turned_simulator().exact_t(1)
+
+
 _MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
                                         "weight_z": 0.005})
 

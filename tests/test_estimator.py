@@ -10,7 +10,7 @@ from problems import plane_problem
 from nrqae import estimator
 from nrqae.channels import NoiseSpec
 from nrqae.circuits import (EXACT_DIVISION_GUARD, CircuitSimulator, TProvider, exact_provider,
-                            perturbed_provider, sampled_provider)
+                            perturbed_provider, sampled_provider, t_halfwidth)
 from nrqae.errors import DepthGuardError, EstimationFailure
 from nrqae.estimator import (
     Outcome,
@@ -207,6 +207,14 @@ def test_seed_theta_sees_through_decay():
         trip = _model_triplet(theta, 1, 0.4, p)
         got = seed_theta(_candidates(trip, 1), trip, 1)
         assert abs(got[0] - theta) < 1e-9
+
+
+def test_seed_theta_scores_on_seventeen_envelopes():
+    # the best envelope of one candidate falls between two points of a 9-point
+    # grid, which would score it under its neighbour and select 2.3685 instead
+    trip = (-0.9816089595021829, -0.03361587370859306, 0.9264998280505032)
+    assert abs(trip[1]) > 3.0 * t_halfwidth(100_000)  # clears the sampled guard at 1e5 shots
+    assert seed_theta(_candidates(trip, 1), trip, 1) == [2.3435822329820435]
 
 
 def test_seed_theta_zero_triplet():

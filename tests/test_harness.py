@@ -1,5 +1,6 @@
 """Config handling, experiment runners, SVG output, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from nrqae.channels import NoiseSpec
 from nrqae.circuits import CircuitSimulator, sampled_provider
 from nrqae.cli import main
 from nrqae.config import (MAX_DEPTH, MAX_QUBITS, ExperimentConfig, build_problem,
-                          config_from_dict, config_to_dict, load_config)
+                          config_from_dict, load_config)
 from nrqae.errors import ConfigError, DegenerateProblemError
 from nrqae.estimator import run
 from nrqae.experiments import (VerifyReport, _median, hoeffding_shots, run_compare_noise,
@@ -54,10 +55,10 @@ def test_config_dict_round_trip():
                            observable="ZX", noise=NoiseSpec(kind="statistical", seed=3),
                            compare_kinds=["pauli", "depolarizing"], shots=5000,
                            iterations=3, trials=2, seed=11, retry=True)
-    d = config_to_dict(cfg)
+    d = dataclasses.asdict(cfg)
     assert d["config_version"] == 1
-    assert d["noise"] == {"kind": "statistical", "seed": 3}
-    assert config_to_dict(config_from_dict(d)) == d
+    assert d["noise"] == {"kind": "statistical", "params": {}, "seed": 3}
+    assert dataclasses.asdict(config_from_dict(d)) == d
 
 
 def test_config_dict_rejects_junk():
@@ -81,8 +82,9 @@ def test_config_dict_rejects_junk():
 def test_config_file_round_trip(tmp_path):
     cfg = ExperimentConfig(amplitude=0.8, shots=321, noise=NoiseSpec(kind="pauli"))
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(cfg)))
-    assert config_to_dict(load_config(str(path))) == config_to_dict(cfg)
+    with open(path, "w") as fh:
+        json.dump(dataclasses.asdict(cfg), fh)
+    assert load_config(str(path)) == cfg
 
 
 def test_load_config_errors(tmp_path):
@@ -561,6 +563,30 @@ def test_cli_verify_perturbation_qubit_limit(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, out, driver", [
+    (["verify-perturbation", "--config", "CFG"], "afile/x", "run_verify_perturbation"),
+    (["estimate", "--config", "CFG"], "afile", "run_estimate"),
+    (["plan-shots", "--eps", "0.1", "--delta", "0.1"], "afile/sub", "hoeffding_shots"),
+], ids=["verify-perturbation", "estimate", "plan-shots"])
+def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, monkeypatch, capsys, argv,
+                                                       out, driver):
+    # an --out at or under a regular file is refused before any work, not at its first write
+    def no_work(*args):
+        raise AssertionError("--out is checked before any work")
+
+    monkeypatch.setattr(cli, driver, no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qubits": 3, "amplitude": 0.75, "noise": {"kind": "pauli"},
+                               "compare_kinds": ["pauli", "statistical"]}))
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    argv = [str(cfg) if arg == "CFG" else arg for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out {tmp_path / out}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept"
+
+
 @pytest.mark.parametrize("qubits", range(1, MAX_QUBITS + 1))
 def test_cli_observable_estimate_runs_at_every_allowed_qubit_count(qubits, tmp_path, capsys):
     # build_problem diagonalizes the 2^q x 2^q Pauli observable at every q the
@@ -749,7 +775,7 @@ def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, comm
 
 def test_grid_edge_values_are_accepted():
     cfg = ExperimentConfig(depth_grid=[0, 1, 2], s_grid=[0, 0.5, 1])
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_import_builds_no_cached_basis():

@@ -14,7 +14,7 @@ from problems import plane_problem
 
 from nrqae.channels import NoiseSpec, noise_superop
 from nrqae.circuits import CircuitSimulator, exact_provider
-from nrqae.errors import DegenerateProblemError
+from nrqae.errors import DegenerateProblemError, NonPhysicalChannelError
 from nrqae.estimator import run
 from nrqae.model import amplitude_problem, conjugation_superop, grover
 from nrqae.perturbation import (
@@ -219,3 +219,13 @@ def test_fit_loglog_slope():
         fit_loglog_slope([1.0, 2.0], [0.0, -1.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0], [1.0])
+
+
+def test_theorem1_check_rejects_a_non_real_t_value():
+    # every step turned by the phase 1e-4 leaves t at depth 1 non-real by 1e-4 |t|
+    steps = perturbed_steps(plane_problem(np.pi / 6), NoiseSpec(kind="pauli"), [0.01])
+    turned = steps._replace(steps=tuple(st._replace(step=np.exp(1e-4j) * st.step)
+                                        for st in steps.steps))
+    with pytest.raises(NonPhysicalChannelError,
+                       match=r"^depth 1: non-real t value \(-0\.2479\d*-2\.47\d*e-05j\)$"):
+        theorem1_check(turned, depths=(1, 2))
