@@ -178,8 +178,9 @@ def iqae_run(sim: CircuitSimulator, max_oracle_calls: int, shots_per_round: int 
         p_true = sim.prob(k)
         gen = substream(seed, trial, idx, into=sim.rng)
         p_hat = gen.binomial(shots_per_round, p_true) / shots_per_round
-        c_lo = float(min(max(2.0 * (p_hat - eps_p) - 1.0, -1.0), 1.0))
-        c_hi = float(min(max(2.0 * (p_hat + eps_p) - 1.0, -1.0), 1.0))
+        # with p_hat in [0, 1] and eps_p > 0, c_lo < 1 and c_hi > -1 unclamped
+        c_lo = float(max(2.0 * (p_hat - eps_p) - 1.0, -1.0))
+        c_hi = float(min(2.0 * (p_hat + eps_p) - 1.0, 1.0))
         u_lo, u_hi = _invert(m, x_lo, x_hi, c_lo, c_hi)
         new_lo = max(x_lo, u_lo)
         new_hi = min(x_hi, u_hi)

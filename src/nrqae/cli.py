@@ -19,10 +19,9 @@ import sys
 
 from .config import MAX_ITERATIONS, ExperimentConfig, load_config
 from .errors import ConfigError, EstimationFailure, NonPhysicalChannelError, NrqaeError
-from .experiments import (COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER,
-                          SWEEP_SUMMARY_HEADER, VERIFY_HEADER, VERIFY_SUMMARY_HEADER,
-                          hoeffding_shots, run_compare_noise, run_estimate,
-                          run_sweep_depth, run_verify_perturbation, write_csv,
+from .experiments import (COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, SWEEP_SUMMARY_HEADER,
+                          VERIFY_HEADER, VERIFY_SUMMARY_HEADER, hoeffding_shots, run_compare_noise,
+                          run_estimate, run_sweep_depth, run_verify_perturbation, write_csv,
                           write_text)
 
 
@@ -95,101 +94,100 @@ def _config_from_args(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_estimate(cfg)
-    write_csv(os.path.join(args.out, "estimate.csv"), ESTIMATE_HEADER, report.rows)
+def _cmd_estimate(args) -> tuple:
+    report = run_estimate(_config_from_args(args))
     res = report.result
-    print(f"mode={res.mode} theta={res.theta:.9g} theta_ch={res.theta_ch:.9g}")
-    print(f"value={res.value:.9g} mirror={res.mirror:.9g} true={report.true_value:.9g}")
-    print(f"p_hat={res.p_hat if res.p_hat is None else f'{res.p_hat:.6g}'} "
-          f"oracle_calls={res.oracle_calls}")
-    ok = sum(r.ok for r in res.iterations)
-    print(f"iterations ok: {ok}/{len(res.iterations)}")
-    print(f"wrote {os.path.join(args.out, 'estimate.csv')}")
-    return 0
+    return report, [
+        f"mode={res.mode} theta={res.theta:.9g} theta_ch={res.theta_ch:.9g}",
+        f"value={res.value:.9g} mirror={res.mirror:.9g} true={report.true_value:.9g}",
+        f"p_hat={res.p_hat if res.p_hat is None else f'{res.p_hat:.6g}'} "
+        f"oracle_calls={res.oracle_calls}",
+        f"iterations ok: {sum(r.ok for r in res.iterations)}/{len(res.iterations)}"], 0
 
 
-def _cmd_sweep_depth(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_sweep_depth(cfg)
-    write_csv(os.path.join(args.out, "sweep_depth.csv"), SWEEP_HEADER, report.rows)
-    write_csv(os.path.join(args.out, "sweep_depth_summary.csv"),
-              SWEEP_SUMMARY_HEADER, report.summary_rows)
-    write_text(os.path.join(args.out, "sweep_depth.svg"), report.svg)
+def _cmd_sweep_depth(args) -> tuple:
+    report = run_sweep_depth(_config_from_args(args))
     slope = "n/a" if report.slope is None else f"{report.slope:.4g}"
-    print(f"theta_true={report.theta_true:.9g} error slope={slope}")
-    for depth, med, n_ok in report.summary_rows:
-        med_s = "n/a" if med is None else f"{med:.6g}"
-        print(f"depth {depth}: median error {med_s} ({n_ok} trials)")
-    print(f"wrote {os.path.join(args.out, 'sweep_depth.csv')}")
-    return 0
+    return report, [f"theta_true={report.theta_true:.9g} error slope={slope}"] + [
+        f"depth {depth}: median error {'n/a' if med is None else f'{med:.6g}'} ({n_ok} trials)"
+        for depth, med, n_ok in report.summary_rows], 0
 
 
-def _cmd_compare_noise(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_compare_noise(cfg)
-    write_csv(os.path.join(args.out, "compare_noise.csv"), COMPARE_HEADER, report.rows)
-    write_text(os.path.join(args.out, "compare_noise.svg"), report.svg)
-    print(f"true value {report.true_value:.9g}, kinds: {', '.join(report.kinds)}")
-    print(f"wrote {os.path.join(args.out, 'compare_noise.csv')}")
-    return 0
+def _cmd_compare_noise(args) -> tuple:
+    report = run_compare_noise(_config_from_args(args))
+    return report, [f"true value {report.true_value:.9g}, kinds: {', '.join(report.kinds)}"], 0
 
 
-def _cmd_verify_perturbation(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_verify_perturbation(cfg)
-    write_csv(os.path.join(args.out, "verify_perturbation.csv"), VERIFY_HEADER, report.rows)
-    write_csv(os.path.join(args.out, "verify_perturbation_summary.csv"),
-              VERIFY_SUMMARY_HEADER, report.summary_rows)
-    write_text(os.path.join(args.out, "verify_perturbation.svg"), report.svg)
-    for kind, name, value, lo, hi, ok in report.summary_rows:
-        verdict = "PASS" if ok else "FAIL"
-        print(f"{verdict} {kind} {name}: {value:.4g} (band [{lo:.3g}, {hi:.3g}])")
+def _cmd_verify_perturbation(args) -> tuple:
+    report = run_verify_perturbation(_config_from_args(args))
+    lines = [f"{'PASS' if ok else 'FAIL'} {kind} {name}: {value:.4g} (band [{lo:.3g}, {hi:.3g}])"
+             for kind, name, value, lo, hi, ok in report.summary_rows]
     if report.flagged:
-        print(f"FAIL {report.flagged} rows flagged for ambiguous eigenvector matching")
-    print(f"wrote {os.path.join(args.out, 'verify_perturbation.csv')}")
-    return 0 if report.all_ok else 3
+        lines.append(f"FAIL {report.flagged} rows flagged for ambiguous eigenvector matching")
+    return report, lines, 0 if report.all_ok else 3
 
 
-def _cmd_plan_shots(args) -> int:
+def _cmd_plan_shots(args) -> tuple:
     shots = hoeffding_shots(args.eps, args.delta)
-    print(f"eps={args.eps:g} delta={args.delta:g} shots={shots}")
-    if args.out:
-        write_csv(os.path.join(args.out, "plan_shots.csv"),
-                  ["eps", "delta", "shots"], [(args.eps, args.delta, shots)])
-    return 0
+    report = argparse.Namespace(rows=[(args.eps, args.delta, shots)])
+    return report, [f"eps={args.eps:g} delta={args.delta:g} shots={shots}"], 0
 
 
-def _check_out(path: str):
-    """Reject an --out that cannot become a directory; creates nothing.
+# command -> (its run, returning (report, summary lines, exit code); its artifacts
+# in write order, as (file name, CSV header or None for text, report field))
+_COMMANDS = {
+    "estimate": (_cmd_estimate, [("estimate.csv", ESTIMATE_HEADER, "rows")]),
+    "sweep-depth": (_cmd_sweep_depth, [
+        ("sweep_depth.csv", SWEEP_HEADER, "rows"),
+        ("sweep_depth_summary.csv", SWEEP_SUMMARY_HEADER, "summary_rows"),
+        ("sweep_depth.svg", None, "svg")]),
+    "compare-noise": (_cmd_compare_noise, [
+        ("compare_noise.csv", COMPARE_HEADER, "rows"),
+        ("compare_noise.svg", None, "svg")]),
+    "verify-perturbation": (_cmd_verify_perturbation, [
+        ("verify_perturbation.csv", VERIFY_HEADER, "rows"),
+        ("verify_perturbation_summary.csv", VERIFY_SUMMARY_HEADER, "summary_rows"),
+        ("verify_perturbation.svg", None, "svg")]),
+    "plan-shots": (_cmd_plan_shots, [("plan_shots.csv", ["eps", "delta", "shots"], "rows")]),
+}
 
-    The path itself, or its nearest existing ancestor, must be a directory,
-    so a run never fails at its first write after all of its work.
+
+def _artifact_paths(out: str, artifacts) -> list:
+    """The artifact paths under --out, checked before any work; creates nothing.
+
+    --out itself, or its nearest existing ancestor, must be a directory, and
+    no artifact path may be one, so a run does not fail at a write after all
+    of its work. A write that still fails exits 1 with one line; the
+    artifacts written before it stay.
     """
-    probe = path
+    probe = out
     while probe and not os.path.lexists(probe):
         probe = os.path.dirname(probe)
     if probe and not os.path.isdir(probe):
-        raise ConfigError(f"--out {path}: {probe} is not a directory")
-
-
-_COMMANDS = {
-    "estimate": _cmd_estimate,
-    "sweep-depth": _cmd_sweep_depth,
-    "compare-noise": _cmd_compare_noise,
-    "verify-perturbation": _cmd_verify_perturbation,
-    "plan-shots": _cmd_plan_shots,
-}
+        raise ConfigError(f"--out {out}: {probe} is not a directory")
+    paths = [os.path.join(out, name) for name, _, _ in artifacts]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"--out {out}: {path} is a directory")
+    return paths
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command, artifacts = _COMMANDS[args.command]
     try:
-        if args.out is not None:
-            _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        paths = [] if args.out is None else _artifact_paths(args.out, artifacts)
+        report, lines, code = command(args)
+        for path, (_, header, field) in zip(paths, artifacts):
+            if header is None:
+                write_text(path, getattr(report, field))
+            else:
+                write_csv(path, header, getattr(report, field))
+        print(*lines, sep="\n")
+        if paths and args.command != "plan-shots":  # it writes only when asked, silently
+            print(f"wrote {paths[0]}")
+        return code
     except (ConfigError, NonPhysicalChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

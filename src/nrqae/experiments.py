@@ -71,17 +71,17 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header, rows):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_text(path, "".join(",".join(_fmt(v) for v in row) + "\n" for row in [header, *rows]))
 
 
 def write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write text to path, creating its directory; an OSError becomes a one-line ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _true_value(problem) -> float:

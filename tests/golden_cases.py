@@ -6,7 +6,8 @@ Each case is one `nrqae` command line. Its stored outputs are its exit code
 config through each command, verify-perturbation at q = 3 with the pauli and
 statistical kinds at a seed that passes (exit 0) and one that fails a check
 (exit 3), estimate and compare-noise at a seed of 2^40 + 3 (two entropy
-words), and the --help text of the CLI and of each command at 80 columns.
+words), plan-shots without and with --out, and the --help text of the CLI
+and of each command at 80 columns.
 The help texts follow Python 3.11's argparse layout, which other versions
 may change.
 
@@ -40,16 +41,21 @@ BIG_SEED = 2 ** 40 + 3
 README_COMMANDS = ("estimate", "sweep-depth", "compare-noise", "verify-perturbation")
 VERIFY_Q3_SEEDS = (0, 53)
 BIG_SEED_COMMANDS = ("estimate", "compare-noise")
+PLAN_SHOTS_ARGV = ["plan-shots", "--eps", "0.01", "--delta", "0.05"]
+PLAN_SHOTS_CASES = ("no-out", "out")
 HELP_COMMANDS = ("nrqae", "nrqae estimate", "nrqae sweep-depth", "nrqae compare-noise",
                  "nrqae verify-perturbation", "nrqae plan-shots")
 
-# case name -> (config written to --config, or None for a --help case; argv)
+# case name -> (config written to --config, or None for a case without one; argv,
+# where OUT_TOKEN stands for the output directory)
 CASES = {
     **{f"readme/{command}": (README_CONFIG, [command]) for command in README_COMMANDS},
     **{f"verify-q3/seed-{seed}": (VERIFY_Q3_CONFIG, ["verify-perturbation", "--seed", str(seed)])
        for seed in VERIFY_Q3_SEEDS},
     **{f"big-seed/{command}": (README_CONFIG, [command, "--seed", str(BIG_SEED)])
        for command in BIG_SEED_COMMANDS},
+    "plan-shots/no-out": (None, PLAN_SHOTS_ARGV),
+    "plan-shots/out": (None, [*PLAN_SHOTS_ARGV, "--out", OUT_TOKEN]),
     **{f"help/{command.replace(' ', '-')}": (None, [*command.split()[1:], "--help"])
        for command in HELP_COMMANDS},
 }
@@ -64,6 +70,7 @@ def outputs(name: str, tmp) -> dict:
         with open(path, "w") as fh:
             json.dump(config, fh)
         argv = [*argv, "--config", path, "--out", out]
+    argv = [out if arg == OUT_TOKEN else arg for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), mock.patch.dict(os.environ, COLUMNS="80"):
         try:

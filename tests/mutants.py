@@ -35,6 +35,22 @@ MUTANTS = (
      "tests/test_estimator.py::test_seed_theta_scores_on_seventeen_envelopes"),
     ("model.py", "IMAG_TOL = 1e-8", "IMAG_TOL = 1e-2",
      "tests/test_circuits.py::test_a_non_real_probability_is_rejected"),
+    ("baseline.py", "_BRANCH_TOL = 1e-9", "_BRANCH_TOL = 1e-6",
+     "tests/test_baseline.py::test_a_multiplier_fits_within_the_branch_tolerance"),
+    ("baseline.py", "_MAX_MULTIPLIER = 2 ** 24", "_MAX_MULTIPLIER = 2 ** 20",
+     "tests/test_baseline.py::test_the_multiplier_scan_is_capped_at_two_to_the_24"),
+    ("baseline.py", "CONFIDENCE = 0.95", "CONFIDENCE = 0.9",
+     "tests/test_baseline.py::test_every_run_is_bounded_by_its_budget"),
+    ("baseline.py", "MAX_ROUNDS = 64", "MAX_ROUNDS = 32",
+     "tests/test_baseline.py::test_every_run_is_bounded_by_its_budget"),
+    ("baseline.py", "oracle_calls + cost > max_oracle_calls",
+     "oracle_calls + cost >= max_oracle_calls",
+     "tests/test_baseline.py::test_a_round_that_spends_the_last_of_the_budget_runs"),
+    ("baseline.py", "_value_width(mode, x_lo, x_hi) <= 0.0",
+     "_value_width(mode, x_lo, x_hi) < 0.0",
+     "tests/test_baseline.py::test_a_touching_inverted_interval_collapses_the_run"),
+    ("baseline.py", "contradiction = new_lo > new_hi", "contradiction = new_lo >= new_hi",
+     "tests/test_baseline.py::test_a_touching_inverted_interval_collapses_the_run"),
 )
 
 

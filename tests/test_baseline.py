@@ -1,6 +1,7 @@
 """Iterative baseline: interval maintenance, budgets, multiplier schedule."""
 
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -158,6 +159,49 @@ def test_a_run_ends_before_repeating_a_contradicted_multiplier():
     assert res.oracle_calls == 3000 * (1 + 4) == 15_000
     assert res.estimate == 0.56183114268295
     assert res.x_interval == (res.rounds[0].x_lo, res.rounds[0].x_hi)
+
+
+def test_a_round_that_spends_the_last_of_the_budget_runs():
+    shots = 1000
+    res = iqae_run(CircuitSimulator(plane_problem(0.5)), shots, shots_per_round=shots)
+    assert [(r.m, r.applications) for r in res.rounds] == [(1, 1)]
+    assert res.oracle_calls == shots
+
+
+def test_a_touching_inverted_interval_collapses_the_run(monkeypatch):
+    """An inverted interval that meets the current one in one point is no contradiction.
+
+    The interval collapses to that point, and the run ends on the collapse
+    rather than spending more of its budget on the same point.
+    """
+    inverted = chain([(0.5, 1.0)], repeat((1.0, 1.2)))
+    monkeypatch.setattr(baseline, "_invert", lambda *args: next(inverted))
+    res = iqae_run(CircuitSimulator(plane_problem(0.5)), 10**7, shots_per_round=1000)
+    assert [(r.m, r.contradiction) for r in res.rounds] == [(1, False), (3, False)]
+    assert res.x_interval == (1.0, 1.0)
+    assert res.interval[0] == res.interval[1] == baseline._value("amplitude", 1.0)
+
+
+def test_a_multiplier_fits_within_the_branch_tolerance():
+    """3 x [x_lo, x_hi] pokes below pi by `miss`: up to 1e-9 it still fits, at 5e-9 m holds.
+
+    The width pi / 3.5 makes 3 the only multiplier above m_cur = 1 to scan.
+    """
+    def next_m(miss):
+        x_lo = (np.pi - miss) / 3.0
+        return _next_multiplier("amplitude", x_lo, x_lo + np.pi / 3.5, 1, 2 ** 30 + 1)
+
+    assert [next_m(miss) for miss in (0.0, 5e-10, 5e-9, 1e-7)] == [3, 3, 1, 1]
+
+
+def test_the_multiplier_scan_is_capped_at_two_to_the_24():
+    """A width of 1e-8 admits multipliers past 3e8; the scan starts at 2^24 - 1.
+
+    The interval is centred on (2^23 + 1/2) pi / (2^24 - 1), so that multiplier fits.
+    """
+    m = 2 ** 24 - 1
+    x_mid = (2 ** 23 + 0.5) * np.pi / m
+    assert _next_multiplier("amplitude", x_mid - 5e-9, x_mid + 5e-9, 1, 2 ** 30 + 1) == m
 
 
 def test_branch_index_matches_the_numpy_floor():

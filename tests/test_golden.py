@@ -18,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from golden_cases import (BIG_SEED_COMMANDS, HELP_COMMANDS, README_COMMANDS, VERIFY_Q3_SEEDS,
-                          outputs, stored)
+from golden_cases import (BIG_SEED_COMMANDS, HELP_COMMANDS, PLAN_SHOTS_CASES, README_COMMANDS,
+                          VERIFY_Q3_SEEDS, outputs, stored)
 
 import nrqae
 from nrqae.channels import NoiseSpec
@@ -62,6 +62,11 @@ def test_verify_perturbation_q3_artifacts(seed, tmp_path):
 @pytest.mark.parametrize("command", BIG_SEED_COMMANDS)
 def test_multi_word_seed_artifacts(command, tmp_path):
     check_case(f"big-seed/{command}", tmp_path)
+
+
+@pytest.mark.parametrize("case", PLAN_SHOTS_CASES)
+def test_plan_shots_outputs(case, tmp_path):
+    check_case(f"plan-shots/{case}", tmp_path)
 
 
 @pytest.mark.parametrize("command", HELP_COMMANDS)

@@ -587,6 +587,56 @@ def test_cli_rejects_an_out_that_cannot_be_a_directory(tmp_path, monkeypatch, ca
     assert afile.read_text() == "kept"
 
 
+# command -> (argv before --out, the driver it calls, its artifacts in write order)
+ARTIFACTS = {
+    "estimate": (["estimate"], "run_estimate", ["estimate.csv"]),
+    "sweep-depth": (["sweep-depth"], "run_sweep_depth",
+                    ["sweep_depth.csv", "sweep_depth_summary.csv", "sweep_depth.svg"]),
+    "compare-noise": (["compare-noise"], "run_compare_noise",
+                      ["compare_noise.csv", "compare_noise.svg"]),
+    "verify-perturbation": (["verify-perturbation"], "run_verify_perturbation",
+                            ["verify_perturbation.csv", "verify_perturbation_summary.csv",
+                             "verify_perturbation.svg"]),
+    "plan-shots": (["plan-shots", "--eps", "0.1", "--delta", "0.1"], "hoeffding_shots",
+                   ["plan_shots.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", ARTIFACTS)
+def test_cli_rejects_a_directory_at_an_artifact_path(tmp_path, monkeypatch, capsys, command):
+    # a directory where an artifact goes is refused before any work, not at its write
+    # after all of it, and nothing is written, not even the artifacts before it
+    argv, driver, names = ARTIFACTS[command]
+
+    def no_work(*args):
+        raise AssertionError("artifact paths are checked before any work")
+
+    monkeypatch.setattr(cli, driver, no_work)
+    for name in dict.fromkeys([names[0], names[-1]]):
+        out = tmp_path / f"out-{name}"
+        (out / name).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: {out / name} is a directory\n"
+        assert list(out.rglob("*")) == [out / name]
+
+
+def test_cli_reports_a_failed_write_in_one_line(tmp_path, capsys):
+    # the artifact path passes the check before the run, as a dangling symlink,
+    # and its write then fails: one error line, exit 1, no traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": 0.75, "exact": True, "iterations": 1}))
+    out = tmp_path / "od"
+    out.mkdir()
+    os.symlink(tmp_path / "missing" / "estimate.csv", out / "estimate.csv")
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {out / 'estimate.csv'}: "
+                            f"No such file or directory\n")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("qubits", range(1, MAX_QUBITS + 1))
 def test_cli_observable_estimate_runs_at_every_allowed_qubit_count(qubits, tmp_path, capsys):
     # build_problem diagonalizes the 2^q x 2^q Pauli observable at every q the
