@@ -198,8 +198,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
+        raise ConfigError(f"config {path} is not readable JSON: {exc}") from exc
     return config_from_dict(data)
 
 

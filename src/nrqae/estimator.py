@@ -51,9 +51,12 @@ def roots_cos(y: float) -> list:
     """Roots x of 2(y - 1) x^2 - x + 1 = 0 kept inside [-1, 1].
 
     The quadratic is solved in the numerically stable form (larger-magnitude
-    root from the quadratic term, companion root from c / q), duplicates are
-    merged, and roots outside [-1, 1] (beyond float slack) are discarded.
-    y = 1 degenerates to the linear equation with the single root x = 1.
+    root from the quadratic term, companion root from c / q), and roots
+    outside [-1, 1] (beyond float slack) are discarded. y = 1 degenerates to
+    the linear equation with the single root x = 1. No two roots need
+    merging: both lie in [-1, 1] only for y <= 1/2, where their product
+    1 / (2(y - 1)) is negative, so they have opposite signs and lie at least
+    sqrt(2 / |y - 1|) apart.
     """
     if y == 1.0:
         return [1.0]
@@ -61,17 +64,9 @@ def roots_cos(y: float) -> list:
     disc = 1.0 - 8.0 * (y - 1.0)
     if disc < 0.0:
         return []
-    sq = np.sqrt(disc)
-    q = (1.0 + sq) / 2.0
-    raw = [q / a, 1.0 / q]
-    roots = []
-    for x in raw:
-        if abs(x) > 1.0 + _ROOT_CLIP_TOL:
-            continue
-        x = float(min(max(x, -1.0), 1.0))
-        if not any(abs(x - r) <= _MERGE_TOL for r in roots):
-            roots.append(x)
-    return sorted(roots)
+    q = (1.0 + np.sqrt(disc)) / 2.0
+    return sorted(float(min(max(x, -1.0), 1.0)) for x in (q / a, 1.0 / q)
+                  if abs(x) <= 1.0 + _ROOT_CLIP_TOL)
 
 
 def candidate_angles(x: float, n: int) -> list:
@@ -158,8 +153,8 @@ def fit_decay(theta_ch: float, series: dict) -> float:
             continue
         ns.append(float(n))
         ys.append(np.log(abs(t / den)))
-    if len(set(ns)) < 2:
-        raise EstimationFailure(f"envelope fit needs two usable depths, have {sorted(set(ns))}")
+    if len(ns) < 2:
+        raise EstimationFailure(f"envelope fit needs two usable depths, have {ns}")
     slope = np.polyfit(np.asarray(ns), np.asarray(ys), 1)[0]
     return float(min(np.exp(slope), 1.0))
 

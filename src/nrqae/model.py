@@ -19,7 +19,7 @@ the state-space phase theta_g, with cos(theta_g) = 2a - 1 in amplitude mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,23 +60,25 @@ class EstimationProblem:
 
     mode is "amplitude" (estimate |<phi|psi>|^2) or "observable" (estimate
     <psi|O|psi> for a Hermitian involution O). The observable must also be
-    traceless; that is what ties Tr((2|psi><psi| - I) O) to 2<O>.
+    traceless; that is what ties Tr((2|psi><psi| - I) O) to 2<O>. qubits,
+    the register width, is read off the length of psi.
     """
 
     mode: str
-    qubits: int
     psi: np.ndarray
     phi: Optional[np.ndarray] = None
     observable: Optional[np.ndarray] = None
+    qubits: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("amplitude", "observable"):
             raise ValueError(f"unknown mode {self.mode!r}")
         psi = as_state(self.psi)
-        dim = 2 ** self.qubits
-        if psi.size != dim:
-            raise ValueError(f"psi has length {psi.size}, expected {dim}")
+        dim = psi.size
+        if dim & (dim - 1):
+            raise ValueError(f"state length {dim} is not a power of two")
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "qubits", dim.bit_length() - 1)
         if self.mode == "amplitude":
             if self.phi is None:
                 raise ValueError("amplitude mode needs a second state phi")
@@ -105,21 +107,12 @@ class EstimationProblem:
         return self.observable @ self.psi
 
 
-def _problem(mode: str, psi, **second) -> EstimationProblem:
-    """A problem whose register width is read off the length of psi."""
-    psi = as_state(psi)
-    q = int(np.log2(psi.size))
-    if 2 ** q != psi.size:
-        raise ValueError(f"state length {psi.size} is not a power of two")
-    return EstimationProblem(mode=mode, qubits=q, psi=psi, **second)
-
-
 def amplitude_problem(psi, phi) -> EstimationProblem:
-    return _problem("amplitude", psi, phi=phi)
+    return EstimationProblem("amplitude", psi, phi=phi)
 
 
 def observable_problem(psi, observable) -> EstimationProblem:
-    return _problem("observable", psi, observable=observable)
+    return EstimationProblem("observable", psi, observable=observable)
 
 
 def grover(problem: EstimationProblem) -> np.ndarray:

@@ -50,8 +50,6 @@ class SubspaceBasis(NamedTuple):
     """
 
     vectors: np.ndarray
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
     theta_g: float
     theta_ch: float
     c: complex
@@ -72,8 +70,7 @@ def subspace_basis(problem: EstimationProblem) -> SubspaceBasis:
              np.outer(phi_minus, phi_plus.conj()), np.outer(phi_minus, phi_minus.conj())]
     vectors = np.stack([vectorize(d) for d in dyads], axis=1)
     c = complex(np.vdot(vectors[:, 1], vectorize(rho_tilde(problem))))
-    return SubspaceBasis(vectors=vectors, phi_plus=phi_plus, phi_minus=phi_minus,
-                         theta_g=theta_g, theta_ch=2.0 * theta_g, c=c)
+    return SubspaceBasis(vectors=vectors, theta_g=theta_g, theta_ch=2.0 * theta_g, c=c)
 
 
 def interpolated_noise(noise_matrix: np.ndarray, s: float) -> np.ndarray:
@@ -118,10 +115,7 @@ def _matched_pair(eig, target_vec: np.ndarray):
     overlaps = np.abs(v.conj().T @ target_vec)
     idx = int(np.argmax(overlaps))
     vec = v[:, idx]
-    phase = np.vdot(target_vec, vec)
-    if abs(phase) > 0:
-        vec = vec * np.exp(-1j * np.angle(phase))
-    return w[idx], vec, float(overlaps[idx])
+    return w[idx], vec * np.exp(-1j * np.angle(np.vdot(target_vec, vec))), float(overlaps[idx])
 
 
 def perturbed_steps(problem: EstimationProblem, noise: NoiseSpec, s_values) -> PerturbedSteps:

@@ -204,6 +204,55 @@ def test_statistical_draw_budget_counts_attempts(monkeypatch):
         channels._statistical_ptm(0.89, seed)
 
 
+class _PlantedStream:
+    """Stands in for the draw's stream: all-zero candidates, which the trace test drops,
+    except the planted ones, {index: 4 x 4 candidate}, in stream order."""
+
+    def __init__(self, planted):
+        self.planted = planted
+        self.drawn = 0
+
+    def standard_normal(self, shape):
+        block = np.zeros(shape)
+        for i, candidate in self.planted.items():
+            if self.drawn <= i < self.drawn + shape[0]:
+                block[i - self.drawn] = candidate
+        self.drawn += shape[0]
+        return block
+
+
+def _planted_draw(monkeypatch, planted):
+    monkeypatch.setattr(channels, "substream", lambda *key: _PlantedStream(planted))
+    return channels._statistical_ptm(0.89, 1)
+
+
+# at fidelity 0.89 the PTM's trace is 3.34: the candidate diag(0, 1, 1, 1) scales to
+# diag(1, 0.78, 0.78, 0.78), and diag(0, 0, 1, 1) to diag(1, 1, 0.67, 0.67), whose
+# contraction is 1 exactly
+_PASSING = np.diag([0.0, 1.0, 1.0, 1.0])
+_ON_EDGE = np.diag([0.0, 0.0, 1.0, 1.0])
+
+
+def test_statistical_draw_stops_after_500_000_candidates(monkeypatch):
+    want = np.eye(4) - 0.22 * _PASSING
+    assert np.allclose(_planted_draw(monkeypatch, {499_999: _PASSING}), want, atol=1e-15)
+    with pytest.raises(NonPhysicalChannelError, match="contractive"):
+        _planted_draw(monkeypatch, {500_000: _PASSING})
+
+
+def test_statistical_draw_accepts_a_contraction_of_one(monkeypatch):
+    got = _planted_draw(monkeypatch, {0: _ON_EDGE, 1: _PASSING})
+    assert np.allclose(got, np.diag([1.0, 1.0, 0.67, 0.67]), atol=1e-15)
+
+
+def test_statistical_draw_skips_a_trace_below_one_half(monkeypatch):
+    # the first candidate's trace, 0.5 - 1e-10, clears the pre-filter's slack and would
+    # pass the contraction test, but is under 0.5: the second is drawn
+    first = np.diag([0.0, 2.0, 0.5, 0.5]) * (0.5 - 1e-10) / 3.0
+    got = _planted_draw(monkeypatch, {0: first, 1: _PASSING})
+    assert np.allclose(got, np.eye(4) - 0.22 * _PASSING, atol=1e-15)
+
+
 def test_all_kinds_preserve_trace():
     for kind in NOISE_KINDS:
         if kind == "none":
@@ -229,8 +278,13 @@ def test_spec_validation():
 def test_unphysical_weights_rejected():
     with pytest.raises(NonPhysicalChannelError):
         single_qubit_ptm(NoiseSpec(kind="depolarizing", params={"identity_weight": 0.5}))
-    with pytest.raises(NonPhysicalChannelError):
-        single_qubit_ptm(NoiseSpec(kind="statistical", params={"target_fidelity": 1.5}, seed=1))
+    for fidelity in (0.5, 1.0, 1.5):  # the target lies in (0.5, 1), bounds excluded
+        with pytest.raises(NonPhysicalChannelError, match="outside"):
+            single_qubit_ptm(NoiseSpec(kind="statistical", params={"target_fidelity": fidelity},
+                                       seed=1))
+    # weights summing to 1 + 1e-10 are no rounding of 1
+    with pytest.raises(NonPhysicalChannelError, match="do not preserve trace"):
+        single_qubit_ptm(NoiseSpec(kind="pauli", params={"weight_i": 0.6 + 1e-10}))
     # one negative weight per mixture: each mix preserves trace, so its sign
     # alone rejects it; the first has PTM diag(1, -0.6, -0.6, -0.6)
     for kind, params, negative in (

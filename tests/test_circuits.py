@@ -471,9 +471,12 @@ def test_unphysical_noise_matrix_is_rejected():
     sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(1)
-    # float slack of 1e-6 either side of [0, 1] is clamped; 1e-4 is a broken channel
+    # float slack of 1e-6 either side of [0, 1] is clamped, up to its edges; 1e-4 is a
+    # broken channel
     assert circuits._clamped_real(complex(1.0 + 1e-7), 3) == 1.0
     assert circuits._clamped_real(complex(-1e-7), 3) == 0.0
+    assert circuits._clamped_real(complex(1.0 + 1e-6), 3) == 1.0
+    assert circuits._clamped_real(complex(-1e-6), 3) == 0.0
     for value in (1.0 + 1e-4, -1e-4):
         with pytest.raises(NonPhysicalChannelError, match="outside"):
             circuits._clamped_real(complex(value), 3)
@@ -595,6 +598,22 @@ def test_provider_draws_take_every_key_from_the_table(monkeypatch, seed):
         assert at_5 == [signed(trial, 5)] * 3  # the sign ignores the boost
         for m, value in values.items():
             assert value == signed(trial, m), (trial, m)
+
+
+def test_an_exact_t_far_above_float_noise_is_divided_by():
+    # series phase pi/4 - 5e-7 puts t_2 = t_0 cos(2 theta_ch) at 7.6e-8: no measurement
+    # noise hides it, so the exact guard, at float-noise scale, lets it through
+    res = run(exact_provider(CircuitSimulator(plane_problem(np.pi / 16 - 1.25e-7))), k=0)
+    rec = res.iterations[0]
+    assert 1e-8 < abs(rec.triplet[1]) < 1e-7
+    assert rec.outcome == "refined"
+    assert abs(res.theta_ch - (np.pi / 4 - 5e-7)) < 1e-12
+
+
+def test_providers_reject_a_negative_seed():
+    sim = CircuitSimulator(plane_problem(0.6), _MILD)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sampled_providers(sim, 1000, -1, [0])
 
 
 @pytest.mark.parametrize("trial", [2 ** 32, -1])

@@ -4,6 +4,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from problems import plane_problem
 
@@ -45,6 +47,8 @@ def test_ratio_y_worked_values():
         ratio_y(0.7071, 0.0, -0.7071, 1e-9)
     with pytest.raises(DepthGuardError):
         ratio_y(0.5, 1e-10, 0.5, 1e-9)
+    with pytest.raises(DepthGuardError):  # the guard holds |t_2n| = eps_div back too
+        ratio_y(0.5, -1e-9, 0.5, 1e-9)
 
 
 def test_ratio_y_envelope_invariance():
@@ -75,6 +79,21 @@ def test_roots_cos_fixed_points():
     # float slack, so it is no cosine, and a looser slack would clip it to 1
     assert roots_cos(1.0 + 2.5e-7) == []
     assert roots_cos(1.0 + 2.5e-10) == [1.0]  # 1 + 5e-10 is float slack
+    # y = 1 + 5e-10 puts 1/q on the float 1 + 1e-9 itself, the edge of the slack: kept
+    assert roots_cos(1.0000000005) == [1.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=-4e18, max_value=1.125))
+def test_roots_cos_never_needs_a_merge(y):
+    # y <= 9/8 keeps the discriminant >= 0; |y| <= 4e18 covers every y a step forms,
+    # |t| <= 2 over a guard >= 1e-9. Two roots in [-1, 1] have opposite signs and lie
+    # sqrt(2 / |y - 1|) >= 7e-10 apart, so no merge tolerance is needed
+    roots = roots_cos(y)
+    assert len(roots) <= 2
+    if len(roots) == 2:
+        assert roots[0] < 0.0 < roots[1]
+        assert roots[1] - roots[0] > estimator._MERGE_TOL
 
 
 def test_roots_cos_recovers_cosine():
@@ -105,6 +124,9 @@ def test_candidate_angles_literals():
         candidate_angles(0.5, 0)
     with pytest.raises(ValueError):
         candidate_angles(1.5, 1)
+    # x = 1 + 1e-9 is the edge of the float slack: accepted, and clamped into arccos
+    assert candidate_angles(1.0 + 1e-9, 1) == [0.0, np.pi]
+    assert candidate_angles(-1.0 - 1e-9, 1) == [np.pi / 2]
 
 
 def test_candidate_angles_complete_and_consistent():
@@ -123,12 +145,17 @@ def test_candidate_angles_complete_and_consistent():
 def test_merge_angles():
     assert merge_angles([0.5, 0.5 + 1e-13, 0.3]) == [0.3, 0.5]
     assert merge_angles([]) == []
+    assert merge_angles([0.5, 0.5 + 1e-10]) == [0.5, 0.5 + 1e-10]  # 1e-10 apart is no duplicate
+    assert merge_angles([0.0, 1e-12]) == [0.0]  # exactly the tolerance apart is one
 
 
 def test_select_candidate():
     assert abs(select_candidate([np.pi / 3, 2 * np.pi / 3], 2.0) - 2 * np.pi / 3) < 1e-12
     assert abs(select_candidate([np.pi / 6, 5 * np.pi / 6], 0.5) - np.pi / 6) < 1e-12
     assert select_candidate([0.4, 0.6], 0.5) == 0.4  # tie toward the smaller
+    # 1e-10 nearer is nearer; exactly the tolerance nearer is still a tie
+    assert select_candidate([0.5, 0.7], 0.6 + 5e-11) == 0.7
+    assert select_candidate([0.0, 0.5 + (0.5 - 1e-12)], 0.5) == 0.0
     with pytest.raises(ValueError):
         select_candidate([], 1.0)
 
@@ -217,6 +244,18 @@ def test_seed_theta_scores_on_seventeen_envelopes():
     assert seed_theta(_candidates(trip, 1), trip, 1) == [2.3435822329820435]
 
 
+def test_seed_theta_starts_its_envelopes_at_one_fifth():
+    # this triplet decays at p = 0.132 per layer, below the grid: scored at p = 0.2, the
+    # neighbour 0.7781 fits it best; a grid from 0.1 would select its own angle 0.7928
+    trip = (0.09263017002134694, -0.00025761854137310806, -0.0016611880097964118)
+    assert seed_theta(_candidates(trip, 1), trip, 1) == [0.7781106371926666]
+
+
+def test_seed_theta_ties_only_within_1e_12_of_the_norm():
+    # t_1 = 1e-9 favours pi/6 over its mirror 5 pi/6 by about 1e-9 |t|^2: no tie
+    assert seed_theta([np.pi / 6, 5 * np.pi / 6], (1e-9, 0.5, 0.0), 1) == [np.pi / 6]
+
+
 def test_seed_theta_zero_triplet():
     # nothing to fit: every candidate ties, in ascending order
     assert seed_theta([1.2, 0.3, 2.5], (0.0, 0.0, 0.0), 1) == [0.3, 1.2, 2.5]
@@ -244,6 +283,11 @@ def test_fit_decay_needs_two_usable_depths():
     series = {2: 0.0, 4: -0.5}  # depth 2 excluded: |cos| below threshold
     with pytest.raises(EstimationFailure):
         fit_decay(theta, series)
+    # np.cos of this theta is 0.1 itself: the cut excludes depth 1, leaving one depth
+    with pytest.raises(EstimationFailure, match=r"have \[2\.0\]"):
+        fit_decay(1.4706289056333368, {1: 0.05, 2: -0.5})
+    # t = 0 is excluded too, rather than fitted as log 0
+    assert abs(fit_decay(0.0, {1: 0.0, 2: 0.5, 3: 0.25}) - 0.5) < 1e-12
 
 
 # t at depths (2, 4, 6) for series phase 3 pi / 4, where 4 theta = 3 pi: y = 0, so the
@@ -266,6 +310,13 @@ STEP_CASES = [
      "refined", 0.0, TIED_CANDIDATES, np.pi / 4, None),
     ("nearest-to-ref", (TIED, 2, 1.9, 1e-3, (-0.35, 0.0, 0.35)),
      "refined", 0.0, TIED_CANDIDATES, 7 * np.pi / 12, None),
+    # pi/6 and 5 pi/6 tie on (0, 0.5, 0); at depth 1 the tie is kept, not re-scored on the
+    # base, which a boosted depth-1 retry supersedes (on this base 5 pi/6 would win)
+    ("depth-1-tie-keeps-the-smaller", ((0.0, 0.5, 0.0), 1, None, 1e-3, (-0.866, 0.5, 0.0)),
+     "refined", 0.0, (np.pi / 6, np.pi / 2, 5 * np.pi / 6), np.pi / 6, None),
+    # every |t| at the guard is still quiet
+    ("quiet-at-the-guard", ((1e-3, -1e-3, 1e-3), 1, None, 1e-3, (1e-3, -1e-3, 1e-3)),
+     "quiet", None, (0.0,), 0.0, None),
 ]
 
 

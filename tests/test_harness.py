@@ -464,6 +464,19 @@ def test_cli_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,  # RecursionError in the decoder
+    b'{"seed": 1}\xff',  # UnicodeDecodeError
+    b'{"seed": ' + b"7" * 5000 + b"}",  # ValueError: past the 4300-digit int limit
+], ids=["deep-nesting", "not-utf8", "huge-int"])
+def test_cli_rejects_an_unreadable_config_in_one_line(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_estimate_failure_exit_code(tmp_path, capsys):
     # pauli decay at this angle pushes every depth under the division
     # guard for this seed; without retry the run gives up

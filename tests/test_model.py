@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from nrqae.errors import NrqaeError
+from problems import plane_problem
+
+from nrqae import model
+from nrqae.errors import DegenerateProblemError, NrqaeError
 from nrqae.model import (
     EstimationProblem,
     ValuePair,
@@ -13,8 +16,10 @@ from nrqae.model import (
     eig_dense,
     grover,
     observable_problem,
+    real_value,
     reflection_about,
     rho_tilde,
+    rotation_plane,
     theta_to_value,
     vectorize,
 )
@@ -40,6 +45,16 @@ def test_as_state_validation():
         as_state(np.eye(2))
     s = as_state([1.0, 0.0])
     assert s.dtype == complex
+    # the norm may miss 1 by 1e-10: 5e-11 is rounding, 1e-9 an unnormalized state
+    assert as_state([1.0 + 5e-11, 0.0])[0] == 1.0 + 5e-11
+    with pytest.raises(ValueError, match="not normalized"):
+        as_state([1.0 + 1e-9, 0.0])
+
+
+def test_real_value_takes_an_imaginary_part_up_to_1e_8():
+    assert real_value(complex(0.5, 1e-8), 3, "t value") == 0.5
+    with pytest.raises(NrqaeError, match="depth 3: non-real t value"):
+        real_value(complex(0.5, 2e-8), 3, "t value")
 
 
 def test_reflection_properties():
@@ -60,11 +75,11 @@ def test_reflection_properties():
 def test_problem_validation():
     psi = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        EstimationProblem(mode="amplitude", qubits=1, psi=[1.0, 1.0], phi=psi)
+        EstimationProblem(mode="amplitude", psi=[1.0, 1.0], phi=psi)
     with pytest.raises(ValueError):
-        EstimationProblem(mode="amplitude", qubits=1, psi=psi)
+        EstimationProblem(mode="amplitude", psi=psi)
     with pytest.raises(ValueError):
-        EstimationProblem(mode="banana", qubits=1, psi=psi, phi=psi)
+        EstimationProblem(mode="banana", psi=psi, phi=psi)
     # observables must be Hermitian involutions with zero trace
     with pytest.raises(ValueError):
         observable_problem(psi, np.array([[0.0, 1j], [1j, 0.0]]))
@@ -74,6 +89,29 @@ def test_problem_validation():
         observable_problem(psi, np.eye(2))
     with pytest.raises(ValueError):
         amplitude_problem(np.ones(3) / np.sqrt(3), np.ones(3) / np.sqrt(3))
+    assert amplitude_problem(np.ones(8) / np.sqrt(8), np.eye(8)[0]).qubits == 3
+
+
+def _xz_blocks(e, k):
+    """k blocks [[e, 1], [1, 0]]: Hermitian, O @ O - I has the entries e, trace k e."""
+    return np.kron(np.eye(k), np.array([[e, 1.0], [1.0, 0.0]]))
+
+
+def test_observable_tolerances_admit_1e_10_and_no_more():
+    # each check allows a norm of 1e-10: these observables sit on it exactly
+    psi = np.eye(4)[0]
+    anti = np.array([[5e-11j, 1.0], [1.0, 0.0]])  # O - O^dag has norm 1e-10
+    assert observable_problem(psi[:2], anti).observable[0, 0] == 5e-11j
+    on_edge = _xz_blocks(5e-11, 2)  # |O @ O - I| = |tr O| = 1e-10
+    assert np.linalg.norm(on_edge @ on_edge - np.eye(4)) == abs(np.trace(on_edge)) == 1e-10
+    assert observable_problem(psi, on_edge).qubits == 2
+    # 1e-9 off in each property is rejected, by the check for that property
+    for obs, what in (
+            (np.array([[1.0, 1e-9j], [1e-9j, -1.0]]), "Hermitian"),
+            ((1.0 + 1e-9) * np.diag([1.0, -1.0]), "involution"),
+            (_xz_blocks(3e-11, 4), "traceless")):  # |O @ O - I| = 8.5e-11, |tr O| = 1.2e-10
+        with pytest.raises(ValueError, match=what):
+            observable_problem(np.eye(len(obs))[0], obs)
 
 
 def test_walk_matrix_on_plane_instance():
@@ -157,6 +195,30 @@ def test_theta_to_value():
         theta_to_value(np.pi + 0.5, "amplitude")
     with pytest.raises(ValueError):
         theta_to_value(1.0, "banana")
+    # 1e-12 of slack either side of [0, pi] is clamped, up to its edges
+    assert theta_to_value(-1e-12, "amplitude") == theta_to_value(0.0, "amplitude")
+    assert theta_to_value(np.pi + 1e-12, "observable") == theta_to_value(np.pi, "observable")
+    for theta_ch in (-1e-10, np.pi + 1e-10):
+        with pytest.raises(ValueError, match="outside"):
+            theta_to_value(theta_ch, "amplitude")
+
+
+def test_rotation_plane_resolves_states_1e_8_from_degenerate():
+    assert abs(rotation_plane(plane_problem(1e-8))[1] - 2e-8) < 1e-15
+    assert abs(rotation_plane(plane_problem(np.pi / 2 - 1e-8))[1] - (np.pi - 2e-8)) < 1e-15
+    # a second state exactly 1e-9 off psi still spans a plane, at theta_g = 2e-9
+    _, theta_g, *_ = rotation_plane(amplitude_problem([1.0, 0.0], [1.0, 1e-9]))
+    assert abs(theta_g - 2e-9) < 1e-15
+    with pytest.raises(DegenerateProblemError, match="parallel"):
+        rotation_plane(amplitude_problem([1.0, 0.0], [1.0, 5e-10]))
+
+
+@pytest.mark.parametrize("theta_g", [1e-9, np.pi - 1e-9], ids=["low", "high"])
+def test_rotation_phases_on_the_degeneracy_bounds_are_kept(monkeypatch, theta_g):
+    w = np.exp(np.array([1j, -1j]) * theta_g)
+    assert np.angle(w[0]) == theta_g
+    monkeypatch.setattr(model, "eig_dense", lambda m: (w, np.eye(2, dtype=complex)))
+    assert rotation_plane(plane_problem(0.5))[1] == theta_g
 
 
 def test_rho_tilde_is_traceless_hermitian():

@@ -12,6 +12,7 @@ import pytest
 
 from problems import plane_problem
 
+from nrqae import perturbation
 from nrqae.channels import NoiseSpec, noise_superop
 from nrqae.circuits import CircuitSimulator, exact_provider
 from nrqae.errors import DegenerateProblemError, NonPhysicalChannelError
@@ -98,7 +99,7 @@ def test_lemma1_zero_strength():
 
 def test_a_step_matched_below_half_overlap_is_flagged():
     steps = perturbed_steps(plane_problem(0.9), NoiseSpec(kind="pauli"), [0.0])
-    for overlap, flagged in ((0.4, True), (0.6, False)):
+    for overlap, flagged in ((0.4, True), (0.5, False), (0.6, False)):
         step = steps.steps[0]._replace(overlap1=overlap, overlap=overlap)
         weak = steps._replace(steps=(step,))
         for rows in (lemma1_check(weak), lemma2_check(weak), theorem1_check(weak)):
@@ -141,6 +142,8 @@ def test_theorem1_zero_strength():
     assert all(r.error < 1e-10 for r in rows)
     with pytest.raises(ValueError):
         theorem1_check(steps, depths=(4, -3))
+    with pytest.raises(ValueError, match="negative depth -1"):
+        theorem1_check(steps, depths=(1, -1))
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "pauli"])
@@ -219,6 +222,21 @@ def test_fit_loglog_slope():
         fit_loglog_slope([1.0, 2.0], [0.0, -1.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0], [1.0])
+    # a zero x or y is left out, not fitted as log 0
+    assert abs(fit_loglog_slope([0.0, 0.1, 1.0, 2.0], [5.0, 0.1, 1.0, 0.0]) - 1.0) < 1e-12
+
+
+def test_a_plane_is_flagged_by_its_weaker_match(monkeypatch):
+    # an eigensolver whose second vector meets the -theta_ch dyad at overlap 0.4 only
+    problem = plane_problem(0.9)
+    b = subspace_basis(problem).vectors
+    v = np.stack([b[:, 1], 0.4 * b[:, 2] + np.sqrt(0.84) * b[:, 0]], axis=1)
+    monkeypatch.setattr(perturbation, "eig_dense", lambda m: (np.array([0.9, 0.8]), v))
+    steps = perturbed_steps(problem, NoiseSpec(kind="pauli"), [0.1])
+    assert steps.steps[0].overlap1 == pytest.approx(1.0)
+    assert steps.steps[0].overlap == pytest.approx(0.4)
+    assert [r.flagged for r in lemma1_check(steps)] == [False]
+    assert [r.flagged for r in lemma2_check(steps)] == [True]
 
 
 def test_theorem1_check_rejects_a_non_real_t_value():
