@@ -9,10 +9,16 @@ layer n times. The depth statistic is
 which a hardware run assembles from four prepare/measure probabilities with
 signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 
-S is never formed as a matrix: the simulator pushes a stack of d x d
-density matrices through one layer at a time and keeps the scalar
-read-outs of every depth it passes; a sampled run follows both of its
-preparations in one two-slice stack. A TProvider is an immutable
+S^n is never formed: the simulator pushes a stack of states through one
+layer at a time and keeps the scalar read-outs of every depth it passes;
+a sampled run follows both of its preparations in one two-slice stack.
+The dense layer acts on d x d density matrices. The circuits of a noisy
+synthetic amplitude problem (q >= 2, both states on |0^q> and |1^q>) run
+in Pauli-count space instead: the walk and a qubitwise channel keep the
+states in the span of the symmetrised Pauli strings, one per letter count,
+so a state is D = C(q + 3, 3) real coordinates (56 at q = 5, against
+4^q = 1024) and the layer one D x D matrix (_count_space). exact_t stays
+dense everywhere. A TProvider is an immutable
 description of how the estimator measures t at a depth; estimator.run
 keeps the values it measured. exact_provider, sampled_provider and
 perturbed_provider give it its measurement rule (exact, binomial or
@@ -23,17 +29,18 @@ one provider per trial of a command, which key every draw from one table.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, product
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NoiseSpec, noise_superop
+from .channels import NoiseSpec, noise_superop, single_qubit_ptm
 from .errors import NonPhysicalChannelError
 # conjugation_superop and substream are unused here; the benchmark's traced pass looks them up.
-from .model import (EstimationProblem, conjugation_superop, grover, real_value, rho_tilde,
-                    vectorize)
+from .model import (EstimationProblem, conjugation_superop, grover, real_value,
+                    reflection_about, rho_tilde, vectorize)
 from .rng import philox_keys, rekey, substream
 
 _CLAMP_TOL = 1e-6
@@ -61,19 +68,103 @@ def _pair_indices(qubits: int):
     return pair, np.argsort(pair)
 
 
+@cache
+def _count_basis(qubits: int) -> tuple:
+    """(counts, m, levels): the count-space basis at q = qubits and _letterwise's tables.
+
+    counts is the (D, 4) array of letter counts (c_I, c_X, c_Y, c_Z) that
+    sum to q, and m[c] = q! / prod c_L! the number of Pauli strings with
+    counts c. levels holds, per degree k = 1..q, the arrays (first, par,
+    down): row r of degree k, counts c, comes from its first letter
+    l = first[r] and the row par[r] of c - e_l at degree k - 1; down[l, r]
+    is the row of c - e_l at degree k - 1, or that degree's size (a zero
+    column) when c_l = 0.
+    """
+    levels, prev = [], {(0, 0, 0, 0): 0}
+    for k in range(1, qubits + 1):
+        counts = [(k - x - y - z, x, y, z)
+                  for x in range(k + 1) for y in range(k + 1 - x) for z in range(k + 1 - x - y)]
+        down = np.array([[prev.get(c[:l] + (c[l] - 1,) + c[l + 1:], len(prev)) for c in counts]
+                         for l in range(4)])
+        first = [next(l for l in range(4) if c[l]) for c in counts]
+        levels.append((np.array(first), down[first, range(len(counts))], down))
+        prev = {c: i for i, c in enumerate(counts)}
+    m = [comb(qubits, c[0]) * comb(qubits - c[0], c[1]) * comb(c[2] + c[3], c[2]) for c in counts]
+    return np.array(counts), np.array(m, dtype=float), levels
+
+
+def _letterwise(a: np.ndarray, qubits: int) -> np.ndarray:
+    """The map P_L -> sum_L' a[L', L] P_L' on every qubit, on count-space coordinates.
+
+    Its entry (c', c) is sqrt(m_c' / m_c) [v^c] prod_L' (sum_L a[L', L] v_L)^c'_L';
+    the coefficients are built one degree at a time, each product of linear
+    forms from the one with its first letter taken off.
+    """
+    _, m, levels = _count_basis(qubits)
+    k = np.ones((1, 1))
+    for first, par, down in levels:
+        rows = np.concatenate([k, np.zeros((len(k), 1))], axis=1)[par]  # zero column for down
+        coef, k = a[first].T[:, :, None], np.zeros((len(par), len(par)))
+        buf = np.empty_like(k)
+        for l in range(4):  # in place: the build holds few D x D arrays at a time
+            k += np.multiply(coef[l], rows.take(down[l], 1, buf, "clip"), out=buf)
+    s = np.sqrt(m)
+    k *= s[:, None]
+    k /= s
+    return k
+
+
+def _count_space(states, noise: NoiseSpec) -> tuple:
+    """Coordinates (2, D) of the two preparations and the layer N(G rho G^dag), in count space.
+
+    The basis is W_c = S_c / sqrt(m_c 2^q), S_c the sum of the m_c Pauli
+    strings with letter counts c: orthonormal and Hermitian, so Hermitian
+    operators and Hermiticity-preserving maps have real coordinates. Both
+    states lie on span{|0^q>, |1^q>}, so G = I + H with H = sum_ab h_ab
+    |a^q><b^q|, and the walk adds H rho, its adjoint and H rho H^dag to rho.
+    With the Dicke states D_j, e_a[c, j] = <D_j|W_c|a^q> is nonzero only at
+    j = w = c_X + c_Y for a = 0, where it is i^c_Y sqrt(m_c / (2^q C(q, w))),
+    and at j = q - w for a = 1, where it is (-i)^c_Y (-1)^c_Z times that.
+    For rho in the span, H rho has coordinates sum_ab h_ab e_a e_b^dag r,
+    and (|a><a'|)^(x)q has e_a[:, 0 or q], which gives the states, the
+    probes and H rho H^dag. The noise is _letterwise of its PTM.
+    """
+    q = len(states[0]).bit_length() - 1
+    counts, m, _ = _count_basis(q)
+    dim, w = len(m), counts[:, 1] + counts[:, 2]
+    mag = np.sqrt(m / [comb(q, x) for x in w.tolist()] / 2.0 ** q)
+    e = np.zeros((dim, 2, q + 1), dtype=complex)
+    e[range(dim), 0, w] = np.array([1, 1j, -1, -1j])[counts[:, 2] % 4] * mag
+    e[range(dim), 1, q - w] = e[range(dim), 0, w].conj() * (1 - 2 * (counts[:, 3] % 2))
+    u = e[:, :, [0, q]].reshape(dim, 4)  # column 2a + a' holds (|a><a'|)^(x)q
+    psi, sec = (v[[0, -1]] for v in states)
+    h = reflection_about(sec) @ reflection_about(psi) - np.eye(2)
+    # G rho G^dag - rho = 2 Re(H rho) + H rho H^dag = Re(left @ right^dag) r for real r
+    left = np.concatenate([2.0 * np.einsum("caj,ab->cbj", e, h).reshape(dim, -1),
+                           u @ np.kron(h, h.conj())], axis=1)
+    right = np.concatenate([e.reshape(dim, -1), u], axis=1)
+    noise_map = _letterwise(single_qubit_ptm(noise), q)
+    layer = (noise_map @ left.view(float)) @ right.view(float).T
+    layer += noise_map
+    rho0 = np.stack([(u @ np.kron(v, v.conj())).real for v in (psi, sec)])
+    return rho0, layer
+
+
 class _Trajectory:
-    """A stack of initial operators (B, d, d) pushed through successive layers.
+    """A stack of initial operators (B, d, d), or their coordinates (B, D), pushed through layers.
 
     probes is a fixed list of (slice b, probe vector); readouts[m] holds
     <<probe|rho_m[b]>> for each of them, in that order, for every depth m
-    passed so far. Only the latest stack is kept. The layer comes with each
-    call: a stored bound method of the simulator would close a reference
-    cycle and leave a dead simulator to the cyclic collector.
+    passed so far. Only the latest stack is kept. The dense layer comes
+    with each call: a stored bound method of the simulator would close a
+    reference cycle and leave a dead simulator to the cyclic collector.
+    layer is the count-space layer, a closure over its matrix alone, or None.
     """
 
-    def __init__(self, rho0: np.ndarray, probes):
+    def __init__(self, rho0: np.ndarray, probes, layer=None):
         self._rho = rho0
         self._probes = probes
+        self.layer = layer
         self.readouts: list = []
         self._record()
 
@@ -97,17 +188,25 @@ _TERMS = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
 
 
 class CircuitSimulator:
-    """Propagates stacks of density matrices through layers rho -> N(G rho G^dag).
+    """Propagates stacks of states through layers rho -> N(G rho G^dag).
 
-    A layer is, per slice of the stack, two d x d products for the walk
-    and, per qubit, one product of the 4 x 4 single-qubit noise
+    The dense layer is, per slice of the stack, two d x d products for the
+    walk and, per qubit, one product of the 4 x 4 single-qubit noise
     superoperator with the (i_j, k_j) index pair of rho; the pairs are
     brought together and apart by two gathers through index arrays built
     once, and skipped at q = 1, where the pairs are in order already. The
     walk runs only its own circuits, so the simulator follows two fixed
     trajectories: rho_tilde, read against itself by exact_t, and psi with
     the second state as one two-slice stack, each measured onto both,
-    built on the first sampled_t or prob call. Each trajectory keeps only
+    built on the first sampled_t or prob call. rho_tilde is always dense.
+    The circuits take the count-space layer (_count_space, built with
+    them) when the problem is in amplitude mode, q >= 2, the noise is not
+    none and psi and phi are zero off indices 0 and 2^q - 1: then G - I
+    lives on span{|0^q>, |1^q>}, which the direct build needs. Every other
+    problem keeps the dense layer. It agrees with the count-space one to
+    about 1e-13, which moves no binomial draw except at a probability of
+    exactly 1/2, where numpy's binomial changes method; the noiseless walk
+    sits there at a = 1/2 and so stays dense. Each trajectory keeps only
     its latest stack, so a depth costs the layers beyond the deepest one
     reached and a repeated depth is free. Build one simulator per
     (problem, noise) and share it: every value is independent of what the
@@ -143,10 +242,24 @@ class CircuitSimulator:
 
     @cached_property
     def _circuits(self) -> _Trajectory:
-        """psi and the second state as one stack, with the probes of the four terms."""
+        """psi and the second state as one stack, with the probes of the four terms.
+
+        In count space when the problem allows it (see the class docstring).
+        """
+        p = self.problem
+        if (p.mode == "amplitude" and p.qubits >= 2 and self.noise.kind != "none"
+                and not any(v[1:-1].any() for v in self._states)):
+            rho0, layer = _count_space(self._states, self.noise)
+            return _Trajectory(rho0, [(prep, rho0[m]) for prep, m, _ in _TERMS],
+                               lambda rho: rho @ layer.T)
         rho0 = np.stack([np.outer(v, np.conj(v)) for v in self._states])
         meas = [vectorize(r) for r in rho0]
         return _Trajectory(rho0, [(prep, meas[m]) for prep, m, _ in _TERMS])
+
+    def _circuit_readouts(self, n: int) -> tuple:
+        """The four circuits' read-outs at depth n, in _TERMS order."""
+        traj = self._circuits
+        return traj.at(n, traj.layer or self._noisy_walk)
 
     def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
         # matmul runs one product per slice of a (B, ...) stack, so every
@@ -168,7 +281,7 @@ class CircuitSimulator:
 
         That is the IQAE baseline's one circuit, term 1 of sampled_t.
         """
-        return _clamped_real(self._circuits.at(n, self._noisy_walk)[1], n)
+        return _clamped_real(self._circuit_readouts(n)[1], n)
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
@@ -187,7 +300,7 @@ class CircuitSimulator:
             raise ValueError(f"shots must be >= 1, got {shots}")
         total = 0.0
         eff = shots * boost
-        values = self._circuits.at(n, self._noisy_walk)
+        values = self._circuit_readouts(n)
         for (_, _, sign), value, key in zip(_TERMS, values, keys, strict=True):
             total += sign * rekey(self.rng, key).binomial(eff, _clamped_real(value, n)) / eff
         return total

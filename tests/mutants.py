@@ -43,6 +43,7 @@ _OBS = "test_observable_tolerances_admit_1e_10_and_no_more"
 _T2V = "test_theta_to_value"
 _PLANE = "test_rotation_plane_resolves_states_1e_8_from_degenerate"
 _BOUNDS = "test_rotation_phases_on_the_degeneracy_bounds_are_kept"
+_COUNT = "test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners"
 
 # (module of src/nrqae, source text, mutated text, node id of the killing test)
 MUTANTS = (
@@ -116,6 +117,13 @@ MUTANTS = (
     ("circuits.py", "        if shots < 1:", "        if shots < 0:",
      _CIR + "test_sampled_t_is_reproducible"),
     ("circuits.py", "delta: float = 0.5", "delta: float = 0.25", _CIR + "test_t_halfwidth_values"),
+    ("circuits.py", "p.qubits >= 2 and", "p.qubits >= 1 and", _CIR + _COUNT),
+    ("circuits.py", "p.qubits >= 2 and", "p.qubits > 2 and", _CIR + _COUNT),
+    ("circuits.py", 'p.mode == "amplitude" and ', "", _CIR + _COUNT),
+    ("circuits.py", 'self.noise.kind != "none"', "True", _CIR + _COUNT),
+    ("circuits.py", "not any(v[1:-1].any()", "not all(v[1:-1].any()", _CIR + _COUNT),
+    ("circuits.py", "v[1:-1].any()", "v[1:-2].any()", _CIR + _COUNT),
+    ("circuits.py", "v[1:-1].any()", "v[2:-1].any()", _CIR + _COUNT),
     ("circuits.py", "if seed < 0 or", "if seed < -1 or",
      _CIR + "test_providers_reject_a_negative_seed"),
     ("circuits.py", "0 <= t < 2 ** 32", "0 < t < 2 ** 32", _CIR + "test_perturbed_provider"),

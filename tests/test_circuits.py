@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import count_space
 from problems import plane_problem
 
 from nrqae import circuits
@@ -23,7 +24,7 @@ from nrqae.circuits import (
     sampled_providers,
     t_halfwidth,
 )
-from nrqae.config import ExperimentConfig
+from nrqae.config import ExperimentConfig, build_problem
 from nrqae.errors import NonPhysicalChannelError
 from nrqae.estimator import run
 from nrqae.experiments import run_compare_noise, run_sweep_depth
@@ -92,6 +93,9 @@ def test_probabilities_form_a_distribution():
             diag = np.diagonal(stack, axis1=1, axis2=2)
             assert np.all(diag.real >= -1e-12) and np.all(abs(diag.imag) < 1e-12), noise.kind
 
+
+_MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
+                                        "weight_z": 0.005})
 
 ORACLE_NOISES = (NoiseSpec(), NoiseSpec(kind="depolarizing"), NoiseSpec(kind="pauli"),
                  NoiseSpec(kind="amplitude-damping"), NoiseSpec(kind="coherent"),
@@ -216,13 +220,79 @@ def test_preparations_share_one_stack():
     assert sim._circuits is traj and len(traj.readouts) == 13
 
 
-def test_exact_run_builds_no_preparation_stack():
-    p = random_problem(np.random.default_rng(271), 2)
-    sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
-    run(exact_provider(sim), k=3)
-    assert "_circuits" not in vars(sim)
-    assert sim._tilde._rho.shape == (1, 4, 4)
-    assert "rng" not in vars(sim)  # nor a generator
+def test_exact_run_builds_no_preparation_stack(monkeypatch):
+    def no_count_space(*args):
+        raise AssertionError("an exact run built the count-space layer")
+
+    monkeypatch.setattr(circuits, "_count_space", no_count_space)
+    for p in (random_problem(np.random.default_rng(271), 2),
+              build_problem(ExperimentConfig(qubits=3, amplitude=0.3))):
+        sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+        run(exact_provider(sim), k=3)
+        assert "_circuits" not in vars(sim)
+        d = 2 ** p.qubits
+        assert sim._tilde._rho.shape == (1, d, d)  # exact_t stays dense
+        assert "rng" not in vars(sim)  # nor a generator
+    with pytest.raises(AssertionError, match="count-space"):
+        sim.prob(1)
+
+
+@pytest.mark.parametrize("qubits", range(2, 7))
+def test_count_space_matches_the_dense_layer(qubits):
+    """The four circuit read-outs and prob(n), every noise kind, depths 0..96 (count_space.py)."""
+    gaps = count_space.gaps(qubits)
+    assert len(gaps) == 2 * len(count_space.NOISES)
+    assert max(gaps.values()) < count_space.TOLERANCE, gaps
+
+
+def _takes_count_space(problem, noise=_MILD) -> bool:
+    traj = CircuitSimulator(problem, noise)._circuits
+    assert (traj.layer is None) == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
+    return traj.layer is not None
+
+
+def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners():
+    corner = count_space.corner_state
+    for q in range(2, 6):
+        assert _takes_count_space(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)))
+        assert _takes_count_space(amplitude_problem(corner(q, 0.2, 1.0), corner(q, 0.9, 2.0)))
+    for noise in count_space.NOISES[1:]:
+        assert _takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.6)), noise)
+    # q = 1, where count space is the Pauli basis itself, and the noiseless walk, whose
+    # probabilities sit on 1/2 exactly at a = 1/2, where a last-bit change moves a draw
+    assert not _takes_count_space(build_problem(ExperimentConfig(qubits=1, amplitude=0.3)))
+    assert not _takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.5)),
+                                  NoiseSpec())
+    # a state with weight off |0^q> and |1^q>, at either end of the indices between them
+    for q, off in ((2, 1), (2, 2), (4, 1), (4, 14)):
+        v = corner(q, 0.4, 0.3)
+        v[off] = 0.5
+        for psi, phi in ((v / np.linalg.norm(v), corner(q, 1.0, 0.0)),
+                         (corner(q, 1.0, 0.0), v / np.linalg.norm(v))):
+            assert not _takes_count_space(amplitude_problem(psi, phi)), (q, off)
+    # observable mode: ZXIZX moves psi off the corners; XXX keeps both states on them,
+    # but G = (2|psi><psi| - I) XXX is not the identity off their span
+    zxizx = build_problem(ExperimentConfig(mode="observable", qubits=5, observable="ZXIZX",
+                                           expectation=0.4))
+    assert not _takes_count_space(zxizx)
+    xxx = observable_problem(corner(3, 0.4, 0.0), pauli_string("XXX"))
+    assert not xxx.second_state()[1:-1].any()
+    assert not _takes_count_space(xxx)
+
+
+def test_count_space_build_holds_no_dense_operator():
+    """At q = 8 the build's traced peak stays below one complex d x d array (1 MiB)."""
+    q = 8
+    sim = CircuitSimulator(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)), _MILD)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = sim._circuits
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj._rho.shape == (2, 165)  # D = C(q + 3, 3)
+    assert peak < 16 * 4 ** q, peak
 
 
 def test_shared_simulator_matches_fresh_one():
@@ -504,10 +574,6 @@ def test_a_non_real_t_value_is_rejected():
     with pytest.raises(NonPhysicalChannelError,
                        match=r"^depth 1: non-real t value \(-0\.2499\d*-2\.49\d*e-05j\)$"):
         _turned_simulator().exact_t(1)
-
-
-_MILD = NoiseSpec(kind="pauli", params={"weight_i": 0.99, "weight_x": 0.003, "weight_y": 0.002,
-                                        "weight_z": 0.005})
 
 
 def _provider(kind, sim, seed):
