@@ -12,18 +12,20 @@ signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 S^n is never formed: the simulator pushes a stack of states through one
 layer at a time and keeps the scalar read-outs of every depth it passes;
 a sampled run follows both of its preparations in one two-slice stack.
-The dense layer acts on d x d density matrices. The circuits of a noisy
-synthetic amplitude problem (q >= 2, both states on |0^q> and |1^q>) run
-in Pauli-count space instead: the walk and a qubitwise channel keep the
-states in the span of the symmetrised Pauli strings, one per letter count,
-so a state is D = C(q + 3, 3) real coordinates (56 at q = 5, against
-4^q = 1024) and the layer one D x D matrix (_count_space). exact_t stays
-dense everywhere. A TProvider is an immutable
-description of how the estimator measures t at a depth; estimator.run
-keeps the values it measured. exact_provider, sampled_provider and
-perturbed_provider give it its measurement rule (exact, binomial or
-offset) and its guard. sampled_providers and perturbed_providers give
-one provider per trial of a command, which key every draw from one table.
+Each stack builds its own layer when it is first read, so a run builds
+only what it reads. The dense layer (_dense_layer) acts on d x d density
+matrices. The circuits of a noisy synthetic amplitude problem (q >= 2,
+both states on |0^q> and |1^q>) run in Pauli-count space instead: the
+walk and a qubitwise channel keep the states in the span of the
+symmetrised Pauli strings, one per letter count, so a state is
+D = C(q + 3, 3) real coordinates (56 at q = 5, against 4^q = 1024) and
+the layer one D x D matrix (_count_space). exact_t stays dense
+everywhere. A TProvider is an immutable description of how the estimator
+measures t at a depth; estimator.run keeps the values it measured.
+exact_provider, sampled_provider and perturbed_provider give it its
+measurement rule (exact, binomial or offset) and its guard.
+sampled_providers and perturbed_providers give one provider per trial
+of a command, which key every draw from one table.
 """
 
 from __future__ import annotations
@@ -150,30 +152,61 @@ def _count_space(states, noise: NoiseSpec) -> tuple:
     return rho0, layer
 
 
+def _dense_layer(problem: EstimationProblem, noise: NoiseSpec) -> Callable:
+    """The layer rho -> N(G rho G^dag) on a stack (B, d, d) of density matrices.
+
+    Per slice, two d x d products for the walk and, per qubit, one product
+    of the 4 x 4 single-qubit noise superoperator with the (i_j, k_j) index
+    pair of rho; the pairs are brought together and apart by two gathers
+    through index arrays built once, and skipped at q = 1, where the pairs
+    are in order already. The layer is a closure over these arrays alone.
+    """
+    g = grover(problem)
+    g_dag = g.conj().T.copy()
+    noise_t = noise_superop(noise, 1).T.copy()
+    pair, unpair = _pair_indices(problem.qubits)
+    # at q = 1 both gathers are the identity, and the layer skips them
+    identity = np.array_equal(pair, np.arange(pair.size))
+
+    def layer(rho: np.ndarray) -> np.ndarray:
+        # matmul runs one product per slice of a (B, ...) stack, so every
+        # slice gets the arithmetic of a lone d x d matrix.
+        b, d, _ = rho.shape
+        x = (g @ rho @ g_dag).reshape(b, -1)
+        if not identity:
+            x = x.take(pair, axis=1)
+        # Each pass maps the leading (i_j, k_j) pair and rotates it to the
+        # back; after q passes the pairs are back in order.
+        for _ in range(problem.qubits):
+            x = x.reshape(b, 4, -1).swapaxes(1, 2) @ noise_t
+        if not identity:
+            x = x.reshape(b, -1).take(unpair, axis=1)
+        return x.reshape(b, d, d)
+
+    return layer
+
+
 class _Trajectory:
-    """A stack of initial operators (B, d, d), or their coordinates (B, D), pushed through layers.
+    """A stack of initial operators (B, d, d), or their coordinates (B, D), pushed through a layer.
 
     probes is a fixed list of (slice b, probe vector); readouts[m] holds
     <<probe|rho_m[b]>> for each of them, in that order, for every depth m
-    passed so far. Only the latest stack is kept. The dense layer comes
-    with each call: a stored bound method of the simulator would close a
-    reference cycle and leave a dead simulator to the cyclic collector.
-    layer is the count-space layer, a closure over its matrix alone, or None.
+    passed so far. Only the latest stack is kept.
     """
 
-    def __init__(self, rho0: np.ndarray, probes, layer=None):
+    def __init__(self, rho0: np.ndarray, probes, layer: Callable):
         self._rho = rho0
         self._probes = probes
-        self.layer = layer
+        self._layer = layer
         self.readouts: list = []
         self._record()
 
-    def at(self, n: int, layer) -> tuple:
+    def at(self, n: int) -> tuple:
         """The read-outs at depth n."""
         if n < 0:
             raise ValueError(f"negative depth {n}")
         while len(self.readouts) <= n:
-            self._rho = layer(self._rho)
+            self._rho = self._layer(self._rho)
             self._record()
         return self.readouts[n]
 
@@ -190,28 +223,24 @@ _TERMS = ((1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0), (0, 0, 1.0))
 class CircuitSimulator:
     """Propagates stacks of states through layers rho -> N(G rho G^dag).
 
-    The dense layer is, per slice of the stack, two d x d products for the
-    walk and, per qubit, one product of the 4 x 4 single-qubit noise
-    superoperator with the (i_j, k_j) index pair of rho; the pairs are
-    brought together and apart by two gathers through index arrays built
-    once, and skipped at q = 1, where the pairs are in order already. The
-    walk runs only its own circuits, so the simulator follows two fixed
-    trajectories: rho_tilde, read against itself by exact_t, and psi with
-    the second state as one two-slice stack, each measured onto both,
-    built on the first sampled_t or prob call. rho_tilde is always dense.
-    The circuits take the count-space layer (_count_space, built with
-    them) when the problem is in amplitude mode, q >= 2, the noise is not
-    none and psi and phi are zero off indices 0 and 2^q - 1: then G - I
-    lives on span{|0^q>, |1^q>}, which the direct build needs. Every other
-    problem keeps the dense layer. It agrees with the count-space one to
-    about 1e-13, which moves no binomial draw except at a probability of
-    exactly 1/2, where numpy's binomial changes method; the noiseless walk
-    sits there at a = 1/2 and so stays dense. Each trajectory keeps only
-    its latest stack, so a depth costs the layers beyond the deepest one
-    reached and a repeated depth is free. Build one simulator per
-    (problem, noise) and share it: every value is independent of what the
-    simulator served before. It is the handle the providers and the IQAE
-    baseline take.
+    The walk runs only its own circuits, so the simulator follows two fixed
+    trajectories, each built with its own layer when it is first read:
+    rho_tilde, read against itself by exact_t, and psi with the second
+    state as one two-slice stack, each measured onto both, read by
+    sampled_t and prob. No command reads both, so the constructor builds
+    nothing. rho_tilde always takes the dense layer (_dense_layer). The
+    circuits take the count-space layer (_count_space) when the problem is
+    in amplitude mode, q >= 2, the noise is not none and psi and phi are
+    zero off indices 0 and 2^q - 1: then G - I lives on span{|0^q>,
+    |1^q>}, which the direct build needs. Every other problem keeps the
+    dense layer. It agrees with the count-space one to about 1e-13, which
+    moves no binomial draw except at a probability of exactly 1/2, where
+    numpy's binomial changes method; the noiseless walk sits there at
+    a = 1/2 and so stays dense. Each trajectory keeps only its latest
+    stack, so a depth costs the layers beyond the deepest one reached and
+    a repeated depth is free. Build one simulator per (problem, noise) and
+    share it: every value is independent of what the simulator served
+    before. It is the handle the providers and the IQAE baseline take.
 
     rng is the one Philox generator the simulator's sampled draws use,
     built on the first of them: each draw re-keys it (rng.rekey) to its
@@ -223,22 +252,17 @@ class CircuitSimulator:
     def __init__(self, problem: EstimationProblem, noise: NoiseSpec = NoiseSpec()):
         self.problem = problem
         self.noise = noise
-        self._g = grover(problem)
-        self._g_dag = self._g.conj().T.copy()
-        self._noise_t = noise_superop(noise, 1).T.copy()
-        pair, unpair = _pair_indices(problem.qubits)
-        # at q = 1 both gathers are the identity, and the layer skips them
-        identity = np.array_equal(pair, np.arange(pair.size))
-        self._pair, self._unpair = (None, None) if identity else (pair, unpair)
-        self._states = tuple(np.asarray(v, dtype=complex)
-                             for v in (problem.psi, problem.second_state()))
-        tilde = rho_tilde(problem)
-        self.rho_tilde_vec = vectorize(tilde)
-        self._tilde = _Trajectory(tilde[None], [(0, self.rho_tilde_vec)])
 
     @cached_property
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(0))
+
+    @cached_property
+    def _tilde(self) -> _Trajectory:
+        """rho_tilde alone, probed by itself."""
+        tilde = rho_tilde(self.problem)
+        return _Trajectory(tilde[None], [(0, vectorize(tilde))],
+                           _dense_layer(self.problem, self.noise))
 
     @cached_property
     def _circuits(self) -> _Trajectory:
@@ -247,45 +271,27 @@ class CircuitSimulator:
         In count space when the problem allows it (see the class docstring).
         """
         p = self.problem
+        states = tuple(np.asarray(v, dtype=complex) for v in (p.psi, p.second_state()))
         if (p.mode == "amplitude" and p.qubits >= 2 and self.noise.kind != "none"
-                and not any(v[1:-1].any() for v in self._states)):
-            rho0, layer = _count_space(self._states, self.noise)
+                and not any(v[1:-1].any() for v in states)):
+            rho0, layer = _count_space(states, self.noise)
             return _Trajectory(rho0, [(prep, rho0[m]) for prep, m, _ in _TERMS],
                                lambda rho: rho @ layer.T)
-        rho0 = np.stack([np.outer(v, np.conj(v)) for v in self._states])
+        rho0 = np.stack([np.outer(v, np.conj(v)) for v in states])
         meas = [vectorize(r) for r in rho0]
-        return _Trajectory(rho0, [(prep, meas[m]) for prep, m, _ in _TERMS])
-
-    def _circuit_readouts(self, n: int) -> tuple:
-        """The four circuits' read-outs at depth n, in _TERMS order."""
-        traj = self._circuits
-        return traj.at(n, traj.layer or self._noisy_walk)
-
-    def _noisy_walk(self, rho: np.ndarray) -> np.ndarray:
-        # matmul runs one product per slice of a (B, ...) stack, so every
-        # slice gets the arithmetic of a lone d x d matrix.
-        b, d, _ = rho.shape
-        x = (self._g @ rho @ self._g_dag).reshape(b, -1)
-        if self._pair is not None:
-            x = x.take(self._pair, axis=1)
-        # Each pass maps the leading (i_j, k_j) pair and rotates it to the
-        # back; after q passes the pairs are back in order.
-        for _ in range(self.problem.qubits):
-            x = x.reshape(b, 4, -1).swapaxes(1, 2) @ self._noise_t
-        if self._unpair is not None:
-            x = x.reshape(b, -1).take(self._unpair, axis=1)
-        return x.reshape(b, d, d)
+        return _Trajectory(rho0, [(prep, meas[m]) for prep, m, _ in _TERMS],
+                           _dense_layer(p, self.noise))
 
     def prob(self, n: int) -> float:
         """Probability of measuring the second state after n layers from psi.
 
         That is the IQAE baseline's one circuit, term 1 of sampled_t.
         """
-        return _clamped_real(self._circuit_readouts(n)[1], n)
+        return _clamped_real(self._circuits.at(n)[1], n)
 
     def exact_t(self, n: int) -> float:
         """<<rho_tilde | S^n | rho_tilde>>; the trajectory keeps every read-out."""
-        return real_value(self._tilde.at(n, self._noisy_walk)[0], n, "t value")
+        return real_value(self._tilde.at(n)[0], n, "t value")
 
     def sampled_t(self, n: int, shots: int, keys, *, boost: int = 1) -> float:
         """Binomial estimate of t_n from four independently sampled circuits.
@@ -300,7 +306,7 @@ class CircuitSimulator:
             raise ValueError(f"shots must be >= 1, got {shots}")
         total = 0.0
         eff = shots * boost
-        values = self._circuit_readouts(n)
+        values = self._circuits.at(n)
         for (_, _, sign), value, key in zip(_TERMS, values, keys, strict=True):
             total += sign * rekey(self.rng, key).binomial(eff, _clamped_real(value, n)) / eff
         return total

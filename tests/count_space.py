@@ -2,7 +2,7 @@
 
 tests/test_circuits.py runs gaps(q) at q = 2-6. Run as a script it checks
 the qubit counts given (CI runs 7 and 8, where the dense side takes about
-13 s) and exits 1 if a gap reaches TOLERANCE:
+23 s) and exits 1 if a gap reaches TOLERANCE:
 
     PYTHONPATH=src python tests/count_space.py 7 8
 """
@@ -44,25 +44,31 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
     and the same two preparations as a dense _Trajectory, and compares
     their four read-outs, which sampled_t draws from, and prob(n). Where
     the simulator takes count space (every kind but none), its read-outs
-    must be those of the count-space trajectory, bit for bit.
+    must be those of the count-space trajectory, bit for bit. exact_t(n)
+    is compared with the signed sum (+, -, -, +) of the four dense
+    read-outs, which is t_n by linearity.
     """
     out = {}
     for name, problem in problems(qubits):
+        states = [np.asarray(v, dtype=complex) for v in (problem.psi, problem.second_state())]
         for noise in NOISES:
             sim = circuits.CircuitSimulator(problem, noise)
-            rho0, layer = circuits._count_space(sim._states, noise)
+            rho0, layer = circuits._count_space(states, noise)
             terms = [(prep, m) for prep, m, _ in circuits._TERMS]
-            count = circuits._Trajectory(rho0, [(prep, rho0[m]) for prep, m in terms])
-            stack = np.stack([np.outer(v, v.conj()) for v in sim._states])
-            dense = circuits._Trajectory(stack, [(prep, stack[m].ravel()) for prep, m in terms])
+            count = circuits._Trajectory(rho0, [(prep, rho0[m]) for prep, m in terms],
+                                         lambda rho: rho @ layer.T)
+            stack = np.stack([np.outer(v, v.conj()) for v in states])
+            dense = circuits._Trajectory(stack, [(prep, stack[m].ravel()) for prep, m in terms],
+                                         circuits._dense_layer(problem, noise))
             gap = 0.0
             for n in range(depth + 1):
-                got = count.at(n, lambda rho: rho @ layer.T)
-                want = dense.at(n, sim._noisy_walk)
+                got, want = count.at(n), dense.at(n)
                 if noise.kind != "none":
-                    assert sim._circuit_readouts(n) == got, (name, noise.kind, n)
+                    assert sim._circuits.at(n) == got, (name, noise.kind, n)
+                signed = sum(sign * w for (*_, sign), w in zip(circuits._TERMS, want))
                 gap = max(gap, *(abs(a - b) for a, b in zip(got, want)),
-                          abs(sim.prob(n) - circuits._clamped_real(want[1], n)))
+                          abs(sim.prob(n) - circuits._clamped_real(want[1], n)),
+                          abs(sim.exact_t(n) - signed))
             out[name, noise.kind] = gap
     return out
 

@@ -85,10 +85,10 @@ def test_probabilities_form_a_distribution():
     rhos = a @ a.conj().swapaxes(1, 2)
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     for noise in (NoiseSpec(), NoiseSpec(kind="pauli"), NoiseSpec(kind="amplitude-damping")):
-        sim = CircuitSimulator(p, noise)
+        layer = circuits._dense_layer(p, noise)
         stack = rhos
         for _ in range(3):
-            stack = sim._noisy_walk(stack)
+            stack = layer(stack)
             assert np.all(abs(np.trace(stack, axis1=1, axis2=2) - 1.0) < 1e-10), noise.kind
             diag = np.diagonal(stack, axis1=1, axis2=2)
             assert np.all(diag.real >= -1e-12) and np.all(abs(diag.imag) < 1e-12), noise.kind
@@ -137,10 +137,12 @@ def _reference_walk(sim, rho):
     d = rho.shape[0]
     q = sim.problem.qubits
     pairs = tuple(a for j in range(q) for a in (j, q + j))
-    rho = sim._g @ rho @ sim._g_dag
+    g = grover(sim.problem)
+    noise_t = noise_superop(sim.noise, 1).T.copy()
+    rho = g @ rho @ g.conj().T.copy()
     x = rho.reshape((2,) * (2 * q)).transpose(pairs)
     for _ in range(q):
-        x = x.reshape(4, -1).T @ sim._noise_t
+        x = x.reshape(4, -1).T @ noise_t
     return x.reshape((2,) * (2 * q)).transpose(tuple(np.argsort(pairs))).reshape(d, d)
 
 
@@ -150,7 +152,7 @@ def _circuit_prob(sim, prep, meas, n):
     prob(n) serves only (0, 1); this reads any of the four from the stack's read-outs.
     """
     term = [t[:2] for t in circuits._TERMS].index((prep, meas))
-    return circuits._clamped_real(sim._circuits.at(n, sim._noisy_walk)[term], n)
+    return circuits._clamped_real(sim._circuits.at(n)[term], n)
 
 
 def _reference_probs(sim, prep, meas, depths):
@@ -175,10 +177,11 @@ def test_stacked_layer_matches_the_transpose_layer(qubits):
     for p in oracle_problems(rng, qubits):
         for noise in noises:
             sim = CircuitSimulator(p, noise)
+            layer = circuits._dense_layer(p, noise)
             for b in (1, 2):
                 a = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
                 stack = a + a.conj().swapaxes(1, 2)
-                got = sim._noisy_walk(stack)
+                got = layer(stack)
                 assert got.shape == (b, d, d)
                 for rho, want in zip(stack, got):
                     assert np.array_equal(want, _reference_walk(sim, rho)), (p.mode, noise.kind, b)
@@ -221,12 +224,19 @@ def test_preparations_share_one_stack():
 
 
 def test_exact_run_builds_no_preparation_stack(monkeypatch):
+    problems = (random_problem(np.random.default_rng(271), 2),
+                build_problem(ExperimentConfig(qubits=3, amplitude=0.3)))
+    for p in problems:  # sampled reads, dense or in count space, build no rho_tilde
+        sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+        sampled_provider(sim, shots=1000, seed=3).measure(4, 1)
+        sim.prob(2)
+        assert "_circuits" in vars(sim) and "_tilde" not in vars(sim)
+
     def no_count_space(*args):
         raise AssertionError("an exact run built the count-space layer")
 
     monkeypatch.setattr(circuits, "_count_space", no_count_space)
-    for p in (random_problem(np.random.default_rng(271), 2),
-              build_problem(ExperimentConfig(qubits=3, amplitude=0.3))):
+    for p in problems:
         sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
         run(exact_provider(sim), k=3)
         assert "_circuits" not in vars(sim)
@@ -239,7 +249,7 @@ def test_exact_run_builds_no_preparation_stack(monkeypatch):
 
 @pytest.mark.parametrize("qubits", range(2, 7))
 def test_count_space_matches_the_dense_layer(qubits):
-    """The four circuit read-outs and prob(n), every noise kind, depths 0..96 (count_space.py)."""
+    """Read-outs, prob(n) and exact_t(n), every noise kind, depths 0..96 (count_space.py)."""
     gaps = count_space.gaps(qubits)
     assert len(gaps) == 2 * len(count_space.NOISES)
     assert max(gaps.values()) < count_space.TOLERANCE, gaps
@@ -247,8 +257,9 @@ def test_count_space_matches_the_dense_layer(qubits):
 
 def _takes_count_space(problem, noise=_MILD) -> bool:
     traj = CircuitSimulator(problem, noise)._circuits
-    assert (traj.layer is None) == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
-    return traj.layer is not None
+    dense = traj._layer.__qualname__ == "_dense_layer.<locals>.layer"
+    assert dense == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
+    return not dense
 
 
 def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners():
@@ -280,18 +291,35 @@ def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners()
     assert not _takes_count_space(xxx)
 
 
-def test_count_space_build_holds_no_dense_operator():
-    """At q = 8 the build's traced peak stays below one complex d x d array (1 MiB)."""
+def test_count_space_build_holds_no_dense_operator(monkeypatch):
+    """A q = 8 sampled run builds no dense operator.
+
+    It calls none of grover, noise_superop and rho_tilde, and its traced
+    peak, simulator build included, stays below one complex d x d array
+    (1 MiB).
+    """
+    # a q = 1 run first imports every module a run loads (numpy.random among
+    # them), whose memory is not the simulator's
+    run(sampled_provider(CircuitSimulator(plane_problem(0.6), _MILD), shots=1000, seed=7), k=2)
     q = 8
-    sim = CircuitSimulator(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)), _MILD)
+    problem = build_problem(ExperimentConfig(qubits=q, amplitude=0.3))
+    calls = []
+    for name in ("grover", "noise_superop", "rho_tilde"):
+        def spy(*args, name=name, original=getattr(circuits, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(circuits, name, spy)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = sim._circuits
+        sim = CircuitSimulator(problem, _MILD)
+        run(sampled_provider(sim, shots=100_000, seed=7), k=5)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert traj._rho.shape == (2, 165)  # D = C(q + 3, 3)
+    assert sim._circuits._rho.shape == (2, 165)  # D = C(q + 3, 3)
+    assert calls == []
     assert peak < 16 * 4 ** q, peak
 
 
@@ -535,10 +563,11 @@ def test_sampled_provider_rejects_a_shot_count_below_one(shots):
         sampled_provider(CircuitSimulator(plane_problem(0.9)), shots=shots, seed=1)
 
 
-def test_unphysical_noise_matrix_is_rejected():
+def test_unphysical_noise_matrix_is_rejected(monkeypatch):
     p = plane_problem(np.pi / 6)
     sim = CircuitSimulator(p)
-    sim._noise_t = 5.0 * np.eye(4)  # scales every layer's output by 5
+    # scales every layer's output by 5
+    monkeypatch.setattr(circuits, "noise_superop", lambda noise, qubits: 5.0 * np.eye(4))
     with pytest.raises(NonPhysicalChannelError):
         sim.prob(1)
     # float slack of 1e-6 either side of [0, 1] is clamped, up to its edges; 1e-4 is a
@@ -552,16 +581,15 @@ def test_unphysical_noise_matrix_is_rejected():
             circuits._clamped_real(complex(value), 3)
 
 
-def _turned_simulator():
+def _turned_simulator(monkeypatch):
     """A simulator whose one layer turns every read-out off the real axis by the phase 1e-4."""
-    sim = CircuitSimulator(plane_problem(np.pi / 6))
-    sim._noise_t = np.exp(1e-4j) * np.eye(4)
-    return sim
+    monkeypatch.setattr(circuits, "noise_superop", lambda noise, qubits: np.exp(1e-4j) * np.eye(4))
+    return CircuitSimulator(plane_problem(np.pi / 6))
 
 
-def test_a_non_real_probability_is_rejected():
+def test_a_non_real_probability_is_rejected(monkeypatch):
     # at depth 1 prob reads p = 0.75 and sampled_t's first term p = 0.25, each off by 1e-4 p j
-    sim = _turned_simulator()
+    sim = _turned_simulator(monkeypatch)
     with pytest.raises(NonPhysicalChannelError,
                        match=r"^depth 1: non-real probability \(0\.7499\d*\+7\.49\d*e-05j\)$"):
         sim.prob(1)
@@ -570,10 +598,10 @@ def test_a_non_real_probability_is_rejected():
         sampled_provider(sim, shots=100, seed=1).measure(1, 1)
 
 
-def test_a_non_real_t_value_is_rejected():
+def test_a_non_real_t_value_is_rejected(monkeypatch):
     with pytest.raises(NonPhysicalChannelError,
                        match=r"^depth 1: non-real t value \(-0\.2499\d*-2\.49\d*e-05j\)$"):
-        _turned_simulator().exact_t(1)
+        _turned_simulator(monkeypatch).exact_t(1)
 
 
 def _provider(kind, sim, seed):

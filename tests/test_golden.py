@@ -15,6 +15,7 @@ the change that fixes svgplot rewrites it.
 
 import difflib
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,6 @@ from golden_cases import (BIG_SEED_COMMANDS, HELP_COMMANDS, PLAN_SHOTS_CASES, RE
                           VERIFY_Q3_SEEDS, outputs, stored)
 
 import nrqae
-from nrqae.channels import NoiseSpec
-from nrqae.circuits import CircuitSimulator, sampled_provider
-from nrqae.estimator import run
-from nrqae.model import amplitude_problem
 
 DIFF_LINES = 20
 
@@ -74,18 +71,26 @@ def test_help_text(command, tmp_path):
     check_case(f"help/{command.replace(' ', '-')}", tmp_path)
 
 
-def test_readme_quick_start_values():
-    psi = np.array([1.0, 0.0])
-    phi = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
-    problem = amplitude_problem(psi, phi)
-    sim = CircuitSimulator(problem, NoiseSpec(kind="none"))
-    res = run(sampled_provider(sim, shots=100_000, seed=7), k=5)
-    assert abs(res.value - 0.7499933642391001) < 1e-9
-    noisy = NoiseSpec(kind="pauli", params={"weight_i": 0.9, "weight_x": 0.03,
-                                            "weight_y": 0.02, "weight_z": 0.05})
-    sim = CircuitSimulator(problem, noisy)
-    assert abs(run(sampled_provider(sim, shots=100_000, seed=7), k=5).value
-               - 0.7513080188473099) < 1e-9
+def test_readme_quick_start_values(capsys):
+    """The README "Quick start (library)" block prints the values its comments give."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(printed) == len(comments) == 2
+    for out, comment in zip(printed, comments):
+        values, texts = out.split(), comment.split(", ")
+        assert len(values) == len(texts), (out, comment)
+        for value, text in zip(values, texts):
+            if text.startswith("~"):  # a closed form the value approximates
+                assert abs(float(value) - eval(text[1:], {"pi": np.pi})) < 1e-4, (value, text)
+            else:
+                assert f"{float(value):.{len(text.split('.')[1])}f}" == text, (value, text)
+    assert abs(float(printed[0].split()[0]) - 0.7499933642391001) < 1e-9
+    assert abs(float(printed[1]) - 0.7513080188473099) < 1e-9
 
 
 def test_every_export_resolves():
