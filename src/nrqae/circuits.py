@@ -11,19 +11,19 @@ signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 
 S^n is never formed: the simulator pushes a stack of states through one
 layer at a time and keeps the scalar read-outs of every depth it passes;
-a sampled run follows both of its preparations in one two-slice stack.
-Each stack builds its own layer when it is first read, so a run builds
-only what it reads. The dense layer (_dense_layer) acts on d x d density
-matrices. The circuits of a noisy synthetic amplitude problem (q >= 2,
-both states on |0^q> and |1^q>) run in Pauli-count space instead: the
-walk and a qubitwise channel keep the states in the span of the
-symmetrised Pauli strings, one per letter count, so a state is
-D = C(q + 3, 3) real coordinates (56 at q = 5, against 4^q = 1024) and
-the layer one D x D matrix (_count_space). exact_t stays dense
-everywhere. A TProvider is an immutable description of how the estimator
-measures t at a depth; estimator.run keeps the values it measured.
-exact_provider, sampled_provider and perturbed_provider give it its
-measurement rule (exact, binomial or offset) and its guard.
+a sampled run follows both of its preparations in one two-slice stack,
+an exact run their difference rho_tilde alone. Both stacks take one
+layer, built when either is first read, so a run builds only what it
+reads. The dense layer (_dense_layer) acts on d x d density matrices.
+A noisy synthetic amplitude problem (q >= 2, both states on |0^q> and
+|1^q>) runs in Pauli-count space instead: the walk and a qubitwise
+channel keep the states in the span of the symmetrised Pauli strings,
+one per letter count, so a state is D = C(q + 3, 3) real coordinates
+(56 at q = 5, against 4^q = 1024) and the layer one D x D matrix
+(_count_space). A TProvider is an immutable description of how the
+estimator measures t at a depth; estimator.run keeps the values it
+measured. exact_provider, sampled_provider and perturbed_provider give
+it its measurement rule (exact, binomial or offset) and its guard.
 sampled_providers and perturbed_providers give one provider per trial
 of a command, which key every draw from one table.
 """
@@ -40,9 +40,9 @@ import numpy as np
 
 from .channels import NoiseSpec, noise_superop, single_qubit_ptm
 from .errors import NonPhysicalChannelError
-# conjugation_superop and substream are unused here; the benchmark's traced pass looks them up.
+# conjugation_superop, rho_tilde and substream are unused here; bench/tracing.py looks them up.
 from .model import (EstimationProblem, conjugation_superop, grover, real_value,
-                    reflection_about, rho_tilde, vectorize)
+                    reflection_about, rho_tilde)
 from .rng import philox_keys, rekey, substream
 
 _CLAMP_TOL = 1e-6
@@ -224,19 +224,19 @@ class CircuitSimulator:
     """Propagates stacks of states through layers rho -> N(G rho G^dag).
 
     The walk runs only its own circuits, so the simulator follows two fixed
-    trajectories, each built with its own layer when it is first read:
-    rho_tilde, read against itself by exact_t, and psi with the second
-    state as one two-slice stack, each measured onto both, read by
-    sampled_t and prob. No command reads both, so the constructor builds
-    nothing. rho_tilde always takes the dense layer (_dense_layer). The
-    circuits take the count-space layer (_count_space) when the problem is
-    in amplitude mode, q >= 2, the noise is not none and psi and phi are
-    zero off indices 0 and 2^q - 1: then G - I lives on span{|0^q>,
-    |1^q>}, which the direct build needs. Every other problem keeps the
-    dense layer. It agrees with the count-space one to about 1e-13, which
-    moves no binomial draw except at a probability of exactly 1/2, where
-    numpy's binomial changes method; the noiseless walk sits there at
-    a = 1/2 and so stays dense. Each trajectory keeps only its latest
+    trajectories, each built when it is first read: rho_tilde, read
+    against itself by exact_t, and psi with the second state as one
+    two-slice stack, each measured onto both, read by sampled_t and prob.
+    No command reads both, so the constructor builds nothing. Both take
+    one layer, built once (_space): the count-space layer (_count_space)
+    when the problem is in amplitude mode, q >= 2, the noise is not none
+    and psi and phi are zero off indices 0 and 2^q - 1: then G - I lives
+    on span{|0^q>, |1^q>}, which the direct build needs. Every other
+    problem takes the dense layer (_dense_layer), where rho_tilde is
+    model.rho_tilde bit for bit. The two layers agree to about 1e-13,
+    which moves no binomial draw except at a probability of exactly 1/2,
+    where numpy's binomial changes method; the noiseless walk sits there
+    at a = 1/2 and so stays dense. Each trajectory keeps only its latest
     stack, so a depth costs the layers beyond the deepest one reached and
     a repeated depth is free. Build one simulator per (problem, noise) and
     share it: every value is independent of what the simulator served
@@ -258,29 +258,28 @@ class CircuitSimulator:
         return np.random.Generator(np.random.Philox(0))
 
     @cached_property
-    def _tilde(self) -> _Trajectory:
-        """rho_tilde alone, probed by itself."""
-        tilde = rho_tilde(self.problem)
-        return _Trajectory(tilde[None], [(0, vectorize(tilde))],
-                           _dense_layer(self.problem, self.noise))
-
-    @cached_property
-    def _circuits(self) -> _Trajectory:
-        """psi and the second state as one stack, with the probes of the four terms.
-
-        In count space when the problem allows it (see the class docstring).
-        """
+    def _space(self) -> tuple:
+        """Both preparations as one stack, and the layer both trajectories take (see the class)."""
         p = self.problem
         states = tuple(np.asarray(v, dtype=complex) for v in (p.psi, p.second_state()))
         if (p.mode == "amplitude" and p.qubits >= 2 and self.noise.kind != "none"
                 and not any(v[1:-1].any() for v in states)):
             rho0, layer = _count_space(states, self.noise)
-            return _Trajectory(rho0, [(prep, rho0[m]) for prep, m, _ in _TERMS],
-                               lambda rho: rho @ layer.T)
-        rho0 = np.stack([np.outer(v, np.conj(v)) for v in states])
-        meas = [vectorize(r) for r in rho0]
-        return _Trajectory(rho0, [(prep, meas[m]) for prep, m, _ in _TERMS],
-                           _dense_layer(p, self.noise))
+            return rho0, lambda rho: rho @ layer.T
+        return np.stack([np.outer(v, np.conj(v)) for v in states]), _dense_layer(p, self.noise)
+
+    @cached_property
+    def _tilde(self) -> _Trajectory:
+        """rho_tilde alone, probed by itself."""
+        rho0, layer = self._space
+        tilde = (rho0[1] - rho0[0])[None]
+        return _Trajectory(tilde, [(0, tilde.reshape(-1))], layer)
+
+    @cached_property
+    def _circuits(self) -> _Trajectory:
+        """psi and the second state as one stack, with the probes of the four terms."""
+        rho0, layer = self._space
+        return _Trajectory(rho0, [(prep, rho0[m].reshape(-1)) for prep, m, _ in _TERMS], layer)
 
     def prob(self, n: int) -> float:
         """Probability of measuring the second state after n layers from psi.

@@ -1,8 +1,10 @@
 """The count-space circuits of CircuitSimulator against the dense layer.
 
-tests/test_circuits.py runs gaps(q) at q = 2-6. Run as a script it checks
-the qubit counts given (CI runs 7 and 8, where the dense side takes about
-23 s) and exits 1 if a gap reaches TOLERANCE:
+It checks both trajectories, the circuits and exact_t's rho_tilde, where
+the simulator takes count space. tests/test_circuits.py runs gaps(q) at
+q = 2-6. Run as a script it checks the qubit counts given (CI runs 7 and 8,
+about 18 s on 2 cores, nearly all of it the dense reference) and exits 1
+if a gap reaches TOLERANCE:
 
     PYTHONPATH=src python tests/count_space.py 7 8
 """
@@ -44,9 +46,10 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
     and the same two preparations as a dense _Trajectory, and compares
     their four read-outs, which sampled_t draws from, and prob(n). Where
     the simulator takes count space (every kind but none), its read-outs
-    must be those of the count-space trajectory, bit for bit. exact_t(n)
-    is compared with the signed sum (+, -, -, +) of the four dense
-    read-outs, which is t_n by linearity.
+    must be those of the count-space trajectory, and exact_t(n) that of
+    rho_tilde's, built here from the stack's rows (row 1 minus row 0), bit
+    for bit. exact_t(n) is compared with the signed sum (+, -, -, +) of the
+    four dense read-outs, which is t_n by linearity.
     """
     out = {}
     for name, problem in problems(qubits):
@@ -57,6 +60,8 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
             terms = [(prep, m) for prep, m, _ in circuits._TERMS]
             count = circuits._Trajectory(rho0, [(prep, rho0[m]) for prep, m in terms],
                                          lambda rho: rho @ layer.T)
+            tilde = (rho0[1] - rho0[0])[None]
+            tilde_count = circuits._Trajectory(tilde, [(0, tilde[0])], count._layer)
             stack = np.stack([np.outer(v, v.conj()) for v in states])
             dense = circuits._Trajectory(stack, [(prep, stack[m].ravel()) for prep, m in terms],
                                          circuits._dense_layer(problem, noise))
@@ -65,6 +70,7 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
                 got, want = count.at(n), dense.at(n)
                 if noise.kind != "none":
                     assert sim._circuits.at(n) == got, (name, noise.kind, n)
+                    assert sim.exact_t(n) == tilde_count.at(n)[0].real, (name, noise.kind, n)
                 signed = sum(sign * w for (*_, sign), w in zip(circuits._TERMS, want))
                 gap = max(gap, *(abs(a - b) for a, b in zip(got, want)),
                           abs(sim.prob(n) - circuits._clamped_real(want[1], n)),

@@ -4,6 +4,7 @@ import gc
 import inspect
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -232,19 +233,21 @@ def test_exact_run_builds_no_preparation_stack(monkeypatch):
         sim.prob(2)
         assert "_circuits" in vars(sim) and "_tilde" not in vars(sim)
 
+    # exact runs build rho_tilde alone, on the circuits' layer: dense (d, d) slices at
+    # the random q = 2 problem, D = C(q + 3, 3) count-space coordinates at the q = 3 corners
+    for p, shape in zip(problems, ((1, 4, 4), (1, 20))):
+        sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
+        run(exact_provider(sim), k=3)
+        assert "_circuits" not in vars(sim) and "rng" not in vars(sim)  # nor a generator
+        assert sim._tilde._rho.shape == shape
+
     def no_count_space(*args):
         raise AssertionError("an exact run built the count-space layer")
 
     monkeypatch.setattr(circuits, "_count_space", no_count_space)
-    for p in problems:
-        sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
-        run(exact_provider(sim), k=3)
-        assert "_circuits" not in vars(sim)
-        d = 2 ** p.qubits
-        assert sim._tilde._rho.shape == (1, d, d)  # exact_t stays dense
-        assert "rng" not in vars(sim)  # nor a generator
+    run(exact_provider(CircuitSimulator(problems[0], NoiseSpec(kind="pauli"))), k=3)
     with pytest.raises(AssertionError, match="count-space"):
-        sim.prob(1)
+        run(exact_provider(CircuitSimulator(problems[1], NoiseSpec(kind="pauli"))), k=3)
 
 
 @pytest.mark.parametrize("qubits", range(2, 7))
@@ -255,46 +258,58 @@ def test_count_space_matches_the_dense_layer(qubits):
     assert max(gaps.values()) < count_space.TOLERANCE, gaps
 
 
-def _takes_count_space(problem, noise=_MILD) -> bool:
-    traj = CircuitSimulator(problem, noise)._circuits
-    dense = traj._layer.__qualname__ == "_dense_layer.<locals>.layer"
-    assert dense == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
-    return not dense
+def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners(monkeypatch):
+    builds = []
+    for name in ("_count_space", "_dense_layer"):
+        def spy(*args, name=name, original=getattr(circuits, name)):
+            builds.append(name)
+            return original(*args)
 
+        monkeypatch.setattr(circuits, name, spy)
 
-def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners():
+    def takes_count_space(problem, noise=_MILD) -> bool:
+        # both trajectories read, on one layer built once
+        sim = CircuitSimulator(problem, noise)
+        sim.exact_t(2), sim.prob(2)
+        traj = sim._circuits
+        assert sim._tilde._layer is traj._layer and len(builds) == 1, builds
+        dense = builds.pop() == "_dense_layer"
+        assert dense == (traj._layer.__qualname__ == "_dense_layer.<locals>.layer")
+        assert dense == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
+        return not dense
+
     corner = count_space.corner_state
     for q in range(2, 6):
-        assert _takes_count_space(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)))
-        assert _takes_count_space(amplitude_problem(corner(q, 0.2, 1.0), corner(q, 0.9, 2.0)))
+        assert takes_count_space(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)))
+        assert takes_count_space(amplitude_problem(corner(q, 0.2, 1.0), corner(q, 0.9, 2.0)))
     for noise in count_space.NOISES[1:]:
-        assert _takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.6)), noise)
+        assert takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.6)), noise)
     # q = 1, where count space is the Pauli basis itself, and the noiseless walk, whose
     # probabilities sit on 1/2 exactly at a = 1/2, where a last-bit change moves a draw
-    assert not _takes_count_space(build_problem(ExperimentConfig(qubits=1, amplitude=0.3)))
-    assert not _takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.5)),
-                                  NoiseSpec())
+    assert not takes_count_space(build_problem(ExperimentConfig(qubits=1, amplitude=0.3)))
+    assert not takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.5)),
+                                 NoiseSpec())
     # a state with weight off |0^q> and |1^q>, at either end of the indices between them
     for q, off in ((2, 1), (2, 2), (4, 1), (4, 14)):
         v = corner(q, 0.4, 0.3)
         v[off] = 0.5
         for psi, phi in ((v / np.linalg.norm(v), corner(q, 1.0, 0.0)),
                          (corner(q, 1.0, 0.0), v / np.linalg.norm(v))):
-            assert not _takes_count_space(amplitude_problem(psi, phi)), (q, off)
+            assert not takes_count_space(amplitude_problem(psi, phi)), (q, off)
     # observable mode: ZXIZX moves psi off the corners; XXX keeps both states on them,
     # but G = (2|psi><psi| - I) XXX is not the identity off their span
     zxizx = build_problem(ExperimentConfig(mode="observable", qubits=5, observable="ZXIZX",
                                            expectation=0.4))
-    assert not _takes_count_space(zxizx)
+    assert not takes_count_space(zxizx)
     xxx = observable_problem(corner(3, 0.4, 0.0), pauli_string("XXX"))
     assert not xxx.second_state()[1:-1].any()
-    assert not _takes_count_space(xxx)
+    assert not takes_count_space(xxx)
 
 
 def test_count_space_build_holds_no_dense_operator(monkeypatch):
-    """A q = 8 sampled run builds no dense operator.
+    """A q = 8 sampled run, and an exact one, builds no dense operator.
 
-    It calls none of grover, noise_superop and rho_tilde, and its traced
+    Each calls none of grover, noise_superop and rho_tilde, and its traced
     peak, simulator build included, stays below one complex d x d array
     (1 MiB).
     """
@@ -310,17 +325,20 @@ def test_count_space_build_holds_no_dense_operator(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(circuits, name, spy)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sim = CircuitSimulator(problem, _MILD)
-        run(sampled_provider(sim, shots=100_000, seed=7), k=5)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert sim._circuits._rho.shape == (2, 165)  # D = C(q + 3, 3)
-    assert calls == []
-    assert peak < 16 * 4 ** q, peak
+    for provider, trajectory, shape in ((partial(sampled_provider, shots=100_000, seed=7),
+                                         "_circuits", (2, 165)),  # D = C(q + 3, 3)
+                                        (exact_provider, "_tilde", (1, 165))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim = CircuitSimulator(problem, _MILD)
+            run(provider(sim), k=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert getattr(sim, trajectory)._rho.shape == shape
+        assert calls == []
+        assert peak < 16 * 4 ** q, (trajectory, peak)
 
 
 def test_shared_simulator_matches_fresh_one():
@@ -347,28 +365,22 @@ def test_shared_simulator_matches_fresh_one():
         assert own.measure(m, 1) == lent.measure(m, 1)
 
 
-def test_prob_builds_each_measurement_vector_once(monkeypatch):
+def test_prob_builds_each_measurement_vector_once():
     rng = np.random.default_rng(241)
     p = random_problem(rng, 2)
     noise = NoiseSpec(kind="amplitude-damping")
     sim = CircuitSimulator(p, noise)
-    built = []
-
-    def counting_vectorize(op):
-        built.append(op.copy())
-        return vectorize(op)
-
-    monkeypatch.setattr(circuits, "vectorize", counting_vectorize)
     depths = (1, 2, 3, 4, 6, 8, 12, 5, 9)
     calls = [(depths[i % len(depths)], i % 3) for i in range(50)]
     providers = sampled_providers(sim, 1000, 5, range(3))
     values = [providers[trial].measure(n, 1) for n, trial in calls]
-    # the four signed pairs measure onto two states: psi and the second state
-    sec = p.second_state()
-    assert len(built) == 2
-    for meas in (p.psi, sec):
-        projector = np.outer(meas, np.conj(meas))
-        assert sum(np.array_equal(op, projector) for op in built) == 1
+    # the four signed pairs measure onto two states, psi and the second state: each
+    # probe is a view of its state's slice of the one preparation stack
+    stack, _ = sim._space
+    states = (p.psi, p.second_state())
+    for (prep, meas, _), (b, vec) in zip(circuits._TERMS, sim._circuits._probes, strict=True):
+        assert b == prep and np.shares_memory(vec, stack[meas])
+        assert np.array_equal(vec, vectorize(np.outer(states[meas], np.conj(states[meas]))))
     for (n, trial), value in zip(calls, values):
         assert value == sampled_provider(CircuitSimulator(p, noise), 1000, 5, trial).measure(n, 1)
 
