@@ -96,8 +96,8 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int, m_top: int
     instead of dozens; m_top >= _MAX_MULTIPLIER is that full scan.
 
     The scan runs over Python floats, which are several times cheaper than
-    numpy scalars. Its branch index repeats _branch's expression term for
-    term, so _invert inverts on the half-period checked here.
+    numpy scalars. It takes the half-period from _branch, the rule _invert
+    inverts on.
     """
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -109,10 +109,9 @@ def _next_multiplier(mode: str, x_lo: float, x_hi: float, m_cur: int, m_top: int
         m_max -= 1
     if mode == "observable" and m_max % 2 == 1:
         m_max -= 1
-    x_sum = x_lo + x_hi
 
     def fits(m: int) -> bool:
-        j = math.floor(m * 0.5 * x_sum / math.pi)
+        j = _branch(m, x_lo, x_hi)
         return (m * x_lo >= j * math.pi - _BRANCH_TOL
                 and m * x_hi <= (j + 1) * math.pi + _BRANCH_TOL)
 

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import MAX_ITERATIONS, ExperimentConfig, load_config
-from .errors import ConfigError, EstimationFailure, NonPhysicalChannelError, NrqaeError
+from .errors import ConfigError, EstimationFailure, NrqaeError
 from .experiments import (COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, SWEEP_SUMMARY_HEADER,
                           VERIFY_HEADER, VERIFY_SUMMARY_HEADER, hoeffding_shots, run_compare_noise,
                           run_estimate, run_sweep_depth, run_verify_perturbation, write_csv,
@@ -31,16 +31,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, help="base RNG seed")
-    sub.add_argument("--out", default="nrqae-out", help="output directory")
-    sub.add_argument("--trials", type=int, help="number of trials")
-    sub.add_argument("--shots", type=int, help="shots per circuit")
-    sub.add_argument("--exact", action="store_true", default=None,
-                     help="use exact expectations instead of sampling")
-    sub.add_argument("--iterations", type=int,
-                     help=f"max iteration index k <= {MAX_ITERATIONS} (deepest depth 3*2^k)")
+def _kinds(text: str) -> list:
+    """--kinds pauli,depolarizing -> ["pauli", "depolarizing"], dropping empty names."""
+    return [kind.strip() for kind in text.split(",") if kind.strip()]
+
+
+# The flags of the four config commands. A setting flag's dest is the
+# ExperimentConfig field it overrides; --config and --out name no field.
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--out": dict(default="nrqae-out", help="output directory"),
+    "--trials": dict(type=int, help="number of trials"),
+    "--shots": dict(type=int, help="shots per circuit"),
+    "--exact": dict(action="store_true", default=None,
+                    help="use exact expectations instead of sampling"),
+    "--iterations": dict(type=int, help=f"max iteration index k <= {MAX_ITERATIONS} "
+                                        f"(deepest depth 3*2^k)"),
+    "--retry": dict(action="store_true", default=None,
+                    help="re-sample failed iterations once at 4x shots"),
+    "--perturbation": dict(type=float, help="additive t perturbation"),
+    "--kinds": dict(dest="compare_kinds", metavar="KINDS", type=_kinds,
+                    help="comma-separated noise kinds to compare"),
+}
 
 
 @functools.cache
@@ -49,26 +62,24 @@ def _build_parser() -> _Parser:
 
     parse_args leaves the parser as it was and returns a fresh namespace,
     so every call shares it; building it at import would slow `import nrqae`.
+    Each config command takes only the flags its run reads.
     """
     parser = _Parser(prog="nrqae", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("estimate", help="single estimation run")
-    _add_common(p)
-    p.add_argument("--retry", action="store_true", default=None,
-                   help="re-sample failed iterations once at 4x shots")
-
-    p = subs.add_parser("sweep-depth", help="phase error vs depth under fixed perturbations")
-    _add_common(p)
-    p.add_argument("--perturbation", type=float, help="additive t perturbation")
-
-    p = subs.add_parser("compare-noise", help="estimator vs baseline at matched budgets")
-    _add_common(p)
-    p.add_argument("--kinds", help="comma-separated noise kinds to compare")
-
-    p = subs.add_parser("verify-perturbation", help="first-order perturbation checks")
-    _add_common(p)
+    for command, help_text, flags in (
+            ("estimate", "single estimation run",
+             ("--config", "--seed", "--out", "--shots", "--exact", "--iterations", "--retry")),
+            ("sweep-depth", "phase error vs depth under fixed perturbations",
+             ("--config", "--seed", "--out", "--trials", "--iterations", "--perturbation")),
+            ("compare-noise", "estimator vs baseline at matched budgets",
+             ("--config", "--seed", "--out", "--trials", "--shots", "--exact", "--iterations",
+              "--kinds")),
+            ("verify-perturbation", "first-order perturbation checks",
+             ("--config", "--seed", "--out"))):
+        p = subs.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
     p = subs.add_parser("plan-shots", help="Hoeffding shot planner")
     p.add_argument("--eps", type=float, required=True, help="target half-width")
@@ -79,19 +90,10 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for name in ("seed", "trials", "shots", "iterations", "perturbation"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "exact", None):
-        overrides["exact"] = True
-    if getattr(args, "retry", None):
-        overrides["retry"] = True
-    if getattr(args, "kinds", None) is not None:
-        overrides["compare_kinds"] = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    names = {f.name for f in dataclasses.fields(cfg)}
     # replace() reruns the config's checks on the overridden values
-    return dataclasses.replace(cfg, **overrides)
+    return dataclasses.replace(cfg, **{name: value for name, value in vars(args).items()
+                                       if name in names and value is not None})
 
 
 def _cmd_estimate(args) -> tuple:
@@ -188,9 +190,6 @@ def main(argv=None) -> int:
         if paths and args.command != "plan-shots":  # it writes only when asked, silently
             print(f"wrote {paths[0]}")
         return code
-    except (ConfigError, NonPhysicalChannelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EstimationFailure as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2

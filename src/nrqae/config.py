@@ -22,8 +22,9 @@ from .model import (NORM_TOL, EstimationProblem, amplitude_problem, eig_dense, o
                     rotation_plane)
 
 CONFIG_VERSION = 1
-# Each simulated layer multiplies d x d density matrices (d = 2^q) by the dense
-# walk operator, O(8^q) work; the cap bounds it before any array is built.
+# On the dense layer each simulated layer multiplies d x d density matrices
+# (d = 2^q) by the walk operator, O(8^q) work; the cap bounds it before any array
+# is built. Noisy synthetic amplitude problems at q >= 2 run in count space instead.
 MAX_QUBITS = 8
 # Iteration k reaches depth 3 * 2^k, so the cap bounds a run at 12,288 layers,
 # and MAX_DEPTH bounds depth_grid at the same deepest layer.
@@ -186,10 +187,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     kwargs = dict(d)
     if "noise" in kwargs:
         kwargs["noise"] = _noise_from_dict(kwargs["noise"])
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -217,12 +215,10 @@ def _theta_g_from(cfg: ExperimentConfig) -> float:
         if not 0.0 <= cfg.amplitude <= 1.0:
             raise ConfigError(f"amplitude {cfg.amplitude} outside [0, 1]")
         theta = float(np.arccos(2.0 * cfg.amplitude - 1.0))
-    elif cfg.expectation is not None:
+    else:  # build_problem calls this with exactly one scalar geometry set
         if not -1.0 <= cfg.expectation <= 1.0:
             raise ConfigError(f"expectation {cfg.expectation} outside [-1, 1]")
         theta = float(np.arccos(cfg.expectation))
-    else:
-        raise ConfigError("no state geometry given")
     if not 0.0 < theta < np.pi:
         raise ConfigError(f"state phase {theta} is degenerate (needs (0, pi))")
     return float(theta)

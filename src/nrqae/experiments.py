@@ -34,9 +34,9 @@ THEOREM1_UNIFORMITY_MAX = 3.0
 RESIDUAL_FLOOR = 1e-12
 # The perturbation checks diagonalize the dense 4^q x 4^q step
 # superoperator once per strength and noise kind. That eig costs O(64^q):
-# on 2 cores a complex 64 x 64 eig takes 2.2-3.4 ms (q = 3; a traced
-# verify-q3 op spends 31-47 ms in its 14), 256 x 256 about 160 ms (q = 4)
-# and 1024 x 1024 about 3.4 s (q = 5).
+# on 2 cores np.linalg.eig of one of verify-q3's 14 steps (q = 3, 64 x 64)
+# takes 2.5-4.4 ms, median about 4 ms, 256 x 256 about 160 ms (q = 4) and
+# 1024 x 1024 about 3.4 s (q = 5).
 VERIFY_MAX_QUBITS = 3
 
 

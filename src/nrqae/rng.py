@@ -69,11 +69,8 @@ def philox_keys(seed: int, paths) -> list:
     the seed into the pool (kept per seed); the path words are mixed in for
     all rows at once in uint32 arithmetic, which wraps as C does.
     """
-    try:
-        rows = np.asarray(paths)
-    except OverflowError:  # beyond every integer dtype, so beyond 32 bits too
-        rows = None
-    if (rows is None or rows.ndim != 2 or rows.dtype.kind not in "iu"
+    rows = np.asarray(paths)  # an element beyond every integer dtype makes an object array
+    if (rows.ndim != 2 or rows.dtype.kind not in "iu"
             or seed < 0 or (rows >> 32).any()):  # negatives shift to -1
         raise ValueError("paths must have one length, with elements in [0, 2^32) and seed >= 0")
     pool, offset = _seed_pool(int(seed))

@@ -17,6 +17,7 @@ the package on PYTHONPATH:
     PYTHONPATH=src python tests/golden_cases.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -26,7 +27,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from nrqae.cli import main
+from nrqae.cli import _build_parser, main
 
 STORE = Path(__file__).resolve().parent / "golden"
 OUT_TOKEN = "<out>"
@@ -59,6 +60,12 @@ CASES = {
     **{f"help/{command.replace(' ', '-')}": (None, [*command.split()[1:], "--help"])
        for command in HELP_COMMANDS},
 }
+
+
+def subparsers() -> dict:
+    """{command: its subparser}, whose --help texts the help cases store."""
+    return next(action for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
 
 
 def outputs(name: str, tmp) -> dict:

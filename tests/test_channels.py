@@ -324,3 +324,7 @@ def test_identity_channel_fidelity_is_one():
     assert abs(avg_gate_fidelity(np.eye(4), np.eye(4)) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         avg_gate_fidelity(np.eye(4), np.eye(16))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        avg_gate_fidelity(np.ones((4, 2)), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="dimension 8 is not a square"):
+        avg_gate_fidelity(np.eye(8), np.eye(8))

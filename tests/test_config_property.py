@@ -18,6 +18,7 @@ import os
 import tempfile
 
 import numpy as np
+from golden_cases import subparsers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,15 +266,22 @@ def command_lines(draw):
     config["noise"] = _noise(draw(st.sampled_from(NOISE_KINDS)))
     if draw(st.booleans()):
         config["compare_kinds"] = draw(KIND_LISTS)
-    # few trials and shallow runs keep each example short; the config file's own
-    # values are checked before these override them
-    argv = [command, "--trials", str(draw(st.integers(1, 2))),
-            "--iterations", str(draw(st.integers(0, 2)))]
-    argv += draw(st.sampled_from([[], ["--exact"]]))
+    # each command takes only the flags its run reads; few trials and shallow
+    # runs keep each example short, and the config file's own values are
+    # checked before these override them
+    accepted = {flag for action in subparsers()[command]._actions
+                for flag in action.option_strings}
+    argv = [command]
+    if "--trials" in accepted:
+        argv += ["--trials", str(draw(st.integers(1, 2)))]
+    if "--iterations" in accepted:
+        argv += ["--iterations", str(draw(st.integers(0, 2)))]
+    if "--exact" in accepted:
+        argv += draw(st.sampled_from([[], ["--exact"]]))
     argv += draw(_flag("--seed", st.integers(0, 2 ** 70)))
-    if command == "sweep-depth":
+    if "--perturbation" in accepted:
         argv += draw(_flag("--perturbation", NUMBERS))
-    if command == "compare-noise":
+    if "--kinds" in accepted:
         argv += draw(_flag("--kinds", KIND_LISTS.map(",".join)))
     return argv, config, all_valid
 

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden_cases import (BIG_SEED_COMMANDS, HELP_COMMANDS, PLAN_SHOTS_CASES, README_COMMANDS,
-                          VERIFY_Q3_SEEDS, outputs, stored)
+                          VERIFY_Q3_SEEDS, outputs, stored, subparsers)
 
 import nrqae
+from nrqae.cli import _build_parser
 
 DIFF_LINES = 20
 
@@ -91,6 +92,23 @@ def test_readme_quick_start_values(capsys):
                 assert f"{float(value):.{len(text.split('.')[1])}f}" == text, (value, text)
     assert abs(float(printed[0].split()[0]) - 0.7499933642391001) < 1e-9
     assert abs(float(printed[1]) - 0.7513080188473099) < 1e-9
+
+
+def test_readme_cli_lines_parse_and_its_flag_table_matches_the_parser():
+    """Every `nrqae` line of the README "CLI" block parses, and its table lists each flag."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines()]
+    assert lines and all(words[0] == "nrqae" for words in lines)
+    for words in lines:
+        _build_parser().parse_args(words[1:])
+    table = {row[0].strip(" `"): [flag.strip(" `") for flag in row[1].split(",")]
+             for row in (line.strip("|").split("|") for line in section.splitlines()
+                         if line.startswith("| `"))}
+    assert table == {command: [flag for action in sub._actions
+                               for flag in action.option_strings if flag not in ("-h", "--help")]
+                     for command, sub in subparsers().items()}
 
 
 def test_every_export_resolves():

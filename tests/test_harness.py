@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from golden_cases import subparsers
 
 from nrqae import cli, model, perturbation
 from nrqae.channels import NoiseSpec
@@ -248,6 +249,14 @@ def test_run_compare_noise_rows():
             retried += rec.retried
     assert retried >= 1
 
+    # an iteration before the trial's first success has no estimate, so its
+    # row leaves the value and every IQAE column empty
+    cfg = ExperimentConfig(theta_g=float(np.deg2rad(88)), noise=NoiseSpec(kind="pauli"),
+                           shots=2000, trials=1, iterations=2, seed=32)
+    first, *rest = run_compare_noise(cfg).rows
+    assert first == ("pauli", 0, 1, 48000, None, None, None, None, None)
+    assert [row[2] for row in rest] == [2, 4] and None not in rest[0] + rest[1]
+
 
 def test_run_verify_perturbation_floor():
     # scalar contraction on one qubit: every first-order statement is
@@ -453,10 +462,66 @@ def test_cli_flags_do_not_carry_into_the_next_call(tmp_path, monkeypatch, capsys
     cfg.write_text(json.dumps({"amplitude": 0.75, "shots": 2000, "iterations": 2}))
     out = str(tmp_path / "out")
     assert main(["estimate", "--config", str(cfg), "--out", out, "--retry", "--exact",
-                 "--seed", "3", "--trials", "2"]) == 0
+                 "--seed", "3", "--iterations", "1"]) == 0
     assert main(["estimate", "--config", str(cfg), "--out", out]) == 0
-    assert (seen[0].retry, seen[0].exact, seen[0].seed, seen[0].trials) == (True, True, 3, 2)
+    assert (seen[0].retry, seen[0].exact, seen[0].seed, seen[0].iterations) == (True, True, 3, 1)
     assert seen[1] == load_config(str(cfg))
+
+
+class _RecordingConfig(ExperimentConfig):
+    """An ExperimentConfig that notes, in `read`, each attribute read after its checks."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.read = set()
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("read")
+        if read is not None:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+# per config command: its driver, and configs that between them take each path
+# that reads a setting (sampled shots; a second noise kind, drawn from the seed)
+_READ_PATHS = {
+    "estimate": (run_estimate, [{"exact": True}, {}]),
+    "sweep-depth": (run_sweep_depth, [{}]),
+    "compare-noise": (run_compare_noise, [{"compare_kinds": ["pauli", "statistical"]}]),
+    "verify-perturbation": (run_verify_perturbation,
+                            [{"compare_kinds": ["pauli", "statistical"]}]),
+}
+
+
+@pytest.mark.parametrize("command", list(_READ_PATHS))
+def test_every_setting_flag_names_a_field_its_command_reads(command):
+    driver, configs = _READ_PATHS[command]
+    read = set()
+    for extra in configs:
+        cfg = _RecordingConfig(amplitude=0.75, noise=NoiseSpec(kind="pauli"), shots=2000,
+                               iterations=2, trials=2, **extra)
+        driver(cfg)
+        read |= cfg.read
+    dests = {action.dest for action in subparsers()[command]._actions
+             if action.option_strings and action.dest not in ("help", "config", "out")}
+    assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert dests <= read, dests - read
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--trials", "2"],
+    ["sweep-depth", "--shots", "2000"],
+    ["sweep-depth", "--exact"],
+    ["verify-perturbation", "--trials", "2"],
+    ["verify-perturbation", "--shots", "2000"],
+    ["verify-perturbation", "--exact"],
+    ["verify-perturbation", "--iterations", "2"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path, capsys):
@@ -551,13 +616,15 @@ def test_cli_verify_perturbation(tmp_path, capsys):
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     stub = VerifyReport(rows=[("pauli", "lemma1_residual", 0.001, 1, 0.5)],
                         summary_rows=[("pauli", "lemma1_slope", 5.0, 1.7, 2.3, False)],
-                        flagged=0, all_ok=False, svg="<svg></svg>\n")
+                        flagged=2, all_ok=False, svg="<svg></svg>\n")
     monkeypatch.setattr("nrqae.cli.run_verify_perturbation", lambda cfg: stub)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta_g": 2.0, "noise": {"kind": "pauli"}}))
     assert main(["verify-perturbation", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 3
-    assert "FAIL pauli lemma1_slope" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL pauli lemma1_slope" in out
+    assert "FAIL 2 rows flagged for ambiguous eigenvector matching" in out
 
 
 def test_cli_verify_perturbation_qubit_limit(tmp_path, monkeypatch, capsys):
@@ -722,7 +789,9 @@ def test_bad_settings_are_rejected_when_the_config_is_read(tmp_path, capsys, ext
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"amplitude": 0.75, "noise": {"kind": "pauli"}, **extra}))
     out = tmp_path / "out"
-    assert main(["verify-perturbation", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    # verify-perturbation takes no flag but --config, --seed and --out
+    command = "compare-noise" if flags else "verify-perturbation"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -824,6 +893,9 @@ def _bad_observable(qubits: int, got: str) -> str:
      "compare_kinds must not repeat a kind, got ['pauli', 'pauli']"),
     ("compare-noise", {}, ["--kinds", "pauli,depolarizing,pauli"],
      "compare_kinds must not repeat a kind, got ['pauli', 'depolarizing', 'pauli']"),
+    ("estimate", {"mode": "x"}, [], "unknown mode 'x'"),
+    ("estimate", {**OBSERVABLE_MODE, "observable": "Z", "expectation": 1.5}, [],
+     "expectation 1.5 outside [-1, 1]"),
 ])
 def test_bad_scalars_are_rejected_when_the_config_is_read(tmp_path, capsys, command, extra,
                                                           flags, message):

@@ -80,6 +80,12 @@ def test_problem_validation():
         EstimationProblem(mode="amplitude", psi=psi)
     with pytest.raises(ValueError):
         EstimationProblem(mode="banana", psi=psi, phi=psi)
+    with pytest.raises(ValueError, match="phi has length 4, expected 2"):
+        amplitude_problem(psi, np.eye(4)[0])
+    with pytest.raises(ValueError, match="observable mode needs an observable"):
+        EstimationProblem(mode="observable", psi=psi)
+    with pytest.raises(ValueError, match=r"observable is \(4, 4\), expected \(2, 2\)"):
+        observable_problem(psi, np.diag([1.0, -1.0, 1.0, -1.0]))
     # observables must be Hermitian involutions with zero trace
     with pytest.raises(ValueError):
         observable_problem(psi, np.array([[0.0, 1j], [1j, 0.0]]))
@@ -267,6 +273,9 @@ def test_conjugation_superop_action():
         lhs = conjugation_superop(u) @ vectorize(rho)
         rhs = vectorize(u @ rho @ u.conj().T)
         assert np.allclose(lhs, rhs, atol=1e-10)
+    for shape in ((2, 3), (4,)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            conjugation_superop(np.ones(shape))
 
 
 def test_eig_dense_reconstructs_action():
