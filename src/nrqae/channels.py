@@ -159,7 +159,7 @@ class NoiseSpec:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         unknown = set(self.params) - set(DEFAULT_PARAMS[self.kind])
         if unknown:
-            raise ConfigError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
+            raise ConfigError(f"unknown parameters for {self.kind}: {sorted(unknown, key=repr)}")
         if self.kind == "statistical" and self.seed is None:
             raise ConfigError("statistical noise needs a seed")
 

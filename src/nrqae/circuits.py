@@ -12,33 +12,37 @@ signs (+, -, -, +). Noiseless, t_n = 2 |c|^2 cos(n theta_ch).
 S^n is never formed: the simulator pushes a stack of states through one
 layer at a time and keeps the scalar read-outs of every depth it passes;
 a sampled run follows both of its preparations in one two-slice stack,
-an exact run their difference rho_tilde alone. Both stacks take one
-layer, built when either is first read, so a run builds only what it
-reads. The dense layer (_dense_layer) acts on d x d density matrices.
-A noisy synthetic amplitude problem (q >= 2, both states on |0^q> and
-|1^q>) runs in Pauli-count space instead: the walk and a qubitwise
-channel keep the states in the span of the symmetrised Pauli strings,
-one per letter count, so a state is D = C(q + 3, 3) real coordinates
-(56 at q = 5, against 4^q = 1024) and the layer one D x D matrix
-(_count_space). A TProvider is an immutable description of how the
-estimator measures t at a depth; estimator.run keeps the values it
-measured. exact_provider, sampled_provider and perturbed_provider give
-it its measurement rule (exact, binomial or offset) and its guard.
-sampled_providers and perturbed_providers give one provider per trial
-of a command, which key every draw from one table.
+an exact run their difference rho_tilde alone. Each stack's layer is
+built when it is first read, so a run builds only what it reads. The
+dense layer (_dense_layer) acts on d x d density matrices. The sampled
+reads of a noisy problem whose two states lie on two basis states x and
+y (q >= 2; in observable mode O a Pauli string) run in Pauli-count space
+instead: qubits with the same (x_j, y_j, O_j) form a class, and the walk
+and a qubitwise channel keep the states in the Kronecker product of the
+classes' spans of symmetrised Pauli strings, one per letter count. A
+state is then D = prod C(q_c + 3, 3) real coordinates (400 for ZXIZX,
+56 for the amplitude corners |0^q>, |1^q> at q = 5, against
+4^q = 1024), and the layer is built directly (_count_space). Exact reads
+take count space on the amplitude corners alone. A TProvider is an
+immutable description of how the estimator measures t at a depth;
+estimator.run keeps the values it measured. exact_provider,
+sampled_provider and perturbed_provider give it its measurement rule
+(exact, binomial or offset) and its guard. sampled_providers and
+perturbed_providers give one provider per trial of a command, which key
+every draw from one table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import chain, product
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NoiseSpec, noise_superop, single_qubit_ptm
+from .channels import NoiseSpec, noise_superop, pauli_string, single_qubit_ptm
 from .errors import NonPhysicalChannelError
 # conjugation_superop, rho_tilde and substream are unused here; bench/tracing.py looks them up.
 from .model import (EstimationProblem, conjugation_superop, grover, real_value,
@@ -116,40 +120,154 @@ def _letterwise(a: np.ndarray, qubits: int) -> np.ndarray:
     return k
 
 
-def _count_space(states, noise: NoiseSpec) -> tuple:
-    """Coordinates (2, D) of the two preparations and the layer N(G rho G^dag), in count space.
+# The largest count-space dimension the sampled reads take, fixed before measuring
+# (a formed D x D layer of this size is 8 MiB); above it they stay dense.
+_MAX_COUNT_DIM = 1024
 
-    The basis is W_c = S_c / sqrt(m_c 2^q), S_c the sum of the m_c Pauli
-    strings with letter counts c: orthonormal and Hermitian, so Hermitian
-    operators and Hermiticity-preserving maps have real coordinates. Both
-    states lie on span{|0^q>, |1^q>}, so G = I + H with H = sum_ab h_ab
-    |a^q><b^q|, and the walk adds H rho, its adjoint and H rho H^dag to rho.
-    With the Dicke states D_j, e_a[c, j] = <D_j|W_c|a^q> is nonzero only at
-    j = w = c_X + c_Y for a = 0, where it is i^c_Y sqrt(m_c / (2^q C(q, w))),
-    and at j = q - w for a = 1, where it is (-i)^c_Y (-1)^c_Z times that.
-    For rho in the span, H rho has coordinates sum_ab h_ab e_a e_b^dag r,
-    and (|a><a'|)^(x)q has e_a[:, 0 or q], which gives the states, the
-    probes and H rho H^dag. The noise is _letterwise of its PTM.
+# Per letter of O, the letters (I, X, Y, Z) that anticommute with it: Ad_O flips their sign.
+_ANTICOMMUTES = {"I": (0, 0, 0, 0), "X": (0, 0, 1, 1), "Y": (0, 1, 0, 1), "Z": (0, 1, 1, 0)}
+
+
+def _pauli_letters(observable: np.ndarray):
+    """The letters of the Pauli string P with observable = +-P, or None if there is none.
+
+    P|0^q> = c|m>, m holding the bits of P's X and Y letters, and for the
+    bit b = 2^(q-1-j) of qubit j, P|b> = -c|b xor m> when letter j is Y or Z.
     """
-    q = len(states[0]).bit_length() - 1
+    q = len(observable).bit_length() - 1
+    m = int(np.flatnonzero(observable[:, 0])[0])
+    letters = ""
+    for j in range(q):
+        b = 1 << (q - 1 - j)
+        letters += "IZXY"[2 * bool(m & b) + (observable[b ^ m, b] == -observable[m, 0])]
+    p = pauli_string(letters)
+    # exactly +-P: the layer takes G up to sign, and a scaled P would change the walk
+    return letters if np.array_equal(observable, p) or np.array_equal(observable, -p) else None
+
+
+def _count_classes(problem: EstimationProblem, noise: NoiseSpec):
+    """(x, y, classes) for the sampled reads' count-space layer, or None for the dense one.
+
+    Count space is taken when q >= 2, the noise is not none, both states
+    are zero off two basis states x < y (a lone one is paired with its
+    complement) and, in observable mode, O is a Pauli string up to sign.
+    Qubit j joins the class of its key (x_j, y_j, O_j), with O_j = I in
+    amplitude mode; classes is ((x bit, y bit, letter, size), ...) in the
+    order of their first qubits. Above _MAX_COUNT_DIM coordinates the layer
+    stays dense.
+    """
+    q = problem.qubits
+    if q < 2 or noise.kind == "none":
+        return None
+    # a set, not np.union1d: numpy's sort code would add about 1.4 MB to the process
+    support = {*np.flatnonzero(problem.psi).tolist(),
+               *np.flatnonzero(problem.second_state()).tolist()}
+    if len(support) == 1:
+        support.add(2 ** q - 1 - min(support))
+    if len(support) > 2:
+        return None
+    letters = "I" * q if problem.mode == "amplitude" else _pauli_letters(problem.observable)
+    if letters is None:
+        return None
+    x, y = sorted(support)
+    keys = list(zip(format(x, f"0{q}b"), format(y, f"0{q}b"), letters))
+    classes = tuple((int(a), int(b), o, keys.count((a, b, o))) for a, b, o in dict.fromkeys(keys))
+    if prod(comb(c[3] + 3, 3) for c in classes) > _MAX_COUNT_DIM:
+        return None
+    return x, y, classes
+
+
+@cache
+def _dicke_columns(q: int) -> np.ndarray:
+    """e[c, a, j] = <D_j|W_c|a^q> for a = 0, 1 on one class of q qubits (see _count_space)."""
     counts, m, _ = _count_basis(q)
     dim, w = len(m), counts[:, 1] + counts[:, 2]
     mag = np.sqrt(m / [comb(q, x) for x in w.tolist()] / 2.0 ** q)
     e = np.zeros((dim, 2, q + 1), dtype=complex)
     e[range(dim), 0, w] = np.array([1, 1j, -1, -1j])[counts[:, 2] % 4] * mag
     e[range(dim), 1, q - w] = e[range(dim), 0, w].conj() * (1 - 2 * (counts[:, 3] % 2))
-    u = e[:, :, [0, q]].reshape(dim, 4)  # column 2a + a' holds (|a><a'|)^(x)q
-    psi, sec = (v[[0, -1]] for v in states)
-    h = reflection_about(sec) @ reflection_about(psi) - np.eye(2)
+    return e
+
+
+def _factored_layer(maps, left: np.ndarray, right: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """rho @ layer.T for layer = K (I + left @ right.T), K = maps[0] (x) maps[1] (x) ...
+
+    K is applied to the columns of (I + left @ right.T) @ rho.T one factor
+    at a time, each a batch of products over the axis of its class.
+    """
+    x, lead = rho.T + left @ (rho @ right).T, 1
+    for f in maps:
+        x = np.matmul(f, x.reshape(lead, len(f), -1))
+        lead *= len(f)
+    return x.reshape(lead, -1).T
+
+
+def _count_space(problem: EstimationProblem, noise: NoiseSpec, layout: tuple) -> tuple:
+    """Coordinates (2, D) of the two preparations, and the layer N(G rho G^dag) on (B, D) stacks.
+
+    layout = (x, y, classes) is _count_classes'. Within a class of q qubits
+    the basis is W_c = S_c / sqrt(m_c 2^q), S_c the sum of the m_c Pauli
+    strings with letter counts c: orthonormal and Hermitian, so Hermitian
+    operators and Hermiticity-preserving maps have real coordinates. Across
+    classes it is the Kronecker product of theirs, so D = prod C(q_c + 3, 3).
+    The states, the walk and a qubitwise channel are invariant under swaps
+    of qubits within a class, so the trajectories stay in this span.
+
+    G = (I + H) O up to sign, with O = I in amplitude mode and H = sum_ab
+    h_ab |a><b| on span{|x>, |y>}, so the walk adds H rho, its adjoint and
+    H rho H^dag to rho = Ad_O(rho); Ad_O is diagonal, F = diag(flips),
+    flipping the letters that O's letter anticommutes with. With the
+    Dicke states D_j of a class, e_a[c, j] = <D_j|W_c|a^q> is nonzero only
+    at j = w = c_X + c_Y for a = 0, where it is i^c_Y sqrt(m_c / (2^q C(q, w))),
+    and at j = q - w for a = 1, where it is (-i)^c_Y (-1)^c_Z times that;
+    e_x and e_y are the Kronecker products of the classes' columns at x's
+    and y's bits. For rho in the span, H rho has coordinates
+    sum_ab h_ab e_a e_b^dag r, and |a><a'| has e_a at the Dicke index of a',
+    which gives the states, the probes and H rho H^dag.
+
+    With the noise N, the Kronecker product of the classes' _letterwise
+    maps of its PTM, the layer is N (I + left right^T) F = K (I + left'
+    right'^T), K = N F and primes for rows scaled by F. One class forms it
+    as one D x D matrix, applied as rho @ layer.T: on the amplitude corners
+    the stored outputs pin that arithmetic. Several apply it factor by
+    factor and never form it: at D = 400 a fresh D x D array costs about as
+    much in page faults as the product that fills it.
+    """
+    x, y, classes = layout
+    cols = [_dicke_columns(n) for *_, n in classes]
+    ex, ey = (reduce(np.kron, [col[:, c[a]] for col, c in zip(cols, classes)]) for a in (0, 1))
+    dim = len(ex)
+    at = [np.ravel_multi_index([c[a] * c[3] for c in classes], [c[3] + 1 for c in classes])
+          for a in (0, 1)]
+    # column 2a + a' holds |a><a'|, a = 0 for x, 1 for y
+    u = np.stack([ex[:, at], ey[:, at]], axis=1).reshape(dim, 4)
+    psi, sec = (np.asarray(v, dtype=complex)[[x, y]] for v in (problem.psi, problem.second_state()))
     # G rho G^dag - rho = 2 Re(H rho) + H rho H^dag = Re(left @ right^dag) r for real r
-    left = np.concatenate([2.0 * np.einsum("caj,ab->cbj", e, h).reshape(dim, -1),
-                           u @ np.kron(h, h.conj())], axis=1)
-    right = np.concatenate([e.reshape(dim, -1), u], axis=1)
-    noise_map = _letterwise(single_qubit_ptm(noise), q)
-    layer = (noise_map @ left.view(float)) @ right.view(float).T
-    layer += noise_map
+    if problem.mode == "amplitude":
+        h = reflection_about(sec) @ reflection_about(psi) - np.eye(2)
+        e = np.stack([ex, ey], axis=1)
+        left, right = 2.0 * np.einsum("caj,ab->cbj", e, h).reshape(dim, -1), e.reshape(dim, -1)
+    else:  # G = (2|psi><psi| - I) O = -(I + H) O, with H = -2|psi><psi| of rank one
+        h = -2.0 * np.outer(psi, psi.conj())
+        right = psi[0] * ex + psi[1] * ey
+        left = -4.0 * right
+    del ex, ey  # freed before the concatenations: the build's peak sets the process's RSS
+    left = np.concatenate([left, u @ np.kron(h, h.conj())], axis=1).view(float)
+    right = np.concatenate([right, u], axis=1).view(float)
+    signs = [1.0 - 2.0 * (_count_basis(n)[0] @ _ANTICOMMUTES[o] % 2)[:, None]
+             for *_, o, n in classes]
+    flips = reduce(np.kron, signs)
+    left *= flips
+    right *= flips
+    ptm = single_qubit_ptm(noise)
+    noise_maps = {n: _letterwise(ptm, n) for *_, n in classes}
+    maps = [noise_maps[c[3]] * f.T for c, f in zip(classes, signs)]
     rho0 = np.stack([(u @ np.kron(v, v.conj())).real for v in (psi, sec)])
-    return rho0, layer
+    if len(maps) > 1:
+        return rho0, partial(_factored_layer, maps, left, right)
+    layer = (maps[0] @ left) @ right.T
+    layer += maps[0]
+    return rho0, lambda rho: rho @ layer.T
 
 
 def _dense_layer(problem: EstimationProblem, noise: NoiseSpec) -> Callable:
@@ -227,20 +345,27 @@ class CircuitSimulator:
     trajectories, each built when it is first read: rho_tilde, read
     against itself by exact_t, and psi with the second state as one
     two-slice stack, each measured onto both, read by sampled_t and prob.
-    No command reads both, so the constructor builds nothing. Both take
-    one layer, built once (_space): the count-space layer (_count_space)
-    when the problem is in amplitude mode, q >= 2, the noise is not none
-    and psi and phi are zero off indices 0 and 2^q - 1: then G - I lives
-    on span{|0^q>, |1^q>}, which the direct build needs. Every other
-    problem takes the dense layer (_dense_layer), where rho_tilde is
-    model.rho_tilde bit for bit. The two layers agree to about 1e-13,
-    which moves no binomial draw except at a probability of exactly 1/2,
-    where numpy's binomial changes method; the noiseless walk sits there
-    at a = 1/2 and so stays dense. Each trajectory keeps only its latest
-    stack, so a depth costs the layers beyond the deepest one reached and
-    a repeated depth is free. Build one simulator per (problem, noise) and
-    share it: every value is independent of what the simulator served
-    before. It is the handle the providers and the IQAE baseline take.
+    No command reads both, so the constructor builds nothing.
+
+    The sampled reads take the count-space layer (_space, _count_space)
+    when _count_classes finds qubit classes for the problem: q >= 2, noise
+    not none, both states on two basis states, O a Pauli string in
+    observable mode, and D at most _MAX_COUNT_DIM. Every other problem
+    takes the dense layer (_dense_layer, _dense), where rho_tilde is
+    model.rho_tilde bit for bit. The two layers agree to about 1e-13, which
+    moves no binomial draw except at a probability of exactly 1/2, where
+    numpy's binomial changes method (the noiseless walk sits there at
+    a = 1/2 and so stays dense). Exact reads are stored to 12 digits, which
+    so small a change can move, so they take count space only on the
+    amplitude corners, one class, and the dense layer everywhere else. A
+    problem whose two reads differ in layer builds each once; otherwise
+    they share one.
+
+    Each trajectory keeps only its latest stack, so a depth costs the layers
+    beyond the deepest one reached and a repeated depth is free. Build one
+    simulator per (problem, noise) and share it: every value is independent
+    of what the simulator served before. It is the handle the providers and
+    the IQAE baseline take.
 
     rng is the one Philox generator the simulator's sampled draws use,
     built on the first of them: each draw re-keys it (rng.rekey) to its
@@ -258,20 +383,31 @@ class CircuitSimulator:
         return np.random.Generator(np.random.Philox(0))
 
     @cached_property
-    def _space(self) -> tuple:
-        """Both preparations as one stack, and the layer both trajectories take (see the class)."""
+    def _classes(self):
+        """_count_classes of the problem and noise: None when the sampled reads stay dense."""
+        return _count_classes(self.problem, self.noise)
+
+    @cached_property
+    def _dense(self) -> tuple:
+        """Both preparations as one (2, d, d) stack, and the dense layer."""
         p = self.problem
         states = tuple(np.asarray(v, dtype=complex) for v in (p.psi, p.second_state()))
-        if (p.mode == "amplitude" and p.qubits >= 2 and self.noise.kind != "none"
-                and not any(v[1:-1].any() for v in states)):
-            rho0, layer = _count_space(states, self.noise)
-            return rho0, lambda rho: rho @ layer.T
         return np.stack([np.outer(v, np.conj(v)) for v in states]), _dense_layer(p, self.noise)
 
     @cached_property
+    def _space(self) -> tuple:
+        """Both preparations as one stack, and the layer the sampled reads take (see the class)."""
+        if self._classes is None:
+            return self._dense
+        return _count_space(self.problem, self.noise, self._classes)
+
+    @cached_property
     def _tilde(self) -> _Trajectory:
-        """rho_tilde alone, probed by itself."""
-        rho0, layer = self._space
+        """rho_tilde alone, probed by itself (see the class for its layer)."""
+        # one class in amplitude mode is the corners |0^q>, |1^q>
+        corners = (self.problem.mode == "amplitude" and self._classes is not None
+                   and len(self._classes[2]) == 1)
+        rho0, layer = self._space if corners else self._dense
         tilde = (rho0[1] - rho0[0])[None]
         return _Trajectory(tilde, [(0, tilde.reshape(-1))], layer)
 

@@ -171,7 +171,7 @@ def _noise_from_dict(d) -> NoiseSpec:
         raise ConfigError(f"noise must be an object, got {type(d).__name__}")
     unknown = set(d) - {"kind", "params", "seed"}
     if unknown:
-        raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown noise keys: {sorted(unknown, key=repr)}")
     params = d.get("params", {})
     _check_type("noise params", params, lambda v: isinstance(v, dict), "an object")
     return NoiseSpec(kind=d.get("kind", "none"), params=dict(params), seed=d.get("seed"))
@@ -183,7 +183,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(d) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
     kwargs = dict(d)
     if "noise" in kwargs:
         kwargs["noise"] = _noise_from_dict(kwargs["noise"])

@@ -43,7 +43,8 @@ _OBS = "test_observable_tolerances_admit_1e_10_and_no_more"
 _T2V = "test_theta_to_value"
 _PLANE = "test_rotation_plane_resolves_states_1e_8_from_degenerate"
 _BOUNDS = "test_rotation_phases_on_the_degeneracy_bounds_are_kept"
-_COUNT = "test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners"
+_COUNT = "test_count_space_is_taken_exactly_for_noisy_walks_on_two_basis_states"
+_DENSE3 = "test_count_space_matches_the_dense_layer[3]"
 
 # (module of src/nrqae, source text, mutated text, node id of the killing test)
 MUTANTS = (
@@ -117,13 +118,26 @@ MUTANTS = (
     ("circuits.py", "        if shots < 1:", "        if shots < 0:",
      _CIR + "test_sampled_t_is_reproducible"),
     ("circuits.py", "delta: float = 0.5", "delta: float = 0.25", _CIR + "test_t_halfwidth_values"),
-    ("circuits.py", "p.qubits >= 2 and", "p.qubits >= 1 and", _CIR + _COUNT),
-    ("circuits.py", "p.qubits >= 2 and", "p.qubits > 2 and", _CIR + _COUNT),
-    ("circuits.py", 'p.mode == "amplitude" and ', "", _CIR + _COUNT),
-    ("circuits.py", 'self.noise.kind != "none"', "True", _CIR + _COUNT),
-    ("circuits.py", "not any(v[1:-1].any()", "not all(v[1:-1].any()", _CIR + _COUNT),
-    ("circuits.py", "v[1:-1].any()", "v[1:-2].any()", _CIR + _COUNT),
-    ("circuits.py", "v[1:-1].any()", "v[2:-1].any()", _CIR + _COUNT),
+    ("circuits.py", "_MAX_COUNT_DIM = 1024", "_MAX_COUNT_DIM = 1023", _CIR + _COUNT),
+    ("circuits.py", "_MAX_COUNT_DIM = 1024", "_MAX_COUNT_DIM = 1600", _CIR + _COUNT),
+    ("circuits.py", "else None", "else letters", _CIR + _COUNT),
+    ("circuits.py", "np.array_equal(observable, -p)", "False", _CIR + _COUNT),
+    ("circuits.py", "== -observable[m, 0])", "== observable[m, 0])", _CIR + _COUNT),
+    ("circuits.py", "if q < 2 or", "if q < 1 or", _CIR + _COUNT),
+    ("circuits.py", "if q < 2 or", "if q <= 2 or", _CIR + _COUNT),
+    ("circuits.py", 'noise.kind == "none"', "False", _CIR + _COUNT),
+    ("circuits.py", "if len(support) == 1:", "if len(support) == 0:", _CIR + _COUNT),
+    ("circuits.py", "2 ** q - 1 - min(support)", "2 ** q - 2 - min(support)", _CIR + _COUNT),
+    ("circuits.py", "if len(support) > 2:", "if len(support) > 3:", _CIR + _COUNT),
+    ("circuits.py", 'if problem.mode == "amplitude" else', "if True else", _CIR + _DENSE3),
+    ("circuits.py", "if letters is None:", "if False:", _CIR + _COUNT),
+    ('circuits.py', 'format(y, f"0{q}b"), letters)', 'format(y, f"0{q}b"), "I" * q)', _CIR + _DENSE3),
+    ('circuits.py', 'format(y, f"0{q}b"), letters)', 'format(x, f"0{q}b"), letters)', _CIR + _DENSE3),
+    ("circuits.py", "> _MAX_COUNT_DIM:", ">= _MAX_COUNT_DIM:", _CIR + _COUNT),
+    ("circuits.py", "if len(maps) > 1:", "if len(maps) > 2:", _CIR + _DENSE3),
+    ("circuits.py", '(self.problem.mode == "amplitude" and self._classes', "(self._classes",
+     _CIR + _COUNT),
+    ("circuits.py", "len(self._classes[2]) == 1)", "len(self._classes[2]) >= 1)", _CIR + _COUNT),
     ("circuits.py", "if seed < 0 or", "if seed < -1 or",
      _CIR + "test_providers_reject_a_negative_seed"),
     ("circuits.py", "0 <= t < 2 ** 32", "0 < t < 2 ** 32", _CIR + "test_perturbed_provider"),

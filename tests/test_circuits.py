@@ -254,11 +254,11 @@ def test_exact_run_builds_no_preparation_stack(monkeypatch):
 def test_count_space_matches_the_dense_layer(qubits):
     """Read-outs, prob(n) and exact_t(n), every noise kind, depths 0..96 (count_space.py)."""
     gaps = count_space.gaps(qubits)
-    assert len(gaps) == 2 * len(count_space.NOISES)
+    assert len(gaps) == len(list(count_space.problems(qubits))) * len(count_space.NOISES)
     assert max(gaps.values()) < count_space.TOLERANCE, gaps
 
 
-def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners(monkeypatch):
+def test_count_space_is_taken_exactly_for_noisy_walks_on_two_basis_states(monkeypatch):
     builds = []
     for name in ("_count_space", "_dense_layer"):
         def spy(*args, name=name, original=getattr(circuits, name)):
@@ -267,43 +267,72 @@ def test_count_space_is_taken_exactly_for_noisy_amplitude_walks_on_the_corners(m
 
         monkeypatch.setattr(circuits, name, spy)
 
-    def takes_count_space(problem, noise=_MILD) -> bool:
-        # both trajectories read, on one layer built once
+    def spaces(problem, noise=_MILD) -> tuple:
+        """(sampled reads, exact reads) in count space; each layer is built once, and shared."""
         sim = CircuitSimulator(problem, noise)
         sim.exact_t(2), sim.prob(2)
-        traj = sim._circuits
-        assert sim._tilde._layer is traj._layer and len(builds) == 1, builds
-        dense = builds.pop() == "_dense_layer"
-        assert dense == (traj._layer.__qualname__ == "_dense_layer.<locals>.layer")
-        assert dense == (traj._rho.ndim == 3)  # dense stacks are (2, d, d)
-        return not dense
+        # dense stacks are (B, d, d), count-space ones (B, D)
+        sampled, exact = (traj._rho.ndim == 2 for traj in (sim._circuits, sim._tilde))
+        assert sorted(builds) == ["_count_space"] * sampled + ["_dense_layer"] * (not exact)
+        assert (sim._tilde._layer is sim._circuits._layer) == (sampled == exact)
+        builds.clear()
+        return sampled, exact
 
-    corner = count_space.corner_state
+    pair = count_space.pair_state
+    # amplitude corners: one class, and both reads in count space
     for q in range(2, 6):
-        assert takes_count_space(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)))
-        assert takes_count_space(amplitude_problem(corner(q, 0.2, 1.0), corner(q, 0.9, 2.0)))
+        assert spaces(build_problem(ExperimentConfig(qubits=q, amplitude=0.3))) == (True, True)
+        assert spaces(amplitude_problem(pair(q, 0.2, 1.0), pair(q, 0.9, 2.0))) == (True, True)
     for noise in count_space.NOISES[1:]:
-        assert takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.6)), noise)
-    # q = 1, where count space is the Pauli basis itself, and the noiseless walk, whose
-    # probabilities sit on 1/2 exactly at a = 1/2, where a last-bit change moves a draw
-    assert not takes_count_space(build_problem(ExperimentConfig(qubits=1, amplitude=0.3)))
-    assert not takes_count_space(build_problem(ExperimentConfig(qubits=3, amplitude=0.5)),
-                                 NoiseSpec())
-    # a state with weight off |0^q> and |1^q>, at either end of the indices between them
-    for q, off in ((2, 1), (2, 2), (4, 1), (4, 14)):
-        v = corner(q, 0.4, 0.3)
-        v[off] = 0.5
-        for psi, phi in ((v / np.linalg.norm(v), corner(q, 1.0, 0.0)),
-                         (corner(q, 1.0, 0.0), v / np.linalg.norm(v))):
-            assert not takes_count_space(amplitude_problem(psi, phi)), (q, off)
-    # observable mode: ZXIZX moves psi off the corners; XXX keeps both states on them,
-    # but G = (2|psi><psi| - I) XXX is not the identity off their span
+        problem = build_problem(ExperimentConfig(qubits=3, amplitude=0.6))
+        assert spaces(problem, noise) == (True, True)
+    # every other problem on two basis states takes count space for sampled reads only:
+    # ZXIZX (classes ZZ, XX and I), the one-class XXX on the corners, an amplitude pair
+    # off the corners, and a lone basis state, paired with its complement
     zxizx = build_problem(ExperimentConfig(mode="observable", qubits=5, observable="ZXIZX",
                                            expectation=0.4))
-    assert not takes_count_space(zxizx)
-    xxx = observable_problem(corner(3, 0.4, 0.0), pauli_string("XXX"))
-    assert not xxx.second_state()[1:-1].any()
-    assert not takes_count_space(xxx)
+    xxx = observable_problem(pair(3, 0.4, 0.0), pauli_string("XXX"))
+    off = amplitude_problem(pair(4, 0.2, 1.0, 1, 14), pair(4, 0.9, 2.0, 1, 14))
+    lone = observable_problem(pair(3, 0.0, 0.0, 5, 2), pauli_string("ZIZ"))
+    for problem in (zxizx, xxx, off, lone):
+        assert spaces(problem) == (True, False)
+    assert circuits._count_classes(lone, _MILD)[:2] == (2, 5)
+    # the size cap: five one-qubit classes give D = 4^5 = 1024, taken; ZXIYZX gives
+    # D = 10 * 10 * 4 * 4 = 1600, not
+    x = 0b00010
+    at_cap = observable_problem(pair(5, 0.4, 0.3, x, x ^ 0b11000), pauli_string("XYZZI"))
+    assert circuits._count_classes(at_cap, _MILD)[2] == tuple(
+        (x_bit, y_bit, o, 1) for x_bit, y_bit, o in
+        ((0, 1, "X"), (0, 1, "Y"), (0, 0, "Z"), (1, 1, "Z"), (0, 0, "I")))
+    assert spaces(at_cap) == (True, False)
+    above = build_problem(ExperimentConfig(mode="observable", qubits=6, observable="ZXIYZX",
+                                           expectation=0.4))
+    assert np.union1d(np.flatnonzero(above.psi), np.flatnonzero(above.second_state())).size == 2
+    assert spaces(above) == (False, False)
+    # q = 1, where count space is the Pauli basis itself, and the noiseless walk, whose
+    # probabilities sit on 1/2 exactly at a = 1/2, where a last-bit change moves a draw
+    assert spaces(build_problem(ExperimentConfig(qubits=1, amplitude=0.3))) == (False, False)
+    noiseless = build_problem(ExperimentConfig(qubits=3, amplitude=0.5))
+    assert spaces(noiseless, NoiseSpec()) == (False, False)
+    assert spaces(zxizx, NoiseSpec()) == (False, False)
+    # a state with weight on a third basis state, at either end of the indices between
+    # the corners
+    for q, third in ((2, 1), (2, 2), (4, 1), (4, 14)):
+        v = pair(q, 0.4, 0.3)
+        v[third] = 0.5
+        for psi, phi in ((v / np.linalg.norm(v), pair(q, 1.0, 0.0)),
+                         (pair(q, 1.0, 0.0), v / np.linalg.norm(v))):
+            assert spaces(amplitude_problem(psi, phi)) == (False, False), (q, third)
+    # an observable that is no Pauli string: H (x) I keeps |00> and H|00> on two basis
+    # states, but its letters are not those of one Pauli per qubit
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    not_pauli = observable_problem(pair(2, 0.0, 0.0), np.kron(hadamard, np.eye(2)))
+    assert spaces(not_pauli) == (False, False)
+    # -XXX is the same walk up to sign; (1 + 1e-12) XX passes the model's checks but is
+    # not a Pauli string, and the layer would drop its scale
+    assert spaces(observable_problem(pair(3, 0.4, 0.0), -pauli_string("XXX"))) == (True, False)
+    scaled = observable_problem(pair(2, 0.4, 0.0), (1 + 1e-12) * pauli_string("XX"))
+    assert spaces(scaled) == (False, False)
 
 
 def test_count_space_build_holds_no_dense_operator(monkeypatch):

@@ -78,6 +78,13 @@ def test_config_dict_rejects_junk():
     for key, value in (("target_eps", 0.01), ("confidence", 0.95)):
         with pytest.raises(ConfigError):
             config_from_dict({key: value})
+    # keys of mixed types, which sorted() alone cannot order, are named in the message
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['a', 1\]"):
+        config_from_dict({1: 2, "a": 3})
+    with pytest.raises(ConfigError, match=r"unknown noise keys: \['x', 1\]"):
+        config_from_dict({"noise": {1: 2, "x": 1}})
+    with pytest.raises(ConfigError, match=r"unknown parameters for pauli: \['x', 1\]"):
+        config_from_dict({"noise": {"kind": "pauli", "params": {1: 2, "x": 1}}})
 
 
 def test_config_file_round_trip(tmp_path):
