@@ -14,16 +14,16 @@ layer at a time and keeps the scalar read-outs of every depth it passes;
 a sampled run follows both of its preparations in one two-slice stack,
 an exact run their difference rho_tilde alone. Each stack's layer is
 built when it is first read, so a run builds only what it reads. The
-dense layer (_dense_layer) acts on d x d density matrices. The sampled
-reads of a noisy problem whose two states lie on two basis states x and
-y (q >= 2; in observable mode O a Pauli string) run in Pauli-count space
-instead: qubits with the same (x_j, y_j, O_j) form a class, and the walk
-and a qubitwise channel keep the states in the Kronecker product of the
-classes' spans of symmetrised Pauli strings, one per letter count. A
-state is then D = prod C(q_c + 3, 3) real coordinates (400 for ZXIZX,
-56 for the amplitude corners |0^q>, |1^q> at q = 5, against
-4^q = 1024), and the layer is built directly (_count_space). Exact reads
-take count space on the amplitude corners alone. A TProvider is an
+dense layer (_dense_layer) acts on d x d density matrices. Both reads of
+a noisy problem whose two states lie on two basis states x and y
+(q >= 2; in observable mode O a Pauli string up to sign) run in
+Pauli-count space instead: qubits with the same (x_j, y_j, O_j) form a
+class, and the walk and a qubitwise channel keep the states in the
+Kronecker product of the classes' spans of symmetrised Pauli strings,
+one per letter count. A state is then D = prod C(q_c + 3, 3) real
+coordinates (400 for ZXIZX, 56 for the amplitude corners |0^q>, |1^q>
+at q = 5, against 4^q = 1024), and the layer is built directly
+(_count_space). A TProvider is an
 immutable description of how the estimator measures t at a depth;
 estimator.run keeps the values it measured. exact_provider,
 sampled_provider and perturbed_provider give it its measurement rule
@@ -120,8 +120,11 @@ def _letterwise(a: np.ndarray, qubits: int) -> np.ndarray:
     return k
 
 
-# The largest count-space dimension the sampled reads take, fixed before measuring
-# (a formed D x D layer of this size is 8 MiB); above it they stay dense.
+# The largest count-space dimension taken; above it the layer is dense. The walk term
+# has rank prod(q_c + 1), so with many classes count space loses to dense: prob to
+# depth 96 under gentle pauli took 6.0 s against 0.8 s dense at D = 65,536 (eight
+# one-qubit classes, q = 8) and 1.4 s against 0.8-1.0 s at D = 25,600, while at
+# D <= 10,000 count space was about 3x faster.
 _MAX_COUNT_DIM = 1024
 
 # Per letter of O, the letters (I, X, Y, Z) that anticommute with it: Ad_O flips their sign.
@@ -146,7 +149,7 @@ def _pauli_letters(observable: np.ndarray):
 
 
 def _count_classes(problem: EstimationProblem, noise: NoiseSpec):
-    """(x, y, classes) for the sampled reads' count-space layer, or None for the dense one.
+    """(x, y, classes) for the count-space layer, or None for the dense one.
 
     Count space is taken when q >= 2, the noise is not none, both states
     are zero off two basis states x < y (a lone one is paired with its
@@ -347,19 +350,17 @@ class CircuitSimulator:
     two-slice stack, each measured onto both, read by sampled_t and prob.
     No command reads both, so the constructor builds nothing.
 
-    The sampled reads take the count-space layer (_space, _count_space)
-    when _count_classes finds qubit classes for the problem: q >= 2, noise
-    not none, both states on two basis states, O a Pauli string in
-    observable mode, and D at most _MAX_COUNT_DIM. Every other problem
-    takes the dense layer (_dense_layer, _dense), where rho_tilde is
-    model.rho_tilde bit for bit. The two layers agree to about 1e-13, which
-    moves no binomial draw except at a probability of exactly 1/2, where
-    numpy's binomial changes method (the noiseless walk sits there at
-    a = 1/2 and so stays dense). Exact reads are stored to 12 digits, which
-    so small a change can move, so they take count space only on the
-    amplitude corners, one class, and the dense layer everywhere else. A
-    problem whose two reads differ in layer builds each once; otherwise
-    they share one.
+    _space picks the one layer both trajectories take: the count-space
+    layer (_count_space) when _count_classes finds qubit classes for the
+    problem (q >= 2, noise not none, both states on two basis states, O a
+    Pauli string up to sign in observable mode, and D at most
+    _MAX_COUNT_DIM), and the dense layer (_dense_layer) otherwise, where
+    rho_tilde is model.rho_tilde bit for bit. The two layers agree to
+    about 1e-13, which moves no binomial draw except at a probability of
+    exactly 1/2, where numpy's binomial changes method (the noiseless walk
+    sits there at a = 1/2 and so stays dense). Exact reads are written to
+    12 digits, so that gap can move their last digit, though no stored
+    output moves with it.
 
     Each trajectory keeps only its latest stack, so a depth costs the layers
     beyond the deepest one reached and a repeated depth is free. Build one
@@ -383,31 +384,19 @@ class CircuitSimulator:
         return np.random.Generator(np.random.Philox(0))
 
     @cached_property
-    def _classes(self):
-        """_count_classes of the problem and noise: None when the sampled reads stay dense."""
-        return _count_classes(self.problem, self.noise)
-
-    @cached_property
-    def _dense(self) -> tuple:
-        """Both preparations as one (2, d, d) stack, and the dense layer."""
+    def _space(self) -> tuple:
+        """Both preparations as one stack, and the layer both trajectories take (see the class)."""
         p = self.problem
+        layout = _count_classes(p, self.noise)
+        if layout is not None:
+            return _count_space(p, self.noise, layout)
         states = tuple(np.asarray(v, dtype=complex) for v in (p.psi, p.second_state()))
         return np.stack([np.outer(v, np.conj(v)) for v in states]), _dense_layer(p, self.noise)
 
     @cached_property
-    def _space(self) -> tuple:
-        """Both preparations as one stack, and the layer the sampled reads take (see the class)."""
-        if self._classes is None:
-            return self._dense
-        return _count_space(self.problem, self.noise, self._classes)
-
-    @cached_property
     def _tilde(self) -> _Trajectory:
-        """rho_tilde alone, probed by itself (see the class for its layer)."""
-        # one class in amplitude mode is the corners |0^q>, |1^q>
-        corners = (self.problem.mode == "amplitude" and self._classes is not None
-                   and len(self._classes[2]) == 1)
-        rho0, layer = self._space if corners else self._dense
+        """rho_tilde alone, probed by itself."""
+        rho0, layer = self._space
         tilde = (rho0[1] - rho0[0])[None]
         return _Trajectory(tilde, [(0, tilde.reshape(-1))], layer)
 

@@ -24,7 +24,8 @@ from .model import (NORM_TOL, EstimationProblem, amplitude_problem, eig_dense, o
 CONFIG_VERSION = 1
 # On the dense layer each simulated layer multiplies d x d density matrices
 # (d = 2^q) by the walk operator, O(8^q) work; the cap bounds it before any array
-# is built. Noisy synthetic amplitude problems at q >= 2 run in count space instead.
+# is built. Noisy problems at q >= 2 whose states lie on two basis states (synthetic
+# amplitude problems, and observable ones whose psi does) run in count space instead.
 MAX_QUBITS = 8
 # Iteration k reaches depth 3 * 2^k, so the cap bounds a run at 12,288 layers,
 # and MAX_DEPTH bounds depth_grid at the same deepest layer.

@@ -3,10 +3,10 @@
 It checks both trajectories, the circuits and exact_t's rho_tilde, on
 problems whose states lie on two basis states: the amplitude corners, an
 explicit amplitude pair elsewhere and observable strings, which together
-use every letter. tests/test_circuits.py runs gaps(q) at q = 2-6. Run as a
-script it checks the qubit counts given (CI runs 7 and 8, about 45 s on
-2 cores, nearly all of it the dense reference) and exits 1 if a gap
-reaches TOLERANCE:
+use every letter, one of them with a minus sign. tests/test_circuits.py
+runs gaps(q) at q = 2-6. Run as a script it checks the qubit counts given
+(CI runs 7 and 8, about 45 s on 2 cores, nearly all of it the dense
+reference) and exits 1 if a gap reaches TOLERANCE:
 
     PYTHONPATH=src python tests/count_space.py 7 8
 """
@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from nrqae import circuits
-from nrqae.channels import NoiseSpec
+from nrqae.channels import NoiseSpec, pauli_string
 from nrqae.config import ExperimentConfig, build_problem
-from nrqae.model import amplitude_problem
+from nrqae.model import amplitude_problem, observable_problem
 
 NOISES = (NoiseSpec(), NoiseSpec(kind="depolarizing"), NoiseSpec(kind="pauli"),
           NoiseSpec(kind="amplitude-damping"), NoiseSpec(kind="coherent"),
@@ -40,8 +40,9 @@ def problems(qubits: int):
     The corners as a config-built problem and with complex explicit states;
     explicit states on |0..01> and |1..10>; and the observable strings
     Y X..X, X..X I and Z..Z, which config-built states put on |0^q> and one
-    other basis state. At q <= 6 also the benchmark's ZXIZX, cut or padded
-    with Z to q letters, whose three or more classes exceed the cap at q = 7.
+    other basis state; and -X..X with a complex explicit psi on the
+    corners. At q <= 6 also the benchmark's ZXIZX, cut or padded with Z to
+    q letters, whose three or more classes exceed the cap at q = 7.
     """
     yield "amplitude-0.3", build_problem(ExperimentConfig(qubits=qubits, amplitude=0.3))
     yield "explicit", amplitude_problem(pair_state(qubits, 0.3, 0.4),
@@ -55,6 +56,8 @@ def problems(qubits: int):
     for label in strings:
         yield label, build_problem(ExperimentConfig(mode="observable", qubits=qubits,
                                                     observable=label, expectation=0.4))
+    yield "-" + "X" * qubits, observable_problem(pair_state(qubits, 0.3, 0.4),
+                                                 -pauli_string("X" * qubits))
 
 
 def gaps(qubits: int, depth: int = DEPTH) -> dict:
@@ -64,19 +67,17 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
     in count space and the same two preparations as a dense _Trajectory,
     and compares their four read-outs, which sampled_t draws from, and
     prob(n). Where the simulator takes count space (every kind but none),
-    its read-outs must be those of the count-space trajectory bit for bit.
-    On the amplitude corners, where exact reads take it too, exact_t(n)
-    must be that of rho_tilde's, built here from the stack's rows (row 1
-    minus row 0), bit for bit, and within the gap of the signed sum
-    (+, -, -, +) of the four dense read-outs, which is t_n by linearity.
-    Elsewhere exact_t is dense and not compared here.
+    its read-outs must be those of the count-space trajectory bit for bit,
+    and exact_t(n) that of rho_tilde's, built here from the stack's rows
+    (row 1 minus row 0). On every kind exact_t(n) must be within the gap of
+    the signed sum (+, -, -, +) of the four dense read-outs, which is t_n
+    by linearity.
     """
     out = {}
     for name, problem in problems(qubits):
         states = [np.asarray(v, dtype=complex) for v in (problem.psi, problem.second_state())]
         layout = circuits._count_classes(problem, NOISES[1])
         assert layout is not None, name
-        corners = layout[2] == ((0, 1, "I", qubits),)
         for noise in NOISES:
             sim = circuits.CircuitSimulator(problem, noise)
             rho0, layer = circuits._count_space(problem, noise, layout)
@@ -92,13 +93,11 @@ def gaps(qubits: int, depth: int = DEPTH) -> dict:
                 got, want = count.at(n), dense.at(n)
                 if noise.kind != "none":
                     assert sim._circuits.at(n) == got, (name, noise.kind, n)
+                    assert sim.exact_t(n) == tilde_count.at(n)[0].real, (name, noise.kind, n)
+                signed = sum(sign * w for (*_, sign), w in zip(circuits._TERMS, want))
                 gap = max(gap, *(abs(a - b) for a, b in zip(got, want)),
-                          abs(sim.prob(n) - circuits._clamped_real(want[1], n)))
-                if corners:
-                    if noise.kind != "none":
-                        assert sim.exact_t(n) == tilde_count.at(n)[0].real, (name, noise.kind, n)
-                    signed = sum(sign * w for (*_, sign), w in zip(circuits._TERMS, want))
-                    gap = max(gap, abs(sim.exact_t(n) - signed))
+                          abs(sim.prob(n) - circuits._clamped_real(want[1], n)),
+                          abs(sim.exact_t(n) - signed))
             out[name, noise.kind] = gap
     return out
 

@@ -135,9 +135,6 @@ MUTANTS = (
     ('circuits.py', 'format(y, f"0{q}b"), letters)', 'format(x, f"0{q}b"), letters)', _CIR + _DENSE3),
     ("circuits.py", "> _MAX_COUNT_DIM:", ">= _MAX_COUNT_DIM:", _CIR + _COUNT),
     ("circuits.py", "if len(maps) > 1:", "if len(maps) > 2:", _CIR + _DENSE3),
-    ("circuits.py", '(self.problem.mode == "amplitude" and self._classes', "(self._classes",
-     _CIR + _COUNT),
-    ("circuits.py", "len(self._classes[2]) == 1)", "len(self._classes[2]) >= 1)", _CIR + _COUNT),
     ("circuits.py", "if seed < 0 or", "if seed < -1 or",
      _CIR + "test_providers_reject_a_negative_seed"),
     ("circuits.py", "0 <= t < 2 ** 32", "0 < t < 2 ** 32", _CIR + "test_perturbed_provider"),

@@ -226,7 +226,9 @@ def test_preparations_share_one_stack():
 
 def test_exact_run_builds_no_preparation_stack(monkeypatch):
     problems = (random_problem(np.random.default_rng(271), 2),
-                build_problem(ExperimentConfig(qubits=3, amplitude=0.3)))
+                build_problem(ExperimentConfig(qubits=3, amplitude=0.3)),
+                build_problem(ExperimentConfig(mode="observable", qubits=5, observable="ZXIZX",
+                                               expectation=-0.6)))
     for p in problems:  # sampled reads, dense or in count space, build no rho_tilde
         sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
         sampled_provider(sim, shots=1000, seed=3).measure(4, 1)
@@ -234,8 +236,9 @@ def test_exact_run_builds_no_preparation_stack(monkeypatch):
         assert "_circuits" in vars(sim) and "_tilde" not in vars(sim)
 
     # exact runs build rho_tilde alone, on the circuits' layer: dense (d, d) slices at
-    # the random q = 2 problem, D = C(q + 3, 3) count-space coordinates at the q = 3 corners
-    for p, shape in zip(problems, ((1, 4, 4), (1, 20))):
+    # the random q = 2 problem, D = C(q + 3, 3) count-space coordinates at the q = 3
+    # corners, and D = 10 * 10 * 4 = 400 for ZXIZX (classes ZZ, XX and I)
+    for p, shape in zip(problems, ((1, 4, 4), (1, 20), (1, 400)), strict=True):
         sim = CircuitSimulator(p, NoiseSpec(kind="pauli"))
         run(exact_provider(sim), k=3)
         assert "_circuits" not in vars(sim) and "rng" not in vars(sim)  # nor a generator
@@ -267,35 +270,34 @@ def test_count_space_is_taken_exactly_for_noisy_walks_on_two_basis_states(monkey
 
         monkeypatch.setattr(circuits, name, spy)
 
-    def spaces(problem, noise=_MILD) -> tuple:
-        """(sampled reads, exact reads) in count space; each layer is built once, and shared."""
+    def spaces(problem, noise=_MILD) -> bool:
+        """Whether both reads run in count space; they share one layer, built once."""
         sim = CircuitSimulator(problem, noise)
         sim.exact_t(2), sim.prob(2)
+        assert sim._tilde._layer is sim._circuits._layer
         # dense stacks are (B, d, d), count-space ones (B, D)
-        sampled, exact = (traj._rho.ndim == 2 for traj in (sim._circuits, sim._tilde))
-        assert sorted(builds) == ["_count_space"] * sampled + ["_dense_layer"] * (not exact)
-        assert (sim._tilde._layer is sim._circuits._layer) == (sampled == exact)
+        count = sim._circuits._rho.ndim == 2
+        assert builds == ["_count_space" if count else "_dense_layer"]
         builds.clear()
-        return sampled, exact
+        return count
 
     pair = count_space.pair_state
-    # amplitude corners: one class, and both reads in count space
+    # amplitude corners: one class
     for q in range(2, 6):
-        assert spaces(build_problem(ExperimentConfig(qubits=q, amplitude=0.3))) == (True, True)
-        assert spaces(amplitude_problem(pair(q, 0.2, 1.0), pair(q, 0.9, 2.0))) == (True, True)
+        assert spaces(build_problem(ExperimentConfig(qubits=q, amplitude=0.3)))
+        assert spaces(amplitude_problem(pair(q, 0.2, 1.0), pair(q, 0.9, 2.0)))
     for noise in count_space.NOISES[1:]:
-        problem = build_problem(ExperimentConfig(qubits=3, amplitude=0.6))
-        assert spaces(problem, noise) == (True, True)
-    # every other problem on two basis states takes count space for sampled reads only:
-    # ZXIZX (classes ZZ, XX and I), the one-class XXX on the corners, an amplitude pair
-    # off the corners, and a lone basis state, paired with its complement
+        assert spaces(build_problem(ExperimentConfig(qubits=3, amplitude=0.6)), noise)
+    # every other problem on two basis states: ZXIZX (classes ZZ, XX and I), the
+    # one-class XXX on the corners, an amplitude pair off the corners, and a lone basis
+    # state, paired with its complement
     zxizx = build_problem(ExperimentConfig(mode="observable", qubits=5, observable="ZXIZX",
                                            expectation=0.4))
     xxx = observable_problem(pair(3, 0.4, 0.0), pauli_string("XXX"))
     off = amplitude_problem(pair(4, 0.2, 1.0, 1, 14), pair(4, 0.9, 2.0, 1, 14))
     lone = observable_problem(pair(3, 0.0, 0.0, 5, 2), pauli_string("ZIZ"))
     for problem in (zxizx, xxx, off, lone):
-        assert spaces(problem) == (True, False)
+        assert spaces(problem)
     assert circuits._count_classes(lone, _MILD)[:2] == (2, 5)
     # the size cap: five one-qubit classes give D = 4^5 = 1024, taken; ZXIYZX gives
     # D = 10 * 10 * 4 * 4 = 1600, not
@@ -304,17 +306,16 @@ def test_count_space_is_taken_exactly_for_noisy_walks_on_two_basis_states(monkey
     assert circuits._count_classes(at_cap, _MILD)[2] == tuple(
         (x_bit, y_bit, o, 1) for x_bit, y_bit, o in
         ((0, 1, "X"), (0, 1, "Y"), (0, 0, "Z"), (1, 1, "Z"), (0, 0, "I")))
-    assert spaces(at_cap) == (True, False)
+    assert spaces(at_cap)
     above = build_problem(ExperimentConfig(mode="observable", qubits=6, observable="ZXIYZX",
                                            expectation=0.4))
     assert np.union1d(np.flatnonzero(above.psi), np.flatnonzero(above.second_state())).size == 2
-    assert spaces(above) == (False, False)
+    assert not spaces(above)
     # q = 1, where count space is the Pauli basis itself, and the noiseless walk, whose
     # probabilities sit on 1/2 exactly at a = 1/2, where a last-bit change moves a draw
-    assert spaces(build_problem(ExperimentConfig(qubits=1, amplitude=0.3))) == (False, False)
-    noiseless = build_problem(ExperimentConfig(qubits=3, amplitude=0.5))
-    assert spaces(noiseless, NoiseSpec()) == (False, False)
-    assert spaces(zxizx, NoiseSpec()) == (False, False)
+    assert not spaces(build_problem(ExperimentConfig(qubits=1, amplitude=0.3)))
+    assert not spaces(build_problem(ExperimentConfig(qubits=3, amplitude=0.5)), NoiseSpec())
+    assert not spaces(zxizx, NoiseSpec())
     # a state with weight on a third basis state, at either end of the indices between
     # the corners
     for q, third in ((2, 1), (2, 2), (4, 1), (4, 14)):
@@ -322,17 +323,16 @@ def test_count_space_is_taken_exactly_for_noisy_walks_on_two_basis_states(monkey
         v[third] = 0.5
         for psi, phi in ((v / np.linalg.norm(v), pair(q, 1.0, 0.0)),
                          (pair(q, 1.0, 0.0), v / np.linalg.norm(v))):
-            assert spaces(amplitude_problem(psi, phi)) == (False, False), (q, third)
+            assert not spaces(amplitude_problem(psi, phi)), (q, third)
     # an observable that is no Pauli string: H (x) I keeps |00> and H|00> on two basis
     # states, but its letters are not those of one Pauli per qubit
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     not_pauli = observable_problem(pair(2, 0.0, 0.0), np.kron(hadamard, np.eye(2)))
-    assert spaces(not_pauli) == (False, False)
+    assert not spaces(not_pauli)
     # -XXX is the same walk up to sign; (1 + 1e-12) XX passes the model's checks but is
     # not a Pauli string, and the layer would drop its scale
-    assert spaces(observable_problem(pair(3, 0.4, 0.0), -pauli_string("XXX"))) == (True, False)
-    scaled = observable_problem(pair(2, 0.4, 0.0), (1 + 1e-12) * pauli_string("XX"))
-    assert spaces(scaled) == (False, False)
+    assert spaces(observable_problem(pair(3, 0.4, 0.0), -pauli_string("XXX")))
+    assert not spaces(observable_problem(pair(2, 0.4, 0.0), (1 + 1e-12) * pauli_string("XX")))
 
 
 def test_count_space_build_holds_no_dense_operator(monkeypatch):
